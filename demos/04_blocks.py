@@ -1,7 +1,7 @@
 """Transformer blocks and the lightweight perceptron that replaces the MLP.
 
-A stage of the transformer branch is a pair of blocks: one with plain
-windows, one with shifted windows.  Inside each block the usual 4x-wide
+A stage of the transformer branch is a stack of blocks that alternate
+plain and shifted windows.  Inside each block the usual 4x-wide
 MLP is swapped for a ghost-style perceptron (LPM) that produces half of
 its hidden features with a depthwise convolution over the token grid,
 which costs a fraction of the dense parameters.
@@ -10,7 +10,8 @@ which costs a fraction of the dense parameters.
 import numpy as np
 
 from tecnet import Tensor
-from tecnet.blocks import LPM, BlockPair, Mlp
+from tecnet.blocks import LPM, Mlp
+from tecnet.model import TransStage
 
 
 def main():
@@ -23,18 +24,18 @@ def main():
         mlp = sum(p.size for _, p in Mlp(d, rng=rng).named_parameters())
         print(f"{d:5d} | {lpm:10,} | {mlp:10,}")
 
-    # -- a block pair is the identity at init ------------------------------
+    # -- a two-block stage is the identity at init --------------------------
     tokens = Tensor(rng.standard_normal((64, 32)))
-    pair = BlockPair(32, window=4, heads=2, rng=rng)
-    out = pair(tokens, (8, 8))
-    print("\nfresh block pair == identity:",
+    stage = TransStage(32, 2, 4, 2, True, True, False, rng=rng)
+    out = stage(tokens, (8, 8))
+    print("\nfresh two-block stage == identity:",
           float(np.max(np.abs(out.data - tokens.data))))
-    print("first block shifted:", pair.first.attn.shifted,
-          "/ second block shifted:", pair.second.attn.shifted)
+    print("first block shifted:", stage.blocks[0].attn.shifted,
+          "/ second block shifted:", stage.blocks[1].attn.shifted)
 
-    # -- the pair still contains trainable structure -----------------------
-    n_params = sum(p.size for _, p in pair.named_parameters())
-    print(f"parameters in one 32-wide pair: {n_params:,}")
+    # -- the stage still contains trainable structure ----------------------
+    n_params = sum(p.size for _, p in stage.named_parameters())
+    print(f"parameters in one 32-wide two-block stage: {n_params:,}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Two encoder-decoder branches run side by side over seven stages: a CNN
 branch built from dynamic deformable convolutions and a transformer branch
-built from shifted-window block pairs.  At every stage each branch hands
+built from shifted-window block stacks.  At every stage each branch hands
 its features to the other, so local texture and global context mix
 continuously rather than once at the end.  Three heads come out: one per
 branch plus the fused prediction.

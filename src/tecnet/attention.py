@@ -112,6 +112,34 @@ def shift_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
     return np.where(diff, MASKED, 0.0)
 
 
+def spatial_bias(table: Tensor, rel_index: np.ndarray, m: int, heads: int) -> Tensor:
+    """[heads, m^2, m^2] relative-position bias gathered from a [(2m-1)^2, heads] table."""
+    b = E.index_select(table, rel_index)                 # [m^4, heads]
+    return b.reshape(m * m, m * m, heads).permute(2, 0, 1)
+
+
+def windowed(x: Tensor, m: int, shift: int, mask_cache: dict, attend) -> Tensor:
+    """Run `attend(windows, mask)` over the m x m windows of a [C, h, w] map.
+
+    Pads bottom/right to window multiples, rolls by -shift and partitions
+    into [nw, C, m, m] windows.  `mask` is None when unshifted, else the
+    shift mask of the padded extent, built once per extent into mask_cache.
+    The [nw, C, m, m] result is reversed, rolled back and cropped to h x w.
+    """
+    x, (h0, w0) = pad_to_window(x, m)
+    _, h, w = x.shape
+    mask = None
+    if shift:
+        x = E.roll2d(x, -shift, -shift)
+        mask = mask_cache.get((h, w))
+        if mask is None:
+            mask = mask_cache[(h, w)] = shift_mask(h, w, m, shift)
+    y = window_reverse(attend(window_partition(x, m), mask), m, h, w)
+    if shift:
+        y = E.roll2d(y, shift, shift)
+    return crop_to(y, h0, w0)
+
+
 def _effective_heads(dim: int, heads: int) -> int:
     """Per-branch head count: split only when the projected dim supports it."""
     if heads > 1 and dim % heads == 0 and dim >= 2 * heads:
@@ -213,62 +241,29 @@ class ACAM(Module):
             self.heads_channel = _effective_heads(self.m8, heads)
             self.heads_cross = _effective_heads(self.p8, heads)
 
-    # -- helpers ----------------------------------------------------------
-
-    def _spatial_bias(self) -> Tensor:
-        m = self.window
-        b = E.index_select(self.bias_spatial, self._rel_index)   # [m^4, heads]
-        b = b.reshape(m * m, m * m, self.heads)
-        return b.permute(2, 0, 1)                                # [heads, m^2, m^2]
-
-    def _mask_for(self, h: int, w: int) -> np.ndarray:
-        key = (h, w)
-        mask = self._mask_cache.get(key)
-        if mask is None:
-            mask = shift_mask(h, w, self.window, self.shift)
-            self._mask_cache[key] = mask
-        return mask
-
-    # -- forward ----------------------------------------------------------
-
     def forward(self, x: Tensor, collect: dict | None = None) -> Tensor:
-        c, m = self.channels, self.window
-        if x.shape[0] != c:
-            raise ConfigurationError(f"expected {c} channels, got {x.shape[0]}")
-        x, (h0, w0) = pad_to_window(x, m)
-        _, h, w = x.shape
-        s = self.shift
-        if s:
-            x = E.roll2d(x, -s, -s)
-        wins = window_partition(x, m)                    # [nw, C, m, m]
-        nw = wins.shape[0]
-        mask = self._mask_for(h, w) if s else None
-
-        if self.shared_kv:
-            fused = self._branches_shared(wins, nw, mask, collect)
-        else:
-            fused = self._branches_separate(wins, nw, mask, collect)
-
-        y = window_reverse(fused, m, h, w)
-        if s:
-            y = E.roll2d(y, s, s)
-        return crop_to(y, h0, w0)
+        if x.shape[0] != self.channels:
+            raise ConfigurationError(f"expected {self.channels} channels, got {x.shape[0]}")
+        branches = self._branches_shared if self.shared_kv else self._branches_separate
+        return windowed(x, self.window, self.shift, self._mask_cache,
+                        lambda wins, mask: branches(wins, mask, collect))
 
     def _fuse(self, o_spatial, o_channel, o_cross_h, o_cross_w):
         lam = self.lambdas
         return (o_spatial * lam[0] + o_channel * lam[1]
                 + o_cross_h * lam[2] + o_cross_w * lam[3])
 
-    def _branches_separate(self, wins: Tensor, nw: int, mask, collect):
+    def _branches_separate(self, wins: Tensor, mask, collect):
         c, m = self.channels, self.window
+        nw = wins.shape[0]
         grid_tokens = wins.reshape(nw, c, m * m)                  # channel tokens
         sp_tokens = grid_tokens.permute(0, 2, 1)                  # spatial tokens
 
         # spatial branch: relative-position bias plus shift mask
         o1 = branch_attention(
             self.q_spatial(sp_tokens), self.k_spatial(sp_tokens), self.v_spatial(sp_tokens),
-            heads=self.heads, bias=self._spatial_bias(), mask=mask,
-            collect=collect, collect_key="spatial")
+            heads=self.heads, bias=spatial_bias(self.bias_spatial, self._rel_index, m, self.heads),
+            mask=mask, collect=collect, collect_key="spatial")
         o1 = self.out_spatial(o1).permute(0, 2, 1).reshape(nw, c, m, m)
 
         # channel branch: learnable channel-pair bias, no mask
@@ -294,8 +289,9 @@ class ACAM(Module):
 
         return self._fuse(o1, o2, o3, o4)
 
-    def _branches_shared(self, wins: Tensor, nw: int, mask, collect):
+    def _branches_shared(self, wins: Tensor, mask, collect):
         c, m, c8 = self.channels, self.window, self.c8
+        nw = wins.shape[0]
         sp_tokens = wins.reshape(nw, c, m * m).permute(0, 2, 1)   # [nw, m^2, C]
         ke = self.embed_k(sp_tokens)                              # [nw, m^2, c8]
         ve = self.embed_v(sp_tokens)
@@ -304,8 +300,8 @@ class ACAM(Module):
 
         # spatial: queries reuse the K embedding
         o1 = branch_attention(ke, ke, ve, heads=self.heads,
-                              bias=self._spatial_bias(), mask=mask,
-                              collect=collect, collect_key="spatial")
+                              bias=spatial_bias(self.bias_spatial, self._rel_index, m, self.heads),
+                              mask=mask, collect=collect, collect_key="spatial")
         o1 = self.out_spatial(o1).permute(0, 2, 1).reshape(nw, c, m, m)
 
         kc = kg.reshape(nw, c8, m * m)
@@ -330,10 +326,6 @@ class ACAM(Module):
         o4 = self.out_cross_w(o4).permute(0, 2, 1).reshape(nw, c, m, m)
 
         return self._fuse(o1, o2, o3, o4)
-
-
-def acam_forward(layer: ACAM, x: Tensor, collect: dict | None = None) -> Tensor:
-    return layer(x, collect=collect)
 
 
 class WindowAttention(Module):
@@ -362,30 +354,17 @@ class WindowAttention(Module):
 
     def forward(self, x: Tensor, collect: dict | None = None) -> Tensor:
         c, m = self.channels, self.window
-        x, (h0, w0) = pad_to_window(x, m)
-        _, h, w = x.shape
-        s = self.shift
-        if s:
-            x = E.roll2d(x, -s, -s)
-        wins = window_partition(x, m)
-        nw = wins.shape[0]
-        tokens = wins.reshape(nw, c, m * m).permute(0, 2, 1)
-        bias = E.index_select(self.bias, self._rel_index)
-        bias = bias.reshape(m * m, m * m, self.heads).permute(2, 0, 1)
-        mask = None
-        if s:
-            mask = self._mask_cache.get((h, w))
-            if mask is None:
-                mask = shift_mask(h, w, m, s)
-                self._mask_cache[(h, w)] = mask
-        o = branch_attention(self.q(tokens), self.k(tokens), self.v(tokens),
-                             heads=self.heads, bias=bias, mask=mask,
-                             collect=collect, collect_key="spatial")
-        o = self.out(o).permute(0, 2, 1).reshape(nw, c, m, m)
-        y = window_reverse(o, m, h, w)
-        if s:
-            y = E.roll2d(y, s, s)
-        return crop_to(y, h0, w0)
+
+        def attend(wins: Tensor, mask) -> Tensor:
+            nw = wins.shape[0]
+            tokens = wins.reshape(nw, c, m * m).permute(0, 2, 1)
+            bias = spatial_bias(self.bias, self._rel_index, m, self.heads)
+            o = branch_attention(self.q(tokens), self.k(tokens), self.v(tokens),
+                                 heads=self.heads, bias=bias, mask=mask,
+                                 collect=collect, collect_key="spatial")
+            return self.out(o).permute(0, 2, 1).reshape(nw, c, m, m)
+
+        return windowed(x, m, self.shift, self._mask_cache, attend)
 
 
 # ---------------------------------------------------------------- cost model

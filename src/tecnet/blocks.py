@@ -63,10 +63,6 @@ class Mlp(Module):
         return self.out(E.gelu(self.expand(tokens)))
 
 
-def lpm_forward(layer: LPM, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-    return layer(tokens, grid)
-
-
 class TransformerBlock(Module):
     """Pre-norm residual block: attention then perceptron.
 
@@ -92,26 +88,3 @@ class TransformerBlock(Module):
         a = self.attn(a, collect=collect)
         t_hat = grid_to_tokens(a) + tokens
         return self.mlp(self.norm_mlp(t_hat), grid) + t_hat
-
-
-class BlockPair(Module):
-    """The canonical two-block unit: plain windows, then shifted windows."""
-
-    def __init__(self, channels: int, window: int, heads: int,
-                 use_acam: bool = True, use_lpm: bool = True,
-                 shared_kv: bool = False, rng=None):
-        self.first = TransformerBlock(channels, window, heads, shifted=False,
-                                      use_acam=use_acam, use_lpm=use_lpm,
-                                      shared_kv=shared_kv, rng=rng)
-        self.second = TransformerBlock(channels, window, heads, shifted=True,
-                                       use_acam=use_acam, use_lpm=use_lpm,
-                                       shared_kv=shared_kv, rng=rng)
-
-    def forward(self, tokens: Tensor, grid: tuple[int, int],
-                collect: dict | None = None) -> Tensor:
-        t = self.first(tokens, grid, collect=collect)
-        return self.second(t, grid, collect=collect)
-
-
-def block_pair_forward(bp: BlockPair, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-    return bp(tokens, grid)

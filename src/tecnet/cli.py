@@ -25,11 +25,10 @@ import numpy as np
 from .attention import cost_acam, cost_msa, cost_swmsa, count_actual_macs, write_mac_report
 from .errors import ConfigurationError, UsageError
 from .metrics import evaluate_pairs, write_metrics_csv
-from .model import (N_STAGES, PRESETS, TecNet, TecNetConfig, count_flops,
-                    count_params)
+from .model import (N_STAGES, PRESETS, TecNet, TecNetConfig, attention_probe,
+                    count_flops, count_params)
 from .synth import FAMILIES, SynthSpec, generate, load_dataset, quantize, write_pgm
-from .training import (TrainSchedule, evaluate_dice, load_model,
-                       predict_probs, train)
+from .training import TrainSchedule, load_model, predict_probs, train
 
 TRAIN_KEYS = ("total_epochs", "batch_size", "lr", "delta",
               "plateau_patience", "plateau_factor", "seed")
@@ -194,33 +193,22 @@ def cmd_analyze(args) -> int:
     print("\nattention cost per stage (MACs, window attention vs baselines)")
     print(f"{'stage':<8}{'grid':>6}{'width':>7}{'global':>16}"
           f"{'windowed':>14}{'adaptive':>14}")
+    m = cfg.window
     for i in range(N_STAGES):
         g = cfg.stage_grid(i)
         c = cfg.stage_width(i)
-        m = min(cfg.window, g)
+        gp = -(-g // m) * m                   # windows run on the padded grid
         print(f"{i:<8}{g:>6}{c:>7}{cost_msa(g, g, c):>16,}"
-              f"{cost_swmsa(g, g, c, m):>14,}{cost_acam(g, g, c, m):>14,}")
+              f"{cost_swmsa(gp, gp, c, m):>14,}{cost_acam(gp, gp, c, m):>14,}")
 
     if args.mac_report:
         rows = []
         for i in range(N_STAGES):
             g = cfg.stage_grid(i)
-            c = cfg.stage_width(i)
-            m = min(cfg.window, g)
-            rows.extend(count_actual_macs(_attn_probe(cfg, c, m, i), g, g))
+            rows.extend(count_actual_macs(attention_probe(cfg, i), g, g))
         write_mac_report(args.mac_report, rows)
         print(f"\nper-branch MAC report: {args.mac_report}")
     return 0
-
-
-def _attn_probe(cfg, channels, window, stage):
-    from .attention import ACAM, WindowAttention
-    rng = np.random.default_rng(0)
-    if cfg.use_acam:
-        return ACAM(channels, window, heads=cfg.heads[stage], shifted=False,
-                    shared_kv=cfg.shared_kv, rng=rng)
-    return WindowAttention(channels, window, heads=cfg.heads[stage],
-                           shifted=False, rng=rng)
 
 
 def cmd_dump_features(args) -> int:

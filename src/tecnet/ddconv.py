@@ -110,8 +110,3 @@ class DDConv(Module):
         cols = sampled.reshape(self.c_in * k * k, ho * wo)
         y = (w2 @ cols).reshape(self.c_out, ho, wo)
         return y + self.bias.reshape(-1, 1, 1)
-
-
-def ddconv_forward(layer: DDConv, x: Tensor) -> Tensor:
-    """Functional entry point; forwards to the layer."""
-    return layer(x)

@@ -25,7 +25,7 @@ __all__ = [
     "reshape", "permute", "concat", "pad2d", "roll2d",
     "relu", "gelu", "sigmoid", "softmax", "layernorm",
     "conv2d", "depthwise_conv2d",
-    "bilinear_gather", "bilinear_sample",
+    "bilinear_gather",
     "global_avg_pool", "index_select",
     "upsample_nearest", "upsample_bilinear",
 ]
@@ -628,12 +628,6 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
 
     inputs = (x,) + tuple(t for t, used in ((ys, ty), (xs, tx)) if used)
     return _record(out, inputs, backward_fn)
-
-
-def bilinear_sample(x: Tensor, py: float, px: float) -> Tensor:
-    """Single-point convenience wrapper around bilinear_gather; returns [C]."""
-    out = bilinear_gather(x, np.array([py]), np.array([px]))
-    return reshape(out, (x.shape[0],))
 
 
 # ---------------------------------------------------------------- pooling etc.

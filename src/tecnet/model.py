@@ -19,7 +19,7 @@ from . import engine as E
 from .engine import Tensor, as_tensor
 from .errors import ConfigurationError, UsageError
 from .attention import ACAM, WindowAttention, count_actual_macs
-from .blocks import LPM, Mlp, TransformerBlock, grid_to_tokens, tokens_to_grid
+from .blocks import TransformerBlock, grid_to_tokens, tokens_to_grid
 from .ddconv import DDConv
 from .nn import ChannelNorm, Conv2d, Linear, Module
 
@@ -376,11 +376,15 @@ class TecNet(Module):
         return {"y_cnn": y_cnn, "y_trans": y_trans, "y_tec": y_tec}
 
 
-def tecnet_forward(model: TecNet, image: Tensor, collect: dict | None = None) -> dict:
-    return model(image, collect=collect)
-
-
 # ---------------------------------------------------------------- accounting
+
+def attention_probe(cfg: TecNetConfig, stage: int):
+    """An unshifted attention layer of the kind and size `stage` runs."""
+    c, heads, rng = cfg.stage_width(stage), cfg.heads[stage], np.random.default_rng(0)
+    if cfg.use_acam:
+        return ACAM(c, cfg.window, heads, shifted=False, shared_kv=cfg.shared_kv, rng=rng)
+    return WindowAttention(c, cfg.window, heads, shifted=False, rng=rng)
+
 
 def _linear_n(d_in, d_out, bias=True):
     return d_in * d_out + (d_out if bias else 0)
@@ -536,15 +540,8 @@ def count_flops(cfg: TecNetConfig, input_size: int | None = None, c_img: int = 1
             unit = 9 * c * c * g * g
         macs[f"stage{i}.cnn"] = CnnStage.UNITS * unit
 
-        per_block = 0
-        if cfg.use_acam:
-            probe = ACAM(c, cfg.window, cfg.heads[i], shifted=False,
-                         shared_kv=cfg.shared_kv, rng=np.random.default_rng(0))
-        else:
-            probe = WindowAttention(c, cfg.window, cfg.heads[i], shifted=False,
-                                    rng=np.random.default_rng(0))
-        attn_rows = count_actual_macs(probe, g, g)
-        per_block += next(r["actual_macs"] for r in attn_rows if r["branch"] == "total")
+        attn_rows = count_actual_macs(attention_probe(cfg, i), g, g)
+        per_block = next(r["actual_macs"] for r in attn_rows if r["branch"] == "total")
         n_tok = g * g
         if cfg.use_lpm:
             per_block += n_tok * c * 2 * c + n_tok * 2 * c * 9 + n_tok * 4 * c * c

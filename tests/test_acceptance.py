@@ -18,12 +18,12 @@ from tecnet import engine as E
 from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
                               cost_swmsa, crop_to, pad_to_window, shift_mask,
                               window_partition, window_reverse)
-from tecnet.blocks import LPM, BlockPair
+from tecnet.blocks import LPM
 from tecnet.ddconv import DDConv
 from tecnet.gradcheck import check_gradients, max_rel_err
 from tecnet.metrics import confusion_metrics, surface_metrics, volume_metrics
-from tecnet.model import (TecNet, base_config, count_flops, count_params,
-                          nano_config, tiny_config)
+from tecnet.model import (TecNet, TransStage, base_config, count_flops,
+                          count_params, nano_config, tiny_config)
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (Adam, TrainSchedule, loss_coefficients,
                              predict_probs, ramp_coefficient,
@@ -170,15 +170,15 @@ def test_criterion_01_gradient_fidelity():
                         list(lpm.named_parameters()) + [("t", lt)],
                         1e-4, "lpm", max_coords=5)
 
-    pair = BlockPair(8, 2, heads=1, rng=np.random.default_rng(10))
-    for name, prm in pair.named_parameters():
+    stage = TransStage(8, 2, 2, 1, True, True, False, rng=np.random.default_rng(10))
+    for name, prm in stage.named_parameters():
         if prm.ndim >= 2 and np.all(prm.data == 0):
             prm.data[:] = 0.05 * RNG.standard_normal(prm.shape)
     bt = _leaf(16, 8)
     bw = Tensor(RNG.standard_normal((16, 8)))
-    worsts["block_pair"] = _fd(lambda: (pair(bt, (4, 4)) * bw).sum(),
-                               list(pair.named_parameters()) + [("t", bt)],
-                               1e-4, "block_pair", max_coords=3)
+    worsts["trans_stage"] = _fd(lambda: (stage(bt, (4, 4)) * bw).sum(),
+                                list(stage.named_parameters()) + [("t", bt)],
+                                1e-4, "trans_stage", max_coords=3)
 
     # -- full model + loss -------------------------------------------------
     model = TecNet(nano_config(), seed=0)

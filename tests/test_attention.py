@@ -8,7 +8,8 @@ from tecnet import engine as E
 from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
                               cost_swmsa, count_actual_macs, crop_to,
                               pad_to_window, relative_position_index,
-                              shift_mask, window_partition, window_reverse)
+                              shift_mask, window_partition, window_reverse,
+                              windowed)
 from tecnet.errors import ConfigurationError
 from tecnet.gradcheck import check_gradients, max_rel_err
 
@@ -99,9 +100,27 @@ def test_output_shape_and_identity_at_init():
 
 
 def test_padded_extents_roundtrip():
-    layer = _acam(m=4)
+    """Extents that are not window multiples are zero-padded bottom/right
+    and cropped back: the output equals running on the padded map."""
     x = Tensor(RNG.standard_normal((16, 6, 7)))  # not window multiples
-    assert layer(x).shape == (16, 6, 7)
+    wake = np.random.default_rng(12)
+    for shifted in (False, True):
+        same = windowed(x, 4, 2 if shifted else 0, {}, lambda wins, mask: wins)
+        assert np.array_equal(same.data, x.data), f"identity attend, shifted={shifted}"
+        layers = {
+            "acam": _acam(m=4, shifted=shifted),
+            "acam_shared": _acam(m=4, shifted=shifted, shared_kv=True),
+            "wmsa": WindowAttention(16, 4, heads=2, shifted=shifted,
+                                    rng=np.random.default_rng(5)),
+        }
+        for name, layer in layers.items():
+            for _, p in layer.named_parameters():  # zero-init maps hide the output
+                if not p.data.any():
+                    p.data[:] = 0.05 * wake.standard_normal(p.shape)
+            y = layer(x)
+            assert y.shape == (16, 6, 7), name
+            full = layer(E.pad2d(x, 0, 2, 0, 1))
+            assert np.array_equal(y.data, full.data[:, :6, :7]), f"{name} shifted={shifted}"
 
 
 def test_four_branches_collected():
@@ -158,6 +177,17 @@ def test_gradients_shifted_and_shared():
         rows = check_gradients(lambda: (layer(x) * w).sum(), params,
                                max_coords=3, rng=np.random.default_rng(3))
         assert max_rel_err(rows) < 1e-4, f"shared_kv={shared}"
+
+    # plain shifted windows on a 3x5 map: padded to 4x6 before the shift
+    rng = np.random.default_rng(13)
+    layer = WindowAttention(8, 2, heads=2, shifted=True, rng=np.random.default_rng(6))
+    layer.out.weight.data[:] = 0.1 * rng.standard_normal(layer.out.weight.shape)
+    x = Tensor(rng.standard_normal((8, 3, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 3, 5)))
+    params = list(layer.named_parameters()) + [("x", x)]
+    rows = check_gradients(lambda: (layer(x) * w).sum(), params,
+                           max_coords=3, rng=np.random.default_rng(3))
+    assert max_rel_err(rows) < 1e-4, "window attention, shifted, padded"
 
 
 def test_rejects_incompatible_heads():

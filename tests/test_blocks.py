@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tecnet import Tensor
-from tecnet.blocks import (LPM, BlockPair, Mlp, TransformerBlock,
-                           grid_to_tokens, tokens_to_grid)
+from tecnet.blocks import (LPM, Mlp, TransformerBlock, grid_to_tokens,
+                           tokens_to_grid)
 from tecnet.gradcheck import check_gradients, max_rel_err
+from tecnet.model import TransStage
 
 RNG = np.random.default_rng(123)
 
@@ -90,9 +91,9 @@ def test_block_is_identity_at_init():
 
 
 def test_block_pair_applies_both_arrangements():
-    pair = BlockPair(8, 2, heads=1, rng=np.random.default_rng(5))
-    assert pair.first.attn.shifted is False
-    assert pair.second.attn.shifted is True
+    pair = TransStage(8, 2, 2, 1, True, True, False, rng=np.random.default_rng(5))
+    assert pair.blocks[0].attn.shifted is False
+    assert pair.blocks[1].attn.shifted is True
     t = Tensor(RNG.standard_normal((16, 8)))
     assert pair(t, (4, 4)).shape == (16, 8)
 

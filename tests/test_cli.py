@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from tecnet.attention import count_actual_macs
 from tecnet.cli import main
-from tecnet.model import nano_config
+from tecnet.model import N_STAGES, TecNet, nano_config
 from tecnet.synth import read_pgm
 from tecnet.tensorio import load_checkpoint
 
@@ -143,6 +144,18 @@ def test_analyze_mac_report(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert rows[0]["module"].startswith("acam")
     assert {"module", "branch", "formula_macs", "actual_macs"} == set(rows[0])
+    # the report describes the attention layers nano holds: 4x4 windows at
+    # every stage, the 2x2 bottleneck grid included (it is padded, not shrunk)
+    assert all("M=4" in r["module"] for r in rows)
+    totals = [int(r["actual_macs"]) for r in rows if r["branch"] == "total"]
+    cfg = nano_config()
+    model = TecNet(cfg)
+    want = []
+    for i in range(N_STAGES):
+        g = cfg.stage_grid(i)
+        layer_rows = count_actual_macs(model.trans_stages[i].blocks[0].attn, g, g)
+        want.append(next(r["actual_macs"] for r in layer_rows if r["branch"] == "total"))
+    assert totals == want
 
 
 def test_dump_features_writes_stage_maps(workdir):

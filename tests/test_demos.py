@@ -1,0 +1,17 @@
+"""Every demo script imports cleanly, so a tecnet name a demo uses cannot
+disappear unnoticed.  Only module-level code runs; main() does not."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
