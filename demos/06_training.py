@@ -10,8 +10,6 @@ This demo overfits 4 synthetic samples for 80 steps and prints the ramp,
 the loss, and the final per-sample Dice.  Takes about a minute on a CPU.
 """
 
-import numpy as np
-
 from tecnet.model import TecNet, nano_config
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (TrainSchedule, predict_probs, ramp_coefficient,

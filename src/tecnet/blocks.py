@@ -81,10 +81,9 @@ class TransformerBlock(Module):
         self.norm_mlp = LayerNorm(channels)
         self.mlp = LPM(channels, rng=rng) if use_lpm else Mlp(channels, rng=rng)
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int],
-                collect: dict | None = None) -> Tensor:
+    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
         h, w = grid
         a = tokens_to_grid(self.norm_attn(tokens), h, w)
-        a = self.attn(a, collect=collect)
+        a = self.attn(a)
         t_hat = grid_to_tokens(a) + tokens
         return self.mlp(self.norm_mlp(t_hat), grid) + t_hat

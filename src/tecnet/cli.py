@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -168,16 +169,18 @@ def _config_for_analyze(args) -> TecNetConfig:
 
 def cmd_analyze(args) -> int:
     cfg = _config_for_analyze(args)
-    input_size = args.input_size or cfg.input_size
+    if args.input_size is not None:
+        cfg = replace(cfg, input_size=args.input_size)
+    input_size = cfg.input_size
 
     params = count_params(cfg)
-    flops = count_flops(cfg, input_size=input_size)
+    flops = count_flops(cfg)
     print(f"config {cfg.name} (input {input_size}x{input_size})")
     print(f"{'module':<24}{'params':>14}{'MACs':>16}")
     for key in params:
         if key == "total":
             continue
-        print(f"{key:<24}{params[key]:>14,}{flops.get(key, 0):>16,}")
+        print(f"{key:<24}{params[key]:>14,}{flops[key]:>16,}")
     print(f"{'total':<24}{params['total']:>14,}{flops['total']:>16,}")
 
     if cfg.name == "tiny" and input_size == PUBLISHED_INPUT:
@@ -221,17 +224,12 @@ def cmd_dump_features(args) -> int:
     collect: dict = {}
     model.forward(sample.image, collect=collect)
     os.makedirs(args.out, exist_ok=True)
-    written = 0
     for tag in sorted(collect):
-        fmap = collect[tag]
-        if fmap.ndim != 3 or "_stage" not in tag:
-            continue  # stage maps only; skip collected attention weights
-        heat = fmap.mean(axis=0)
+        heat = collect[tag].mean(axis=0)
         lo, hi = heat.min(), heat.max()
         norm = (heat - lo) / (hi - lo) if hi > lo else np.zeros_like(heat)
         write_pgm(os.path.join(args.out, f"{tag}.pgm"), quantize(norm))
-        written += 1
-    print(f"wrote {written} stage heatmaps to {args.out}")
+    print(f"wrote {len(collect)} stage heatmaps to {args.out}")
     return 0
 
 

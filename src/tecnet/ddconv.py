@@ -7,8 +7,7 @@ Two dynamic mechanisms on top of a plain k x k convolution:
   and the input is read by bilinear interpolation at the displaced tap
   locations (zero outside the canvas);
 * dynamic kernels: n candidate weight tensors are blended per image by a
-  softmax gate driven by globally pooled input statistics, with a
-  temperature on the gate logits.
+  softmax gate driven by globally pooled input statistics.
 
 Because both the offset head and the gate start at zero (uniform blend,
 undisplaced taps), a freshly built layer behaves exactly like the blended
@@ -35,7 +34,7 @@ class DDConv(Module):
     """
 
     def __init__(self, c_in: int, c_out: int, k: int = 3, n_kernels: int = 4,
-                 stride: int = 1, temperature: float = 1.0, rng=None):
+                 stride: int = 1, rng=None):
         if k % 2 == 0:
             raise ConfigurationError(f"kernel side must be odd, got {k}")
         if n_kernels < 1:
@@ -45,7 +44,6 @@ class DDConv(Module):
         self.k = k
         self.n_kernels = n_kernels
         self.stride = stride
-        self.temperature = float(temperature)
         # n candidate kernels, blended per image.
         self.kernels = parameter((n_kernels, c_out, c_in, k, k), rng=rng, fan_in=c_in * k * k)
         self.bias = parameter((c_out,), zero=True)
@@ -65,8 +63,7 @@ class DDConv(Module):
     def kernel_gate(self, x: Tensor) -> Tensor:
         """[n] softmax blend weights for this image."""
         pooled = E.global_avg_pool(x)
-        logits = self.gate(pooled) * (1.0 / self.temperature)
-        return E.softmax(logits, axis=-1)
+        return E.softmax(self.gate(pooled), axis=-1)
 
     def blended_kernel(self, alpha: Tensor) -> Tensor:
         """[C_out, C_in, k, k] mixture of the candidate kernels."""

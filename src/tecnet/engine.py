@@ -41,15 +41,14 @@ class Tensor:
     loss report an exact zero gradient rather than None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "name")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
         self.node = None
-        self.name = name
 
     # -- inspection ------------------------------------------------------
 
@@ -83,8 +82,7 @@ class Tensor:
         return Tensor(self.data)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- operator sugar (bodies live below with the other primitives) ----
 

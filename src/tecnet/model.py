@@ -11,7 +11,7 @@ from the concatenated final features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,9 +68,9 @@ class TecNetConfig:
         if self.patch & (self.patch - 1):
             raise ConfigurationError(f"patch must be a power of two, got {self.patch}")
         g0 = self.input_size // self.patch
-        if g0 % 8:
+        if g0 < 8 or g0 % 8:
             raise ConfigurationError(
-                f"stage-0 grid {g0} must be divisible by 8 for three halvings")
+                f"stage-0 grid {g0} must be a positive multiple of 8 for three halvings")
         for i in range(N_STAGES):
             c = self.stage_width(i)
             if self.use_acam and c % (8 * self.heads[i]):
@@ -224,10 +224,9 @@ class TransStage(Module):
             for b in range(depth)
         ]
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int],
-                collect: dict | None = None) -> Tensor:
+    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
         for block in self.blocks:
-            tokens = block(tokens, grid, collect=collect)
+            tokens = block(tokens, grid)
         return tokens
 
 
@@ -340,7 +339,7 @@ class TecNet(Module):
         skips_c, skips_t = [], []
         for i in range(3):
             c = self.cnn_stages[i](c)
-            t = self.trans_stages[i](t, grid(i), collect=collect)
+            t = self.trans_stages[i](t, grid(i))
             note(f"cnn_stage{i}", c)
             note(f"trans_stage{i}", tokens_to_grid(t, *grid(i)))
             skips_c.append(c)
@@ -349,7 +348,7 @@ class TecNet(Module):
             t = self.trans_down[i](t, grid(i))
 
         c = self.cnn_stages[3](c)
-        t = self.trans_stages[3](t, grid(3), collect=collect)
+        t = self.trans_stages[3](t, grid(3))
         note("cnn_stage3", c)
         note("trans_stage3", tokens_to_grid(t, *grid(3)))
 
@@ -365,7 +364,7 @@ class TecNet(Module):
             c_fused = cross_branch_fuse(self.cnn_fuse[j], c, tg)
             t_fused = cross_branch_fuse(self.trans_fuse[j], tg, c)
             c = self.cnn_stages[i](c_fused)
-            t = self.trans_stages[i](grid_to_tokens(t_fused), g, collect=collect)
+            t = self.trans_stages[i](grid_to_tokens(t_fused), g)
             note(f"cnn_stage{i}", c)
             note(f"trans_stage{i}", tokens_to_grid(t, *g))
 
@@ -386,190 +385,137 @@ def attention_probe(cfg: TecNetConfig, stage: int):
     return WindowAttention(c, cfg.window, heads, shifted=False, rng=rng)
 
 
-def _linear_n(d_in, d_out, bias=True):
-    return d_in * d_out + (d_out if bias else 0)
+def _linear(d_in, d_out, n=1):
+    """(params, MACs) of a biased Linear applied at n positions."""
+    return d_in * d_out + d_out, n * d_in * d_out
 
 
-def _conv_n(c_in, c_out, k, bias=True):
-    return c_out * c_in * k * k + (c_out if bias else 0)
+def _conv(c_in, c_out, k, n=1):
+    """(params, MACs) of a biased k x k Conv2d with n output positions."""
+    return c_out * c_in * k * k + c_out, n * c_in * c_out * k * k
 
 
-def _ddconv_n(c_in, c_out, k, n_kernels):
-    kernels = n_kernels * c_out * c_in * k * k
-    return (kernels + c_out                     # candidate kernels + bias
-            + _linear_n(c_in, n_kernels)        # blend gate
-            + _conv_n(c_in, 2 * k * k, k))      # offset head
+def _sum(*costs, times=1):
+    """Element-wise sum of (params, MACs) pairs, scaled by `times`."""
+    return tuple(times * sum(part) for part in zip(*costs))
 
 
-def _acam_n(c, m, heads, shared_kv):
-    c8 = max(1, c // 8)
-    m8 = max(1, (m * m) // 8)
-    p8 = max(1, m // 8)
-    n = (2 * m - 1) ** 2 * heads + 4            # spatial bias table + lambdas
-    if shared_kv:
-        n += 2 * _linear_n(c, c8)               # shared K/V embeddings
-        n += 4 * _linear_n(c8, c)               # per-branch output maps
+def _ddconv(c_in, c_out, k, n_kernels, n):
+    """(params, MACs) of a DDConv with n output positions: candidate kernels
+    and bias, their per-image blend, the bilinear taps (4 multiplies each),
+    the main product, the blend gate and the offset head."""
+    taps = c_in * k * k
+    own = (n_kernels * c_out * taps + c_out,
+           n_kernels * c_out * taps + 4 * taps * n + taps * c_out * n)
+    return _sum(own, _linear(c_in, n_kernels), _conv(c_in, 2 * k * k, k, n))
+
+
+def _attention(cfg: TecNetConfig, stage: int):
+    """(params, MACs) of one attention layer of `stage`.
+
+    MACs are those of the layer the model runs (`count_actual_macs` of its
+    probe); parameters stay arithmetic so enumeration can check them.
+    """
+    c, m, heads, g = cfg.stage_width(stage), cfg.window, cfg.heads[stage], cfg.stage_grid(stage)
+    rows = count_actual_macs(attention_probe(cfg, stage), g, g)
+    macs = next(r["actual_macs"] for r in rows if r["branch"] == "total")
+
+    def lin(d_in, d_out):
+        return _linear(d_in, d_out)[0]
+
+    n = (2 * m - 1) ** 2 * heads                # spatial bias table
+    if not cfg.use_acam:
+        return n + 4 * lin(c, c), macs
+    c8, m8, p8 = max(1, c // 8), max(1, m * m // 8), max(1, m // 8)
+    n += 4                                      # branch-fusion lambdas
+    if cfg.shared_kv:
+        n += 2 * lin(c, c8)                     # shared K/V embeddings
+        n += 4 * lin(c8, c)                     # per-branch output maps
         n += c8 * c8                            # channel-pair bias
     else:
-        n += 3 * _linear_n(c, c8) + _linear_n(c8, c)
-        n += 3 * _linear_n(m * m, m8) + _linear_n(m8, m * m)
+        n += 3 * lin(c, c8) + lin(c8, c)
+        n += 3 * lin(m * m, m8) + lin(m8, m * m)
         n += c * c
-        n += 2 * (3 * _linear_n(m, p8) + _linear_n(p8, m))
-    return n
+        n += 2 * (3 * lin(m, p8) + lin(p8, m))
+    return n, macs
 
 
-def _wmsa_n(c, m, heads):
-    return 4 * _linear_n(c, c) + (2 * m - 1) ** 2 * heads
-
-
-def _lpm_n(d):
-    return _linear_n(d, 2 * d) + (2 * d * 9 + 2 * d) + _linear_n(4 * d, d)
-
-
-def _mlp_n(d):
-    return _linear_n(d, 4 * d) + _linear_n(4 * d, d)
-
-
-def _block_n(cfg: TecNetConfig, c, heads):
-    n = 4 * c                                    # two layernorms
-    if cfg.use_acam:
-        n += _acam_n(c, cfg.window, heads, cfg.shared_kv)
+def _block(cfg: TecNetConfig, stage: int):
+    """(params, MACs) of one transformer block of `stage`."""
+    c, n = cfg.stage_width(stage), cfg.stage_grid(stage) ** 2
+    if cfg.use_lpm:   # the ghost depthwise 3x3 costs a conv with one input channel
+        mlp = _sum(_linear(c, 2 * c, n), _conv(1, 2 * c, 3, n), _linear(4 * c, c, n))
     else:
-        n += _wmsa_n(c, cfg.window, heads)
-    n += _lpm_n(c) if cfg.use_lpm else _mlp_n(c)
-    return n
+        mlp = _sum(_linear(c, 4 * c, n), _linear(4 * c, c, n))
+    norms = (4 * c, 0)                          # two layernorms, gain and bias
+    return _sum(norms, _attention(cfg, stage), mlp)
+
+
+def _accounting(cfg: TecNetConfig, c_img: int = 1) -> dict:
+    """{module key: (params, MACs)} of TecNet(cfg) for one forward pass.
+
+    MACs count matmul/conv multiplies (attention per count_actual_macs,
+    bilinear taps at 4 multiplies per sample); pointwise activations, norms
+    and softmax are excluded.
+    """
+    d, w, nk = cfg.base_width, cfg.stage_width, cfg.n_kernels
+
+    def n(i: int) -> int:
+        return cfg.stage_grid(i) ** 2
+
+    def conv3(c_in, c_out, n_out):
+        if cfg.use_ddconv:
+            return _ddconv(c_in, c_out, 3, nk, n_out)
+        return _conv(c_in, c_out, 3, n_out)
+
+    acct = {"patch_embed": _linear(c_img * cfg.patch ** 2, d, n(0))}
+    levels = cfg.patch.bit_length() - 1
+    if levels == 0:
+        acct["cnn_stem"] = _conv(c_img, d, 1, cfg.input_size ** 2)
+    else:
+        stem, c_in, s = [], c_img, cfg.input_size
+        for lv in range(levels):
+            c_out, s = d // 2 ** (levels - 1 - lv), s // 2
+            stem.append(_conv(c_in, c_out, 3, s * s))
+            c_in = c_out
+        acct["cnn_stem"] = _sum(*stem)
+
+    for i in range(N_STAGES):
+        norm = (2 * w(i), 0)                    # channel norm, gain and bias
+        acct[f"stage{i}.cnn"] = _sum(conv3(w(i), w(i), n(i)), norm, times=CnnStage.UNITS)
+        acct[f"stage{i}.trans"] = _sum(_block(cfg, i), times=cfg.layer_numbers[i])
+
+    for i in range(3):
+        acct[f"down{i}.cnn"] = conv3(w(i), w(i + 1), n(i + 1))
+        acct[f"down{i}.trans"] = _linear(4 * w(i), 2 * w(i), n(i + 1))
+
+    for j, i in enumerate(range(3, 6)):
+        acct[f"up{j}.cnn"] = _conv(w(i), w(i + 1), 3, n(i + 1))
+        acct[f"up{j}.trans"] = _linear(w(i), 2 * w(i), n(i))
+
+    for j, i in enumerate(range(4, 7)):
+        acct[f"skip{j}.cnn"] = _conv(2 * w(i), w(i), 1, n(i))
+        acct[f"skip{j}.trans"] = _linear(2 * w(i), w(i), n(i))
+        acct[f"fuse{j}.cnn"] = _conv(2 * w(i), w(i), 1, n(i))
+        acct[f"fuse{j}.trans"] = _conv(2 * w(i), w(i), 1, n(i))
+
+    head = _conv(d, cfg.num_classes, 1, n(6))
+    acct["heads"] = _sum(head, head, _conv(2 * d, cfg.num_classes, 1, n(6)))
+    acct["total"] = _sum(*acct.values())
+    return acct
 
 
 def count_params(cfg: TecNetConfig, c_img: int = 1) -> dict:
     """Analytic per-module parameter counts; must match enumeration exactly."""
-    d = cfg.base_width
-    w = cfg.stage_width
-    counts: dict = {}
-
-    counts["patch_embed"] = _linear_n(c_img * cfg.patch ** 2, d)
-    levels = cfg.patch.bit_length() - 1
-    stem = 0
-    if levels == 0:
-        stem = _conv_n(c_img, d, 1)
-    else:
-        c_in = c_img
-        for lv in range(levels):
-            c_out = d // 2 ** (levels - 1 - lv)
-            stem += _conv_n(c_in, c_out, 3)
-            c_in = c_out
-    counts["cnn_stem"] = stem
-
-    conv_unit = (lambda c: _ddconv_n(c, c, 3, cfg.n_kernels)) if cfg.use_ddconv \
-        else (lambda c: _conv_n(c, c, 3))
-    for i in range(N_STAGES):
-        c = w(i)
-        counts[f"stage{i}.cnn"] = CnnStage.UNITS * (conv_unit(c) + 2 * c)
-        counts[f"stage{i}.trans"] = cfg.layer_numbers[i] * _block_n(cfg, c, cfg.heads[i])
-
-    for i in range(3):
-        if cfg.use_ddconv:
-            counts[f"down{i}.cnn"] = _ddconv_n(w(i), w(i + 1), 3, cfg.n_kernels)
-        else:
-            counts[f"down{i}.cnn"] = _conv_n(w(i), w(i + 1), 3)
-        counts[f"down{i}.trans"] = _linear_n(4 * w(i), 2 * w(i))
-
-    for j, i in enumerate(range(3, 6)):
-        counts[f"up{j}.cnn"] = _conv_n(w(i), w(i + 1), 3)
-        counts[f"up{j}.trans"] = _linear_n(w(i), 2 * w(i))
-
-    for j, i in enumerate(range(4, 7)):
-        counts[f"skip{j}.cnn"] = _conv_n(2 * w(i), w(i), 1)
-        counts[f"skip{j}.trans"] = _linear_n(2 * w(i), w(i))
-        counts[f"fuse{j}.cnn"] = _conv_n(2 * w(i), w(i), 1)
-        counts[f"fuse{j}.trans"] = _conv_n(2 * w(i), w(i), 1)
-
-    counts["heads"] = (_conv_n(d, cfg.num_classes, 1) * 2
-                       + _conv_n(2 * d, cfg.num_classes, 1))
-    counts["total"] = sum(v for k, v in counts.items() if k != "total")
-    return counts
-
-
-def _ddconv_macs(c_in, c_out, k, n_kernels, h_in, w_in, stride=1):
-    ho = (h_in - 1) // stride + 1
-    wo = (w_in - 1) // stride + 1
-    macs = k * k * c_in * (2 * k * k) * ho * wo     # offset head conv
-    macs += c_in * n_kernels                        # blend gate
-    macs += n_kernels * c_out * c_in * k * k        # kernel blending
-    macs += 4 * c_in * k * k * ho * wo              # bilinear taps (4 muls each)
-    macs += c_in * k * k * c_out * ho * wo          # main product
-    return macs
+    return {key: params for key, (params, _) in _accounting(cfg, c_img).items()}
 
 
 def count_flops(cfg: TecNetConfig, input_size: int | None = None, c_img: int = 1) -> dict:
     """Per-module multiply-accumulate counts for one forward pass.
 
-    Counts matmul/conv multiplies (attention per count_actual_macs, bilinear
-    taps at 4 multiplies per sample); pointwise activations, norms and
-    softmax are excluded.
+    `input_size` (default: the config's) must be a size the model can run;
+    any other raises ConfigurationError.
     """
-    size = cfg.input_size if input_size is None else input_size
-    if size % cfg.patch:
-        raise ConfigurationError(f"input {size} not divisible by patch {cfg.patch}")
-    d = cfg.base_width
-    w = cfg.stage_width
-    g0 = size // cfg.patch
-
-    def grid(i: int) -> int:
-        return g0 // 2 ** min(i, N_STAGES - 1 - i)
-
-    macs: dict = {}
-    macs["patch_embed"] = g0 * g0 * _linear_n(c_img * cfg.patch ** 2, d, bias=False)
-    levels = cfg.patch.bit_length() - 1
-    stem = 0
-    if levels == 0:
-        stem = size * size * c_img * d
-    else:
-        c_in, s = c_img, size
-        for lv in range(levels):
-            c_out = d // 2 ** (levels - 1 - lv)
-            s //= 2
-            stem += 9 * c_in * c_out * s * s
-            c_in = c_out
-    macs["cnn_stem"] = stem
-
-    for i in range(N_STAGES):
-        c, g = w(i), grid(i)
-        if cfg.use_ddconv:
-            unit = _ddconv_macs(c, c, 3, cfg.n_kernels, g, g)
-        else:
-            unit = 9 * c * c * g * g
-        macs[f"stage{i}.cnn"] = CnnStage.UNITS * unit
-
-        attn_rows = count_actual_macs(attention_probe(cfg, i), g, g)
-        per_block = next(r["actual_macs"] for r in attn_rows if r["branch"] == "total")
-        n_tok = g * g
-        if cfg.use_lpm:
-            per_block += n_tok * c * 2 * c + n_tok * 2 * c * 9 + n_tok * 4 * c * c
-        else:
-            per_block += n_tok * c * 4 * c * 2
-        macs[f"stage{i}.trans"] = cfg.layer_numbers[i] * per_block
-
-    for i in range(3):
-        g = grid(i)
-        if cfg.use_ddconv:
-            macs[f"down{i}.cnn"] = _ddconv_macs(w(i), w(i + 1), 3, cfg.n_kernels, g, g, stride=2)
-        else:
-            macs[f"down{i}.cnn"] = 9 * w(i) * w(i + 1) * (g // 2) ** 2
-        macs[f"down{i}.trans"] = (g // 2) ** 2 * 4 * w(i) * 2 * w(i)
-
-    for j, i in enumerate(range(3, 6)):
-        g_out = grid(i + 1)
-        macs[f"up{j}.cnn"] = 9 * w(i) * w(i + 1) * g_out * g_out
-        macs[f"up{j}.trans"] = grid(i) ** 2 * w(i) * 2 * w(i)
-
-    for j, i in enumerate(range(4, 7)):
-        g = grid(i)
-        macs[f"skip{j}.cnn"] = 2 * w(i) * w(i) * g * g
-        macs[f"skip{j}.trans"] = g * g * 2 * w(i) * w(i)
-        macs[f"fuse{j}.cnn"] = 2 * w(i) * w(i) * g * g
-        macs[f"fuse{j}.trans"] = 2 * w(i) * w(i) * g * g
-    g6 = grid(6)
-    macs["heads"] = (2 * d * cfg.num_classes * g6 * g6
-                     + 2 * d * cfg.num_classes * g6 * g6)
-    macs["total"] = sum(v for k, v in macs.items() if k != "total")
-    return macs
+    if input_size is not None:
+        cfg = replace(cfg, input_size=input_size)
+    return {key: macs for key, (_, macs) in _accounting(cfg, c_img).items()}

@@ -57,13 +57,6 @@ class Module:
         for _, p in self.named_parameters():
             yield p
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def load_state(self, arrays: dict) -> None:
         """Copy arrays (name -> ndarray) into matching parameters."""
         params = dict(self.named_parameters())

@@ -1,4 +1,4 @@
-"""Binary tensor dumps and checkpoint files.
+"""Binary tensor records and checkpoint files.
 
 A tensor record is:
 
@@ -50,16 +50,6 @@ def read_tensor(fh) -> np.ndarray:
         raise UsageError("truncated tensor record")
     data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     return data.reshape(dims)
-
-
-def dump_tensor(path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_tensor(fh, array)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return read_tensor(fh)
 
 
 def config_hash(config: dict) -> str:

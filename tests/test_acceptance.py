@@ -10,14 +10,13 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from oracles import border_loop, confusion_loop, surface_pool_loop
+from oracles import confusion_loop, surface_pool_loop
 from tecnet import Tensor
 from tecnet import engine as E
-from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
-                              cost_swmsa, crop_to, pad_to_window, shift_mask,
-                              window_partition, window_reverse)
+from tecnet.attention import (ACAM, cost_acam, cost_msa, cost_swmsa, crop_to,
+                              pad_to_window, shift_mask, window_partition,
+                              window_reverse)
 from tecnet.blocks import LPM
 from tecnet.ddconv import DDConv
 from tecnet.gradcheck import check_gradients, max_rel_err
@@ -25,9 +24,9 @@ from tecnet.metrics import confusion_metrics, surface_metrics, volume_metrics
 from tecnet.model import (TecNet, TransStage, base_config, count_flops,
                           count_params, nano_config, tiny_config)
 from tecnet.synth import SynthSpec, make_dataset
-from tecnet.training import (Adam, TrainSchedule, loss_coefficients,
-                             predict_probs, ramp_coefficient,
-                             soft_dice_score, total_loss, train)
+from tecnet.training import (TrainSchedule, loss_coefficients, predict_probs,
+                             ramp_coefficient, soft_dice_score, total_loss,
+                             train)
 
 RNG = np.random.default_rng(1234)
 

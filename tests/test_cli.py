@@ -136,10 +136,19 @@ def test_analyze_preset_deterministic(capsys):
     assert "2,989,491" in first
 
 
-def test_analyze_mac_report(tmp_path, capsys):
+@pytest.mark.parametrize("size", [None, 128], ids=["native", "128"])
+def test_analyze_mac_report(tmp_path, capsys, size):
     report = tmp_path / "macs.csv"
-    assert main(["analyze", "--preset", "nano", "--mac-report", str(report)]) == 0
-    capsys.readouterr()
+    argv = ["analyze", "--preset", "nano", "--mac-report", str(report)]
+    if size is not None:
+        argv += ["--input-size", str(size)]
+    assert main(argv) == 0
+    cfg = nano_config() if size is None else nano_config(input_size=size)
+    # every table reads the sized config: the attention table's grid column too
+    out = capsys.readouterr().out
+    assert f"(input {cfg.input_size}x{cfg.input_size})" in out
+    table = out.split("attention cost per stage")[1].splitlines()[2:2 + N_STAGES]
+    assert [int(line.split()[1]) for line in table] == [cfg.stage_grid(i) for i in range(N_STAGES)]
     with open(report) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["module"].startswith("acam")
@@ -148,7 +157,6 @@ def test_analyze_mac_report(tmp_path, capsys):
     # every stage, the 2x2 bottleneck grid included (it is padded, not shrunk)
     assert all("M=4" in r["module"] for r in rows)
     totals = [int(r["actual_macs"]) for r in rows if r["branch"] == "total"]
-    cfg = nano_config()
     model = TecNet(cfg)
     want = []
     for i in range(N_STAGES):
@@ -156,6 +164,13 @@ def test_analyze_mac_report(tmp_path, capsys):
         layer_rows = count_actual_macs(model.trans_stages[i].blocks[0].attn, g, g)
         want.append(next(r["actual_macs"] for r in layer_rows if r["branch"] == "total"))
     assert totals == want
+
+
+@pytest.mark.parametrize("size", ["72", "0"])
+def test_analyze_rejects_unrunnable_input_size(capsys, size):
+    # nano's stage-0 grid must be a positive multiple of 8: 72 px gives 18, 0 px gives 0
+    assert main(["analyze", "--preset", "nano", "--input-size", size]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_dump_features_writes_stage_maps(workdir):

@@ -7,7 +7,6 @@ modules and in the acceptance suite.
 """
 
 import numpy as np
-import pytest
 
 from tecnet import Tensor
 from tecnet import engine as E

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from tecnet.errors import ConfigurationError, UsageError
-from tecnet.model import (N_STAGES, PRESETS, TecNet, TecNetConfig,
-                          base_config, count_flops, count_params, nano_config,
-                          tiny_config)
+from tecnet.model import (N_STAGES, PRESETS, TecNet, TecNetConfig, count_flops,
+                          count_params, nano_config)
 
 RNG = np.random.default_rng(2718)
 
@@ -107,9 +106,10 @@ def test_feature_collection_covers_all_stages():
     model = TecNet(nano_config(), seed=0)
     collect = {}
     model.forward(RNG.random((1, 64, 64)), collect=collect)
+    # the stage maps and nothing else: attention weights stay in the layers
+    assert set(collect) == {f"{branch}_stage{i}" for branch in ("cnn", "trans")
+                            for i in range(N_STAGES)}
     for i in range(N_STAGES):
-        assert f"cnn_stage{i}" in collect
-        assert f"trans_stage{i}" in collect
         g = nano_config().stage_grid(i)
         c = nano_config().stage_width(i)
         assert collect[f"cnn_stage{i}"].shape == (c, g, g)
@@ -145,6 +145,24 @@ def test_count_flops_positive_and_scales_with_input():
     big = count_flops(cfg, input_size=128)["total"]
     assert small > 0
     assert big > small
+    with pytest.raises(ConfigurationError):
+        count_flops(cfg, input_size=72)    # stage-0 grid 18 cannot halve three times
+
+
+def _param_prefixes() -> dict:
+    """count_params key -> the prefix of the parameter names it accounts for."""
+    prefixes = {"patch_embed": "patch_embed.", "cnn_stem": "cnn_stem.", "heads": "head_"}
+    for i in range(N_STAGES):
+        prefixes[f"stage{i}.cnn"] = f"cnn_stages.{i}."
+        prefixes[f"stage{i}.trans"] = f"trans_stages.{i}."
+    for kind in ("down", "up", "skip", "fuse"):
+        for j in range(3):
+            for branch in ("cnn", "trans"):
+                prefixes[f"{kind}{j}.{branch}"] = f"{branch}_{kind}.{j}."
+    return prefixes
+
+
+PARAM_PREFIXES = _param_prefixes()
 
 
 def test_toggle_combinations_build_and_count():
@@ -155,8 +173,15 @@ def test_toggle_combinations_build_and_count():
             for lp in (True, False):
                 cfg = nano_config(use_ddconv=dd, use_acam=ac, use_lpm=lp)
                 model = TecNet(cfg, seed=0)
-                enumerated = sum(p.size for _, p in model.named_parameters())
-                assert count_params(cfg)["total"] == enumerated
+                params = dict(model.named_parameters())
+                enumerated = sum(p.size for p in params.values())
+                counts = count_params(cfg)
+                assert counts["total"] == enumerated
+                # each module's count is its own parameters, not a neighbour's
+                for key, n in counts.items():
+                    if key != "total":
+                        assert n == sum(p.size for name, p in params.items()
+                                        if name.startswith(PARAM_PREFIXES[key])), key
                 out = model.forward(x)
                 assert out["y_tec"].shape == (1, 64, 64)
                 totals[(dd, ac, lp)] = enumerated

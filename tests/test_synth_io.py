@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from tecnet.errors import ConfigurationError, UsageError
-from tecnet.synth import (SegSample, SynthSpec, generate, load_dataset,
-                          make_dataset, quantize, read_pgm, synth_sample,
-                          write_pgm)
+from tecnet.synth import (SynthSpec, generate, load_dataset, make_dataset,
+                          quantize, read_pgm, synth_sample, write_pgm)
 from tecnet.tensorio import (config_hash, load_checkpoint, read_tensor,
                              save_checkpoint, write_tensor)
 

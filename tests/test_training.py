@@ -7,16 +7,14 @@ import os
 import numpy as np
 import pytest
 
-from tecnet import Tape, Tensor, backward
-from tecnet import engine as E
+from tecnet import Tensor
 from tecnet.errors import ConfigurationError, TrainingDiverged
 from tecnet.model import TecNet, nano_config
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (LOG_FIELDS, Adam, PlateauHalver, TrainSchedule,
                              branch_loss, evaluate_dice, load_model,
-                             loss_coefficients, predict_probs,
-                             ramp_coefficient, soft_dice_score, total_loss,
-                             train)
+                             loss_coefficients, ramp_coefficient,
+                             soft_dice_score, total_loss, train)
 
 RNG = np.random.default_rng(31415)
 
