@@ -24,7 +24,6 @@ plain window attention.
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
@@ -150,33 +149,16 @@ def _effective_heads(dim: int, heads: int) -> int:
 def branch_attention(q: Tensor, k: Tensor, v: Tensor, *, heads: int = 1,
                      bias: Tensor | None = None, mask: np.ndarray | None = None,
                      collect: dict | None = None, collect_key: str | None = None) -> Tensor:
-    """Scaled dot-product attention over [nw, T, D] token batches.
+    """Scaled dot-product attention over [nw, T, D] token batches (`engine.attention`).
 
-    Scale is 1/sqrt(D) for the full projected feature dim, independent of
-    the head split.  `bias` may be [heads, T, T] or [T, T]; `mask` is a
-    constant [nw, T, T] additive array.
+    With `collect` and `collect_key` given, the [nw, heads, T, T] attention
+    weights are stored in `collect` under that key.
     """
-    nw, t, d = q.shape
-    if k.shape != (nw, t, d) or v.shape[:2] != (nw, t):
-        raise ConfigurationError(f"attention operand mismatch: {q.shape}, {k.shape}, {v.shape}")
-    dv = v.shape[2]
-    if d % heads or dv % heads:
-        raise ConfigurationError(f"feature dims {d}/{dv} not divisible by {heads} heads")
-    scale = 1.0 / math.sqrt(d)
-
-    qh = q.reshape(nw, t, heads, d // heads).permute(0, 2, 1, 3)
-    kh = k.reshape(nw, t, heads, d // heads).permute(0, 2, 1, 3)
-    vh = v.reshape(nw, t, heads, dv // heads).permute(0, 2, 1, 3)
-    logits = (qh @ kh.permute(0, 1, 3, 2)) * scale       # [nw, heads, T, T]
-    if bias is not None:
-        logits = logits + bias
-    if mask is not None:
-        logits = logits + Tensor(mask.reshape(nw, 1, t, t))
-    attn = E.softmax(logits, axis=-1)
-    if collect is not None and collect_key is not None:
-        collect[collect_key] = attn.data.copy()
-    out = attn @ vh                                       # [nw, heads, T, dv/heads]
-    return out.permute(0, 2, 1, 3).reshape(nw, t, dv)
+    probs = [] if collect is not None and collect_key is not None else None
+    out = E.attention(q, k, v, heads=heads, bias=bias, mask=mask, probs=probs)
+    if probs:
+        collect[collect_key] = probs[0]
+    return out
 
 
 class ACAM(Module):

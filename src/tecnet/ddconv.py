@@ -53,6 +53,7 @@ class DDConv(Module):
         # offset head: zero init so taps start on the regular grid.
         self.offset_head = Conv2d(c_in, 2 * k * k, k, rng=rng, stride=stride,
                                   padding=k // 2, zero=True)
+        self._grids: dict = {}
 
     # -- pieces exposed for tests ----------------------------------------
 
@@ -73,20 +74,23 @@ class DDConv(Module):
         return mixed.reshape(self.c_out, self.c_in, self.k, self.k)
 
     def _tap_grid(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Undisplaced sampling positions [k*k, H', W'] in input coordinates."""
-        k, s = self.k, self.stride
-        # same-padding output extents, matching the offset head's conv
-        ho = (h - 1) // s + 1
-        wo = (w - 1) // s + 1
-        oy = np.arange(ho) * s
-        ox = np.arange(wo) * s
-        dy, dx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        centre = (k - 1) / 2.0
-        base_y = oy[None, :, None] + (dy.reshape(-1) - centre)[:, None, None]
-        base_x = ox[None, None, :] + (dx.reshape(-1) - centre)[:, None, None]
-        base_y = np.broadcast_to(base_y, (k * k, ho, wo)).copy()
-        base_x = np.broadcast_to(base_x, (k * k, ho, wo)).copy()
-        return base_y, base_x
+        """Undisplaced sampling positions in input coordinates, cached per extent.
+
+        Returns base_y [k*k, H', 1] and base_x [k*k, 1, W'], which broadcast
+        to the [k*k, H', W'] tap grid.
+        """
+        grid = self._grids.get((h, w))
+        if grid is None:
+            k, s = self.k, self.stride
+            # same-padding output extents, matching the offset head's conv
+            oy = np.arange((h - 1) // s + 1) * s
+            ox = np.arange((w - 1) // s + 1) * s
+            dy, dx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+            centre = (k - 1) / 2.0
+            grid = self._grids[(h, w)] = (
+                oy[None, :, None] + (dy.reshape(-1) - centre)[:, None, None],
+                ox[None, None, :] + (dx.reshape(-1) - centre)[:, None, None])
+        return grid
 
     def forward(self, x: Tensor) -> Tensor:
         c, h, w = x.shape

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy.sparse import csr_matrix
 from scipy.special import erf, expit
 
 from .errors import ConfigurationError, DimensionError, UsageError
@@ -23,7 +24,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul",
     "reduce_sum", "mean_all",
     "reshape", "permute", "concat", "pad2d", "roll2d",
-    "relu", "gelu", "sigmoid", "softmax", "layernorm",
+    "relu", "gelu", "sigmoid", "softmax", "attention", "layernorm",
     "conv2d", "depthwise_conv2d",
     "bilinear_gather",
     "global_avg_pool", "index_select",
@@ -429,18 +430,87 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
+def _softmax_(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-subtracted softmax of `a` along `axis`, in place; returns `a`."""
+    a -= np.max(a, axis=axis, keepdims=True)
+    np.exp(a, out=a)
+    a /= np.sum(a, axis=axis, keepdims=True)
+    return a
+
+
+def _softmax_grad_(g: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Turn `g`, the gradient at softmax output `y`, into the input gradient, in place."""
+    g -= np.sum(g * y, axis=axis, keepdims=True)
+    g *= y
+    return g
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along `axis`."""
-    m = np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = _softmax_(x.data.copy(order="K"), axis)
     out = Tensor(y)
+    return _record(out, (x,), lambda g: (_softmax_grad_(g.copy(), y, axis),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
+              bias: Tensor | None = None, mask: np.ndarray | None = None,
+              probs: list | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(D) + bias + mask) v over [nw, T, D] token batches.
+
+    Heads split the feature axes of q, k and v evenly; the scale is
+    1/sqrt(D) for the full feature dim D, independent of the split.  `bias`
+    is [heads, T, T] or [T, T]; `mask` is a constant [nw, T, T] additive
+    array.  The logits are scaled, biased, masked and normalised in place in
+    one [nw, heads, T, T] buffer, which the single tape node keeps as the
+    probabilities for its backward.  When `probs` is a list, a copy of those
+    probabilities is appended to it.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3:
+        raise DimensionError(f"attention expects [nw, T, D] tokens, got {q.shape}")
+    nw, t, d = q.shape
+    if k.shape != (nw, t, d) or v.ndim != 3 or v.shape[:2] != (nw, t):
+        raise ConfigurationError(f"attention operand mismatch: {q.shape}, {k.shape}, {v.shape}")
+    dv = v.shape[2]
+    if d % heads or dv % heads:
+        raise ConfigurationError(f"feature dims {d}/{dv} not divisible by {heads} heads")
+    dh, dvh = d // heads, dv // heads
+    scale = 1.0 / np.sqrt(d)
+
+    def split(a, dd, axes=(0, 2, 1, 3)):
+        """[nw, T, heads*dd] -> contiguous per-head layout ([nw, heads, T, dd] by default)."""
+        return np.ascontiguousarray(a.reshape(nw, t, heads, dd).transpose(axes))
+
+    def merge(a, dd):
+        """[nw, heads, T, dd] -> [nw, T, heads*dd]."""
+        return a.transpose(0, 2, 1, 3).reshape(nw, t, heads * dd)
+
+    qh, vh = split(q.data, dh), split(v.data, dvh)
+    kt = split(k.data, dh, (0, 2, 3, 1))                 # [nw, heads, dh, T]
+    a = np.matmul(qh, kt)                                # [nw, heads, T, T]
+    a *= scale
+    if bias is not None:
+        bias = as_tensor(bias)
+        a += bias.data
+    if mask is not None:
+        a += mask.reshape(nw, 1, t, t)
+    _softmax_(a)
+    if probs is not None:
+        probs.append(a.copy())
+    out = Tensor(merge(np.matmul(a, vh), dvh))
 
     def backward_fn(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gh = split(g, dvh)
+        gv = np.matmul(np.swapaxes(a, -1, -2), gh)
+        ga = _softmax_grad_(np.matmul(gh, np.swapaxes(vh, -1, -2)), a)
+        gb = None if bias is None else _unbroadcast(ga, bias.shape)
+        ga *= scale
+        gq = np.matmul(ga, np.swapaxes(kt, -1, -2))
+        gk = np.matmul(np.swapaxes(ga, -1, -2), qh)
+        return merge(gq, dh), merge(gk, dh), merge(gv, dvh), gb
 
-    return _record(out, (x,), backward_fn)
+    inputs = (q, k, v) if bias is None else (q, k, v, bias)
+    return _record(out, inputs, backward_fn)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -567,6 +637,12 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
 
     ys and xs share an arbitrary shape S; the result is [C, *S].  Gradients
     flow into x and, when ys/xs are tensors, into the coordinates as well.
+
+    Sampling is one sparse product: row i of the [|S|, H*W] matrix holds the
+    bilinear weights of point i's four neighbours, in the order (y0, x0),
+    (y0, x1), (y1, x0), (y1, x1), with zero weight on neighbours outside the
+    canvas.  The coordinate gradients are the same product with the weights'
+    derivatives in place of the weights.
     """
     if x.ndim != 3:
         raise DimensionError(f"bilinear_gather expects x [C,H,W], got {x.shape}")
@@ -578,50 +654,34 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
         raise DimensionError(f"coordinate shapes differ: {yv.shape} vs {xv.shape}")
     c, h, w = x.shape
     s = yv.shape
+    n = yv.size
 
-    iy0 = np.floor(yv).astype(np.int64)
-    ix0 = np.floor(xv).astype(np.int64)
-    fy = yv - iy0
-    fx = xv - ix0
-    iy1 = iy0 + 1
-    ix1 = ix0 + 1
+    iy = np.floor(yv).astype(np.int64).reshape(n, 1)
+    ix = np.floor(xv).astype(np.int64).reshape(n, 1)
+    fy = yv.reshape(n, 1) - iy
+    fx = xv.reshape(n, 1) - ix
+    cy = iy + np.array([0, 0, 1, 1])                     # [n, 4] corner rows
+    cx = ix + np.array([0, 1, 0, 1])
+    valid = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
+    weights = np.hstack([(1.0 - fy) * (1.0 - fx), (1.0 - fy) * fx,
+                         fy * (1.0 - fx), fy * fx])
+    sm = csr_matrix(((weights * valid).reshape(-1), np.where(valid, cy * w + cx, 0).reshape(-1),
+                     np.arange(0, 4 * n + 1, 4)), shape=(n, h * w))
+    flat_t = x.data.reshape(c, h * w).T                  # [H*W, C]
+    out = Tensor(np.ascontiguousarray((sm @ flat_t).T).reshape((c,) + s))
 
-    flat_img = x.data.reshape(c, h * w)
-
-    def corner(iy, ix):
-        valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-        idx = np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1)
-        v = flat_img[:, idx.reshape(-1)].reshape((c,) + s)
-        v = v * valid  # zero padding outside the canvas
-        return v, idx, valid
-
-    v00, i00, m00 = corner(iy0, ix0)
-    v01, i01, m01 = corner(iy0, ix1)
-    v10, i10, m10 = corner(iy1, ix0)
-    v11, i11, m11 = corner(iy1, ix1)
-
-    w00 = (1.0 - fy) * (1.0 - fx)
-    w01 = (1.0 - fy) * fx
-    w10 = fy * (1.0 - fx)
-    w11 = fy * fx
-    out = Tensor(w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11)
+    def coordinate_grad(g_t, dweights):
+        """Channel sum of g times the sample's derivative, given the [n, 4] weight derivatives."""
+        d = csr_matrix(((dweights * valid).reshape(-1), sm.indices, sm.indptr), shape=sm.shape)
+        return np.sum(g_t * (d @ flat_t), axis=1).reshape(s)
 
     def backward_fn(g):
-        gx_flat = np.zeros(c * h * w)
-        chan_base = (np.arange(c) * (h * w))[:, None]
-        for wgt, idx, msk in ((w00, i00, m00), (w01, i01, m01),
-                              (w10, i10, m10), (w11, i11, m11)):
-            contrib = (g * (wgt * msk)).reshape(c, -1)
-            keys = chan_base + idx.reshape(-1)[None, :]
-            gx_flat += np.bincount(keys.reshape(-1), weights=contrib.reshape(-1),
-                                   minlength=c * h * w)
-        grads = [gx_flat.reshape(c, h, w)]
+        g_t = g.reshape(c, n).T                          # [n, C]
+        grads = [np.ascontiguousarray((sm.T @ g_t).T).reshape(c, h, w)]
         if ty:
-            gy = np.sum(g * ((v10 - v00) * (1.0 - fx) + (v11 - v01) * fx), axis=0)
-            grads.append(gy)
+            grads.append(coordinate_grad(g_t, np.hstack([fx - 1.0, -fx, 1.0 - fx, fx])))
         if tx:
-            gxs = np.sum(g * ((v01 - v00) * (1.0 - fy) + (v11 - v10) * fy), axis=0)
-            grads.append(gxs)
+            grads.append(coordinate_grad(g_t, np.hstack([fy - 1.0, 1.0 - fy, -fy, fy])))
         return grads
 
     inputs = (x,) + tuple(t for t, used in ((ys, ty), (xs, tx)) if used)

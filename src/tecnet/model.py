@@ -62,6 +62,9 @@ class TecNetConfig:
                 raise ConfigurationError(f"heads not symmetric at stage {i}")
         if any(n < 1 for n in self.layer_numbers) or any(h < 1 for h in self.heads):
             raise ConfigurationError("layer_numbers and heads must be positive")
+        if self.window < 1 or self.base_width < 1:
+            raise ConfigurationError(
+                f"window and base_width must be positive, got {self.window} and {self.base_width}")
         if self.patch < 1 or self.input_size % self.patch:
             raise ConfigurationError(
                 f"patch {self.patch} must divide input size {self.input_size}")

@@ -1,15 +1,24 @@
-"""Brute-force reference implementations shared by the test modules.
+"""Slow reference implementations shared by the test modules.
 
-Everything here is written as plain loops over pixels, deliberately
-ignoring the vectorized forms under test.  Distances use exact integer
-squares, so the only float operations (sqrt, the final reductions) are
-applied to identical values in identical order on both sides and the
-comparisons can demand exact equality.
+The metric references are plain loops over pixels, deliberately ignoring
+the vectorized forms under test.  Distances use exact integer squares, so
+the only float operations (sqrt, the final reductions) are applied to
+identical values in identical order on both sides and the comparisons can
+demand exact equality.
+
+The engine references are the slow paths that fused primitives replaced:
+attention composed from small tape ops, bilinear sampling as a loop over
+points, and its image gradient as bincount scatters.  They perform the
+same float operations in the same order as the fast paths' forwards, so
+forwards compare exactly.
 """
 
 import math
 
 import numpy as np
+
+from tecnet import Tensor
+from tecnet import engine as E
 
 
 def confusion_loop(pred, gt):
@@ -51,3 +60,58 @@ def surface_pool_loop(pred, gt):
     for (y, x) in bg:
         pool.append(min(math.sqrt((i - y) ** 2 + (j - x) ** 2) for (i, j) in bp))
     return np.array(pool)
+
+
+def attention_reference(q, k, v, heads=1, bias=None, mask=None):
+    """Attention as a chain of tape ops: split heads, q k^T, scale, + bias, + mask, softmax, . v."""
+    nw, t, d = q.shape
+    dv = v.shape[2]
+    qh = q.reshape(nw, t, heads, d // heads).permute(0, 2, 1, 3)
+    kh = k.reshape(nw, t, heads, d // heads).permute(0, 2, 1, 3)
+    vh = v.reshape(nw, t, heads, dv // heads).permute(0, 2, 1, 3)
+    logits = (qh @ kh.permute(0, 1, 3, 2)) * (1.0 / math.sqrt(d))
+    if bias is not None:
+        logits = logits + bias
+    if mask is not None:
+        logits = logits + Tensor(mask.reshape(nw, 1, t, t))
+    attn = E.softmax(logits, axis=-1)
+    return (attn @ vh).permute(0, 2, 1, 3).reshape(nw, t, dv)
+
+
+def _corners(y, x):
+    """The four bilinear neighbours of (y, x) with their weights, in sampling order."""
+    y0, x0 = math.floor(y), math.floor(x)
+    fy, fx = y - y0, x - x0
+    return ((y0, x0, (1.0 - fy) * (1.0 - fx)), (y0, x0 + 1, (1.0 - fy) * fx),
+            (y0 + 1, x0, fy * (1.0 - fx)), (y0 + 1, x0 + 1, fy * fx))
+
+
+def bilinear_gather_loop(img, ys, xs):
+    """Sample [C, H, W] at each point: add up the on-canvas corners, in order."""
+    c, h, w = img.shape
+    out = np.zeros((c,) + ys.shape)
+    for p in np.ndindex(ys.shape):
+        acc = np.zeros(c)
+        for cy, cx, wgt in _corners(float(ys[p]), float(xs[p])):
+            if 0 <= cy < h and 0 <= cx < w:
+                acc = acc + wgt * img[:, cy, cx]
+        out[(slice(None),) + p] = acc
+    return out
+
+
+def bilinear_image_grad_bincount(g, ys, xs, shape):
+    """Image gradient of bilinear sampling as one bincount scatter per corner."""
+    c, h, w = shape
+    iy0 = np.floor(ys).astype(np.int64)
+    ix0 = np.floor(xs).astype(np.int64)
+    fy, fx = ys - iy0, xs - ix0
+    chan_base = (np.arange(c) * (h * w))[:, None]
+    grad = np.zeros(c * h * w)
+    for iy, ix, wgt in ((iy0, ix0, (1.0 - fy) * (1.0 - fx)), (iy0, ix0 + 1, (1.0 - fy) * fx),
+                        (iy0 + 1, ix0, fy * (1.0 - fx)), (iy0 + 1, ix0 + 1, fy * fx)):
+        valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+        idx = np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1)
+        keys = chan_base + idx.reshape(-1)[None, :]
+        grad += np.bincount(keys.reshape(-1), weights=(g * (wgt * valid)).reshape(-1),
+                            minlength=c * h * w)
+    return grad.reshape(c, h, w)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tecnet import Tensor
+from oracles import attention_reference
+from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
                               cost_swmsa, count_actual_macs, crop_to,
@@ -149,6 +150,42 @@ def test_masked_pairs_get_no_attention():
     blocked = mask < 0
     mass = sum(attn[w][:, blocked[w]].sum() for w in range(attn.shape[0]))
     assert mass < 1e-8
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("bias_shape", ["heads,T,T", "T,T", None])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shared_qk", [False, True])
+def test_fused_attention_matches_composed_chain(heads, bias_shape, masked, shared_qk):
+    """engine.attention equals the composed op chain it replaced: the forward
+    exactly, the input and bias gradients to 1e-12 relative."""
+    nw, t, d, dv = 4, 16, 4, 6
+    rng = np.random.default_rng(17)
+    q = Tensor(rng.standard_normal((nw, t, d)), requires_grad=True)
+    k = q if shared_qk else Tensor(rng.standard_normal((nw, t, d)), requires_grad=True)
+    v = Tensor(rng.standard_normal((nw, t, dv)), requires_grad=True)
+    leaves = [q, v] if shared_qk else [q, k, v]
+    bias = None
+    if bias_shape is not None:
+        shape = (heads, t, t) if bias_shape == "heads,T,T" else (t, t)
+        bias = Tensor(0.5 * rng.standard_normal(shape), requires_grad=True)
+        leaves.append(bias)
+    mask = shift_mask(8, 8, 4, 2) if masked else None        # [4, 16, 16]
+    weight = Tensor(rng.standard_normal((nw, t, dv)))
+
+    runs = []
+    for fn in (E.attention, attention_reference):
+        for p in leaves:
+            p.zero_grad()
+        with Tape():
+            out = fn(q, k, v, heads=heads, bias=bias, mask=mask)
+            loss = (out * weight).sum()
+        backward(loss)
+        runs.append((out.data, [p.grad.copy() for p in leaves]))
+    (fast, fast_grads), (slow, slow_grads) = runs
+    assert np.array_equal(fast, slow)
+    for got, want in zip(fast_grads, slow_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fusion_weights_start_at_quarter_each():

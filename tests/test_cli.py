@@ -173,6 +173,15 @@ def test_analyze_rejects_unrunnable_input_size(capsys, size):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("window", 0), ("window", -1), ("base_width", 0)])
+def test_analyze_rejects_non_positive_config(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {**nano_config().to_dict(), field: value}}))
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be positive" in err
+
+
 def test_dump_features_writes_stage_maps(workdir):
     out = workdir["root"] / "features"
     rc = main(["dump-features",

@@ -8,7 +8,8 @@ modules and in the acceptance suite.
 
 import numpy as np
 
-from tecnet import Tensor
+from oracles import bilinear_gather_loop, bilinear_image_grad_bincount
+from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.engine import _record
 from tecnet.gradcheck import check_gradients, max_rel_err
@@ -96,6 +97,15 @@ def test_softmax_and_layernorm():
     run(lambda: (E.softmax(a, axis=0) * w).sum(), a)
     g, b = leaf(5), leaf(5)
     run(lambda: (E.layernorm(a, g, b) * w).sum(), a, g, b)
+
+
+def test_attention():
+    q, k, v = leaf(2, 4, 4), leaf(2, 4, 4), leaf(2, 4, 6)
+    bias = leaf(2, 4, 4, scale=0.5)
+    mask = np.where(RNG.random((2, 4, 4)) < 0.3, -1e9, 0.0)
+    w = Tensor(RNG.standard_normal((2, 4, 6)))
+    run(lambda: (E.attention(q, k, v, heads=2, bias=bias, mask=mask) * w).sum(), q, k, v, bias)
+    run(lambda: (E.attention(q, q, v) * w).sum(), q, v)
 
 
 def test_conv2d_variants():
@@ -188,6 +198,26 @@ def test_conv2d_against_loop():
                             acc += w.data[o, c, u, v] * xp[c, 2 * i + u, 2 * j + v]
                 want[o, i, j] = acc
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_bilinear_gather_against_loop():
+    """The sparse-matrix sampler equals a per-point loop exactly, including
+    points off the canvas, on integer coordinates and on the last row and
+    column; its image gradient equals the bincount scatter to 1e-12."""
+    h, w = 5, 6
+    x = Tensor(RNG.standard_normal((3, h, w)), requires_grad=True)
+    ys = np.array([[-2.3, -0.5, -1.0, 0.0, 2.0, 4.0, 4.0],
+                   [4.5, 3.25, 5.0, 1.7, 9.0, 0.4, 2.5]])
+    xs = np.array([[1.5, 0.25, 3.0, 0.0, 5.0, 2.0, 5.0],
+                   [2.5, 5.5, 1.0, -0.6, 1.0, 6.0, 4.75]])
+    g = RNG.standard_normal((3,) + ys.shape)
+    with Tape():
+        out = E.bilinear_gather(x, ys, xs)
+        loss = (out * Tensor(g)).sum()
+    backward(loss)
+    assert np.array_equal(out.data, bilinear_gather_loop(x.data, ys, xs))
+    want = bilinear_image_grad_bincount(g, ys, xs, x.shape)
+    assert np.max(np.abs(x.grad - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_layernorm_normalizes():

@@ -61,6 +61,15 @@ def test_config_rejects_bad_geometry():
     assert out["y_tec"].shape == (1, 32, 32)
 
 
+@pytest.mark.parametrize("field", ["window", "base_width"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_non_positive_window_and_width(field, value):
+    # window 0 used to reach count_params as a ZeroDivisionError, and
+    # base_width 0 counted a model whose stages have no channels
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        nano_config(**{field: value})
+
+
 def test_config_rejects_head_width_mismatch():
     with pytest.raises(ConfigurationError):
         nano_config(heads=(3, 2, 4, 8, 4, 2, 3))  # 16 % 24 != 0

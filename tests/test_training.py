@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from tecnet import Tensor
+from tecnet import Tape, Tensor
 from tecnet.errors import ConfigurationError, TrainingDiverged
 from tecnet.model import TecNet, nano_config
 from tecnet.synth import SynthSpec, make_dataset
@@ -145,6 +145,27 @@ def _tiny_run(tmp_path, **kw):
     sched = TrainSchedule(**defaults)
     return train(model, data, sched, val_samples=data[:2],
                  out_dir=str(tmp_path)), model, data
+
+
+# Tape nodes one nano train sample records (forward, total_loss and the
+# 1/batch scale in train()).  A change that moves this number should say why;
+# one that splits attention back into small ops fails here instead of only
+# running slower.
+NANO_SAMPLE_TAPE_NODES = 1389
+
+
+def test_tape_budget_of_one_nano_train_sample():
+    model = TecNet(nano_config(), seed=0)
+    sample = make_dataset(SynthSpec(seed=5, count=1, size=64))[0]
+    with Tape() as tape:
+        loss, _ = total_loss(model.forward(sample.image), Tensor(sample.mask), 0.5)
+        loss * (1.0 / 8)
+    ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
+    acam_layers = sum(len(stage.blocks) for stage in model.trans_stages)
+    ddconv_layers = sum(name.endswith(".kernels") for name, _ in model.named_parameters())
+    assert ops.count("attention") == 4 * acam_layers     # one node per branch
+    assert ops.count("softmax") == ddconv_layers          # only the kernel gates
+    assert len(tape.nodes) == NANO_SAMPLE_TAPE_NODES
 
 
 def test_train_writes_log_and_checkpoint(tmp_path):
