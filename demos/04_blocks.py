@@ -3,7 +3,7 @@
 A stage of the transformer branch is a stack of blocks that alternate
 plain and shifted windows.  Inside each block the usual 4x-wide
 MLP is swapped for a ghost-style perceptron (LPM) that produces half of
-its hidden features with a depthwise convolution over the token grid,
+its hidden features with a depthwise convolution over the feature grid,
 which costs a fraction of the dense parameters.
 """
 
@@ -25,11 +25,11 @@ def main():
         print(f"{d:5d} | {lpm:10,} | {mlp:10,}")
 
     # -- a two-block stage is the identity at init --------------------------
-    tokens = Tensor(rng.standard_normal((64, 32)))
+    x = Tensor(rng.standard_normal((8, 8, 32)))       # channels-last [h, w, C] map
     stage = TransStage(32, 2, 4, 2, True, True, False, rng=rng)
-    out = stage(tokens, (8, 8))
+    out = stage(x)
     print("\nfresh two-block stage == identity:",
-          float(np.max(np.abs(out.data - tokens.data))))
+          float(np.max(np.abs(out.data - x.data))))
     print("first block shifted:", stage.blocks[0].attn.shifted,
           "/ second block shifted:", stage.blocks[1].attn.shifted)
 

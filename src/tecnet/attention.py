@@ -369,23 +369,24 @@ def cost_acam(h: int, w: int, c: int, m: int) -> int:
     return (hw * c * c) // 4 + m * m * hw * c
 
 
-def count_actual_macs(layer, h: int, w: int) -> list[dict]:
+def attention_macs(c: int, m: int, h: int, w: int, acam: bool = True,
+                   shared_kv: bool = False) -> list[dict]:
     """Per-branch multiply counts for one attention layer on an h x w grid.
 
-    Returns rows of {module, branch, formula_macs, actual_macs}; the formula
-    column carries the closed-form budget the layer family advertises, the
-    actual column counts the matmul multiplies the implementation performs
-    (padding included, biases and softmax excluded).
+    The layer is an ACAM (`shared_kv` selecting its mode) or, with `acam`
+    False, a WindowAttention, of width c and window m.  Returns rows of
+    {module, branch, formula_macs, actual_macs}; the formula column carries
+    the closed-form budget the layer family advertises, the actual column
+    counts the matmul multiplies the implementation performs (padding
+    included, biases and softmax excluded).
     """
-    m = layer.window
     hp = -(-h // m) * m
     wp = -(-w // m) * m
     hw = hp * wp
     nw = (hp // m) * (wp // m)
-    c = layer.channels
     t_sp = m * m
 
-    if isinstance(layer, WindowAttention):
+    if not acam:
         name = f"wmsa[C={c},M={m}]"
         proj = 3 * t_sp * c * c * nw
         attn = 2 * t_sp * t_sp * c * nw
@@ -397,11 +398,11 @@ def count_actual_macs(layer, h: int, w: int) -> list[dict]:
             {"module": name, "branch": "total", "formula_macs": cost_swmsa(hp, wp, c, m), "actual_macs": proj + attn + outp},
         ]
 
-    c8, m8, p8 = layer.c8, layer.m8, layer.p8
-    name = f"acam[C={c},M={m}{',shared' if layer.shared_kv else ''}]"
+    c8, m8, p8 = max(1, c // 8), max(1, m * m // 8), max(1, m // 8)
+    name = f"acam[C={c},M={m}{',shared' if shared_kv else ''}]"
     per_branch_formula = (m * m * hw * c) // 4
 
-    if layer.shared_kv:
+    if shared_kv:
         proj = 2 * t_sp * c * c8 * nw
         attn_sp = 2 * t_sp * t_sp * c8 * nw
         attn_ch = 2 * c8 * c8 * t_sp * nw
@@ -426,6 +427,13 @@ def count_actual_macs(layer, h: int, w: int) -> list[dict]:
         {"module": name, "branch": "output_projection", "formula_macs": 0, "actual_macs": outp},
         {"module": name, "branch": "total", "formula_macs": cost_acam(hp, wp, c, m), "actual_macs": total_actual},
     ]
+
+
+def count_actual_macs(layer, h: int, w: int) -> list[dict]:
+    """`attention_macs` rows of an ACAM or WindowAttention layer on an h x w grid."""
+    acam = isinstance(layer, ACAM)
+    return attention_macs(layer.channels, layer.window, h, w, acam=acam,
+                          shared_kv=acam and layer.shared_kv)
 
 
 def write_mac_report(path, rows) -> None:

@@ -1,37 +1,23 @@
 """Transformer-branch building blocks: LPM and the attention/MLP recurrence.
 
-Tokens are [N, C] rows in row-major grid order; each block needs the (h, w)
-grid so window attention and the LPM ghost convolution can see the layout.
+Feature maps are channels-last [h, w, C], so the grid travels in the shape:
+norms and linears act on the last axis, and window attention and the LPM
+ghost convolution take their [C, h, w] view with one permute each way.
 """
 
 from __future__ import annotations
 
 from . import engine as E
 from .engine import Tensor
-from .errors import UsageError
 from .attention import ACAM, WindowAttention
 from .nn import DepthwiseConv2d, LayerNorm, Linear, Module
-
-
-def tokens_to_grid(tokens: Tensor, h: int, w: int) -> Tensor:
-    """[N, C] -> [C, h, w]; N must equal h*w."""
-    n, c = tokens.shape
-    if n != h * w:
-        raise UsageError(f"{n} tokens do not fill a {h}x{w} grid")
-    return tokens.reshape(h, w, c).permute(2, 0, 1)
-
-
-def grid_to_tokens(x: Tensor) -> Tensor:
-    """[C, h, w] -> [h*w, C]."""
-    c, h, w = x.shape
-    return x.permute(1, 2, 0).reshape(h * w, c)
 
 
 class LPM(Module):
     """Ghost-style perceptron: half dense features, half depthwise-derived.
 
-    primary: linear d -> 2d, GELU; ghost: depthwise 3x3 over the token grid
-    of the primary features, GELU; output: linear on the 4d concat back to d.
+    primary: linear d -> 2d, GELU; ghost: depthwise 3x3 over the grid of the
+    primary features, GELU; output: linear on the 4d concat back to d.
     Cheaper than the plain 4x MLP for every width used here.
     """
 
@@ -40,16 +26,10 @@ class LPM(Module):
         self.ghost = DepthwiseConv2d(2 * d, 3, rng=rng)
         self.out = Linear(4 * d, d, rng=rng, zero=True)
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-        h, w = grid
-        n, d = tokens.shape
-        if n != h * w:
-            raise UsageError(f"{n} tokens do not fill a {h}x{w} grid")
-        p = E.gelu(self.primary(tokens))                 # [N, 2d]
-        g = tokens_to_grid(p, h, w)                      # [2d, h, w]
-        g = E.gelu(self.ghost(g))
-        g = grid_to_tokens(g)                            # [N, 2d]
-        return self.out(E.concat([p, g], axis=1))
+    def forward(self, x: Tensor) -> Tensor:
+        p = E.gelu(self.primary(x))                      # [h, w, 2d]
+        g = E.gelu(self.ghost(p.permute(2, 0, 1)))       # [2d, h, w]
+        return self.out(E.concat([p, g.permute(1, 2, 0)], axis=2))
 
 
 class Mlp(Module):
@@ -59,8 +39,8 @@ class Mlp(Module):
         self.expand = Linear(d, 4 * d, rng=rng)
         self.out = Linear(4 * d, d, rng=rng, zero=True)
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-        return self.out(E.gelu(self.expand(tokens)))
+    def forward(self, x: Tensor) -> Tensor:
+        return self.out(E.gelu(self.expand(x)))
 
 
 class TransformerBlock(Module):
@@ -81,9 +61,7 @@ class TransformerBlock(Module):
         self.norm_mlp = LayerNorm(channels)
         self.mlp = LPM(channels, rng=rng) if use_lpm else Mlp(channels, rng=rng)
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-        h, w = grid
-        a = tokens_to_grid(self.norm_attn(tokens), h, w)
-        a = self.attn(a)
-        t_hat = grid_to_tokens(a) + tokens
-        return self.mlp(self.norm_mlp(t_hat), grid) + t_hat
+    def forward(self, x: Tensor) -> Tensor:
+        a = self.attn(self.norm_attn(x).permute(2, 0, 1))
+        t_hat = a.permute(1, 2, 0) + x
+        return self.mlp(self.norm_mlp(t_hat)) + t_hat

@@ -23,10 +23,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attention import cost_acam, cost_msa, cost_swmsa, count_actual_macs, write_mac_report
+from .attention import cost_acam, cost_msa, cost_swmsa, write_mac_report
 from .errors import ConfigurationError, UsageError
 from .metrics import evaluate_pairs, write_metrics_csv
-from .model import (N_STAGES, PRESETS, TecNet, TecNetConfig, attention_probe,
+from .model import (N_STAGES, PRESETS, TecNet, TecNetConfig, attention_rows,
                     count_flops, count_params)
 from .synth import FAMILIES, SynthSpec, generate, load_dataset, quantize, write_pgm
 from .training import TrainSchedule, load_model, predict_probs, train
@@ -205,10 +205,7 @@ def cmd_analyze(args) -> int:
               f"{cost_swmsa(gp, gp, c, m):>14,}{cost_acam(gp, gp, c, m):>14,}")
 
     if args.mac_report:
-        rows = []
-        for i in range(N_STAGES):
-            g = cfg.stage_grid(i)
-            rows.extend(count_actual_macs(attention_probe(cfg, i), g, g))
+        rows = [row for i in range(N_STAGES) for row in attention_rows(cfg, i)]
         write_mac_report(args.mac_report, rows)
         print(f"\nper-branch MAC report: {args.mac_report}")
     return 0

@@ -296,6 +296,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
+    if b.ndim == 2:
+        # one gemm over all leading positions: an [h, w, C] map rounds exactly as its [h*w, C] rows
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:]))
+
+        def backward_fn(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+        return _record(out, (a, b), backward_fn)
     try:
         out = Tensor(np.matmul(a.data, b.data))
     except ValueError as e:

@@ -18,8 +18,8 @@ import numpy as np
 from . import engine as E
 from .engine import Tensor, as_tensor
 from .errors import ConfigurationError, UsageError
-from .attention import ACAM, WindowAttention, count_actual_macs
-from .blocks import TransformerBlock, grid_to_tokens, tokens_to_grid
+from .attention import attention_macs
+from .blocks import TransformerBlock
 from .ddconv import DDConv
 from .nn import ChannelNorm, Conv2d, Linear, Module
 
@@ -150,7 +150,7 @@ PRESETS = {"nano": nano_config, "tiny": tiny_config, "base": base_config}
 # ---------------------------------------------------------------- submodules
 
 class PatchEmbed(Module):
-    """Non-overlapping p x p linear projection of the image to width D."""
+    """Non-overlapping p x p linear projection of the image to a [g, g, D] map."""
 
     def __init__(self, c_img: int, patch: int, d: int, rng=None):
         self.c_img = c_img
@@ -166,8 +166,7 @@ class PatchEmbed(Module):
         gh, gw = h // p, w // p
         t = image.reshape(c, gh, p, gw, p)
         t = t.permute(1, 3, 0, 2, 4)                  # [gh, gw, c, p, p]
-        t = t.reshape(gh * gw, c * p * p)
-        return self.proj(t)                           # [N, D]
+        return self.proj(t.reshape(gh, gw, c * p * p))
 
 
 class CnnStem(Module):
@@ -227,44 +226,40 @@ class TransStage(Module):
             for b in range(depth)
         ]
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         for block in self.blocks:
-            tokens = block(tokens, grid)
-        return tokens
+            x = block(x)
+        return x
 
 
 class PatchMerge(Module):
-    """Transformer-branch downsample: 2x2 token groups -> one 2C token."""
+    """Transformer-branch downsample: each 2x2 group of [h, w, C] -> one 2C vector."""
 
     def __init__(self, channels: int, rng=None):
         self.reduce = Linear(4 * channels, 2 * channels, rng=rng)
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-        h, w = grid
+    def forward(self, x: Tensor) -> Tensor:
+        h, w, c = x.shape
         if h % 2 or w % 2:
             raise ConfigurationError(f"patch merge needs even extents, got {h}x{w}")
-        c = tokens.shape[1]
-        t = tokens.reshape(h // 2, 2, w // 2, 2, c)
+        t = x.reshape(h // 2, 2, w // 2, 2, c)
         t = t.permute(0, 2, 1, 3, 4)                   # [h/2, w/2, 2, 2, C]
-        t = t.reshape(h * w // 4, 4 * c)
-        return self.reduce(t)
+        return self.reduce(t.reshape(h // 2, w // 2, 4 * c))
 
 
 class PatchExpand(Module):
-    """Transformer-branch upsample: one token -> 2x2 tokens at half width."""
+    """Transformer-branch upsample: [h, w, C] -> [2h, 2w, C/2], child (a, b) of (i, j) at (2i+a, 2j+b)."""
 
     def __init__(self, channels: int, rng=None):
         if channels % 2:
             raise ConfigurationError(f"patch expand needs even width, got {channels}")
         self.grow = Linear(channels, 2 * channels, rng=rng)
 
-    def forward(self, tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-        h, w = grid
-        c = tokens.shape[1]
-        t = self.grow(tokens)                          # [N, 2C]
-        t = t.reshape(h, w, 2, 2, c // 2)
+    def forward(self, x: Tensor) -> Tensor:
+        h, w, c = x.shape
+        t = self.grow(x).reshape(h, w, 2, 2, c // 2)
         t = t.permute(0, 2, 1, 3, 4)                   # [h, 2, w, 2, C/2]
-        return t.reshape(h * w * 4, c // 2)
+        return t.reshape(2 * h, 2 * w, c // 2)
 
 
 def cross_branch_fuse(mix: Conv2d, a: Tensor, b: Tensor) -> Tensor:
@@ -328,50 +323,43 @@ class TecNet(Module):
             raise UsageError(
                 f"expected input {(self.c_img, cfg.input_size, cfg.input_size)}, got {image.shape}")
 
-        def grid(i: int) -> tuple[int, int]:
-            g = cfg.stage_grid(i)
-            return (g, g)
-
-        def note(tag: str, x: Tensor) -> None:
-            if collect is not None:
-                collect[tag] = x.data.copy()
+        def note(i: int, c: Tensor, t: Tensor) -> None:
+            if collect is not None:   # both maps as [C, h, w]
+                collect[f"cnn_stage{i}"] = c.data.copy()
+                collect[f"trans_stage{i}"] = t.data.transpose(2, 0, 1).copy()
 
         c = self.cnn_stem(image)                       # [D, g0, g0]
-        t = self.patch_embed(image)                    # [N0, D]
+        t = self.patch_embed(image)                    # [g0, g0, D]
 
         skips_c, skips_t = [], []
         for i in range(3):
             c = self.cnn_stages[i](c)
-            t = self.trans_stages[i](t, grid(i))
-            note(f"cnn_stage{i}", c)
-            note(f"trans_stage{i}", tokens_to_grid(t, *grid(i)))
+            t = self.trans_stages[i](t)
+            note(i, c, t)
             skips_c.append(c)
             skips_t.append(t)
             c = self.cnn_down[i](c)
-            t = self.trans_down[i](t, grid(i))
+            t = self.trans_down[i](t)
 
         c = self.cnn_stages[3](c)
-        t = self.trans_stages[3](t, grid(3))
-        note("cnn_stage3", c)
-        note("trans_stage3", tokens_to_grid(t, *grid(3)))
+        t = self.trans_stages[3](t)
+        note(3, c, t)
 
         for j, i in enumerate(range(4, 7)):
-            g = grid(i)
             c = self.cnn_up[j](E.upsample_nearest(c, 2))
-            t = self.trans_up[j](t, grid(i - 1))
+            t = self.trans_up[j](t)
             # skip connections from the mirrored encoder stage
             c = self.cnn_skip[j](E.concat([c, skips_c[6 - i]], axis=0))
-            t = self.trans_skip[j](E.concat([t, skips_t[6 - i]], axis=1))
+            t = self.trans_skip[j](E.concat([t, skips_t[6 - i]], axis=2))
             # cross-branch fusion: each branch sees the other's features
-            tg = tokens_to_grid(t, *g)
+            tg = t.permute(2, 0, 1)
             c_fused = cross_branch_fuse(self.cnn_fuse[j], c, tg)
             t_fused = cross_branch_fuse(self.trans_fuse[j], tg, c)
             c = self.cnn_stages[i](c_fused)
-            t = self.trans_stages[i](grid_to_tokens(t_fused), g)
-            note(f"cnn_stage{i}", c)
-            note(f"trans_stage{i}", tokens_to_grid(t, *g))
+            t = self.trans_stages[i](t_fused.permute(1, 2, 0))
+            note(i, c, t)
 
-        tg = tokens_to_grid(t, *grid(6))
+        tg = t.permute(2, 0, 1)
         y_cnn = E.upsample_bilinear(self.head_cnn(c), cfg.patch)
         y_trans = E.upsample_bilinear(self.head_trans(tg), cfg.patch)
         y_tec = E.upsample_bilinear(self.head_tec(E.concat([c, tg], axis=0)), cfg.patch)
@@ -380,12 +368,11 @@ class TecNet(Module):
 
 # ---------------------------------------------------------------- accounting
 
-def attention_probe(cfg: TecNetConfig, stage: int):
-    """An unshifted attention layer of the kind and size `stage` runs."""
-    c, heads, rng = cfg.stage_width(stage), cfg.heads[stage], np.random.default_rng(0)
-    if cfg.use_acam:
-        return ACAM(c, cfg.window, heads, shifted=False, shared_kv=cfg.shared_kv, rng=rng)
-    return WindowAttention(c, cfg.window, heads, shifted=False, rng=rng)
+def attention_rows(cfg: TecNetConfig, stage: int) -> list[dict]:
+    """`attention_macs` rows of one attention layer of `stage`."""
+    g = cfg.stage_grid(stage)
+    return attention_macs(cfg.stage_width(stage), cfg.window, g, g,
+                          acam=cfg.use_acam, shared_kv=cfg.shared_kv)
 
 
 def _linear(d_in, d_out, n=1):
@@ -416,12 +403,11 @@ def _ddconv(c_in, c_out, k, n_kernels, n):
 def _attention(cfg: TecNetConfig, stage: int):
     """(params, MACs) of one attention layer of `stage`.
 
-    MACs are those of the layer the model runs (`count_actual_macs` of its
-    probe); parameters stay arithmetic so enumeration can check them.
+    MACs are the "total" row of `attention_rows`; parameters stay arithmetic
+    so enumeration can check them.
     """
-    c, m, heads, g = cfg.stage_width(stage), cfg.window, cfg.heads[stage], cfg.stage_grid(stage)
-    rows = count_actual_macs(attention_probe(cfg, stage), g, g)
-    macs = next(r["actual_macs"] for r in rows if r["branch"] == "total")
+    c, m, heads = cfg.stage_width(stage), cfg.window, cfg.heads[stage]
+    macs = attention_rows(cfg, stage)[-1]["actual_macs"]
 
     def lin(d_in, d_out):
         return _linear(d_in, d_out)[0]
@@ -457,7 +443,7 @@ def _block(cfg: TecNetConfig, stage: int):
 def _accounting(cfg: TecNetConfig, c_img: int = 1) -> dict:
     """{module key: (params, MACs)} of TecNet(cfg) for one forward pass.
 
-    MACs count matmul/conv multiplies (attention per count_actual_macs,
+    MACs count matmul/conv multiplies (attention per `attention_macs`,
     bilinear taps at 4 multiplies per sample); pointwise activations, norms
     and softmax are excluded.
     """

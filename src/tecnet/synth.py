@@ -183,5 +183,11 @@ def load_dataset(data_dir) -> list[SegSample]:
             raise ConfigurationError(f"{name} has no matching {msk_name}")
         img = read_pgm(os.path.join(data_dir, name)).astype(np.float64) / 255.0
         msk = (read_pgm(msk_path) > 127).astype(np.float64)
+        if msk.shape != img.shape:
+            raise ConfigurationError(f"{msk_path}: mask is {msk.shape}, its image {img.shape}")
+        if samples and img.shape != samples[0].image.shape[1:]:
+            raise ConfigurationError(
+                f"{os.path.join(data_dir, name)}: image is {img.shape}, "
+                f"{names[0]} is {samples[0].image.shape[1:]}")
         samples.append(SegSample(image=img[None], mask=msk[None], sample_id=sid))
     return samples

@@ -37,18 +37,22 @@ def write_tensor(fh, array: np.ndarray) -> int:
     return len(header) + len(payload)
 
 
+def _read(fh, n: int) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise UsageError("truncated tensor record")
+    return raw
+
+
 def read_tensor(fh) -> np.ndarray:
     """Read one tensor record from an open binary file."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise UsageError(f"bad tensor record magic: {magic!r}")
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+    (ndim,) = struct.unpack("<I", _read(fh, 4))
+    dims = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
     count = int(np.prod(dims)) if ndim else 1
-    raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise UsageError("truncated tensor record")
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    data = np.frombuffer(_read(fh, 4 * count), dtype="<f4").astype(np.float64)
     return data.reshape(dims)
 
 
@@ -91,8 +95,12 @@ def load_checkpoint(path, expected_config: dict | None = None):
     manifest, otherwise a UsageError is raised.
     """
     path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        manifest = json.load(fh)
+    manifest_path = path.with_suffix(path.suffix + ".json")
+    with open(manifest_path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"{manifest_path}: corrupt checkpoint manifest: {e}") from e
     if expected_config is not None:
         want = config_hash(expected_config)
         got = manifest.get("config_hash")
@@ -103,7 +111,10 @@ def load_checkpoint(path, expected_config: dict | None = None):
     with open(path, "rb") as fh:
         for entry in manifest["tensors"]:
             fh.seek(entry["offset"])
-            arr = read_tensor(fh)
+            try:
+                arr = read_tensor(fh)
+            except UsageError as e:
+                raise UsageError(f"{path}: {e}") from e
             if list(arr.shape) != entry["shape"]:
                 raise UsageError(f"checkpoint entry {entry['name']} has shape {arr.shape}, "
                                  f"manifest says {entry['shape']}")

@@ -165,7 +165,7 @@ def test_criterion_01_gradient_fidelity():
     lpm.out.weight.data[:] = 0.1 * RNG.standard_normal(lpm.out.weight.shape)
     lt = _leaf(16, 8)
     lw = Tensor(RNG.standard_normal((16, 8)))
-    worsts["lpm"] = _fd(lambda: (lpm(lt, (4, 4)) * lw).sum(),
+    worsts["lpm"] = _fd(lambda: (lpm(lt.reshape(4, 4, 8)).reshape(16, 8) * lw).sum(),
                         list(lpm.named_parameters()) + [("t", lt)],
                         1e-4, "lpm", max_coords=5)
 
@@ -175,7 +175,7 @@ def test_criterion_01_gradient_fidelity():
             prm.data[:] = 0.05 * RNG.standard_normal(prm.shape)
     bt = _leaf(16, 8)
     bw = Tensor(RNG.standard_normal((16, 8)))
-    worsts["trans_stage"] = _fd(lambda: (stage(bt, (4, 4)) * bw).sum(),
+    worsts["trans_stage"] = _fd(lambda: (stage(bt.reshape(4, 4, 8)).reshape(16, 8) * bw).sum(),
                                 list(stage.named_parameters()) + [("t", bt)],
                                 1e-4, "trans_stage", max_coords=3)
 

@@ -7,10 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from tecnet.attention import count_actual_macs
+from tecnet.attention import ACAM, WindowAttention, count_actual_macs
 from tecnet.cli import main
-from tecnet.model import N_STAGES, TecNet, nano_config
-from tecnet.synth import read_pgm
+from tecnet.model import N_STAGES, TecNet, count_flops, count_params, nano_config
+from tecnet.synth import read_pgm, write_pgm
 from tecnet.tensorio import load_checkpoint
 
 
@@ -90,6 +90,53 @@ def test_eval_rejects_mismatched_config(workdir, capsys, tmp_path):
                "--data", str(workdir["data"]), "--out", str(tmp_path / "o")])
     assert rc != 0
     assert "hash" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["record_header", "manifest"])
+def test_eval_rejects_corrupt_checkpoint(workdir, capsys, tmp_path, damage):
+    ckpt = tmp_path / "checkpoint.tect"
+    manifest = tmp_path / "checkpoint.tect.json"
+    blob = (workdir["run"] / "checkpoint.tect").read_bytes()
+    text = (workdir["run"] / "checkpoint.tect.json").read_text()
+    if damage == "record_header":   # cut after the last record's magic and 2 bytes of ndim
+        blob = blob[:json.loads(text)["tensors"][-1]["offset"] + 6]
+    else:
+        text = text[: len(text) // 2]
+    ckpt.write_bytes(blob)
+    manifest.write_text(text)
+    rc = main(["eval", "--checkpoint", str(ckpt), "--config", str(workdir["config"]),
+               "--data", str(workdir["data"]), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(ckpt) in err
+
+
+@pytest.mark.parametrize("mismatch", ["mask", "image"])
+def test_train_rejects_mixed_size_dataset(workdir, capsys, tmp_path, mismatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    for i, (img, msk) in enumerate([(64, 64), (64, 32) if mismatch == "mask" else (32, 32)]):
+        write_pgm(data / f"img_{i:04d}.pgm", np.zeros((img, img), np.uint8))
+        write_pgm(data / f"msk_{i:04d}.pgm", np.zeros((msk, msk), np.uint8))
+    rc = main(["train", "--config", str(workdir["config"]), "--data", str(data),
+               "--out", str(tmp_path / "r"), "--steps", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "_0001.pgm" in err
+
+
+def test_accounting_builds_no_attention_layers(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("accounting built an attention layer")
+
+    monkeypatch.setattr(ACAM, "__init__", refuse)
+    monkeypatch.setattr(WindowAttention, "__init__", refuse)
+    for cfg in (nano_config(), nano_config(shared_kv=True), nano_config(use_acam=False)):
+        assert count_params(cfg)["total"] > 0
+        assert count_flops(cfg, 2 * cfg.input_size)["total"] > 0
+    assert main(["analyze", "--preset", "nano", "--mac-report", str(tmp_path / "m.csv")]) == 0
+    with open(tmp_path / "m.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 7 * N_STAGES
 
 
 def test_malformed_config_reports_position(tmp_path, capsys, workdir):

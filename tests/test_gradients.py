@@ -51,6 +51,24 @@ def test_matmul_2d_and_batched():
     run(lambda: ((p @ q) * w).sum(), p, q)
 
 
+def test_matmul_over_leading_axes_is_one_flat_product():
+    """N-d @ 2-d multiplies the flattened rows in one product, so a
+    channels-last map gives bit for bit what its [N, C] rows give."""
+    a, b = leaf(2, 3, 4, 5), leaf(5, 6)
+    g = RNG.standard_normal((2, 3, 4, 6))
+    with Tape():
+        y = a @ b
+        backward((y * Tensor(g)).sum())
+    rows, g_rows = a.data.reshape(24, 5), g.reshape(24, 6)
+    np.testing.assert_array_equal(y.data, (rows @ b.data).reshape(2, 3, 4, 6))
+    np.testing.assert_array_equal(a.grad, (g_rows @ b.data.T).reshape(2, 3, 4, 5))
+    np.testing.assert_array_equal(b.grad, rows.T @ g_rows)
+    np.testing.assert_allclose(y.data, np.matmul(a.data, b.data), rtol=1e-12)
+    a.zero_grad()
+    b.zero_grad()
+    run(lambda: ((a @ b) * Tensor(g)).sum(), a, b)
+
+
 def test_reductions():
     a = leaf(2, 3, 4)
     run(lambda: E.reduce_sum(a), a)

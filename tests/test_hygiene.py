@@ -1,10 +1,12 @@
-"""Source hygiene: every imported name is used where it is imported.
+"""Source hygiene: every imported name is used where it is imported, and
+every top-level definition in the package is used somewhere.
 
-No linter ships with the project, so this AST scan is the guard.  A name
+No linter ships with the project, so these AST scans are the guard.  A name
 listed in the module's ``__all__`` counts as used (it is re-exported).
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +41,33 @@ def test_no_unused_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert not found, f"imported but never used: {found}"
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names a subtree reads: bare names, attributes and `from` imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def test_no_dead_definitions():
+    """Every top-level function and class in src/tecnet is referenced outside
+    its own definition, in src/, tests/, demos/ or a pyproject entry point."""
+    entry_points = re.findall(r'=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text())
+    used = set(entry_points)
+    defined = []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            if own and path.is_relative_to(ROOT / "src" / "tecnet"):
+                defined.append((stmt.name, f"{path.relative_to(ROOT)}:{stmt.lineno}"))
+            # a definition's own body (recursion, its methods) does not count
+            used |= referenced_names(stmt) - ({stmt.name} if own else set())
+    dead = [f"{where}: {name}" for name, where in defined if name not in used]
+    assert not dead, f"defined but never referenced: {dead}"

@@ -151,7 +151,7 @@ def _tiny_run(tmp_path, **kw):
 # 1/batch scale in train()).  A change that moves this number should say why;
 # one that splits attention back into small ops fails here instead of only
 # running slower.
-NANO_SAMPLE_TAPE_NODES = 1389
+NANO_SAMPLE_TAPE_NODES = 1332
 
 
 def test_tape_budget_of_one_nano_train_sample():
