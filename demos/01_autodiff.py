@@ -1,10 +1,11 @@
 """Tour of the tensor engine: tapes, gradients, and a finite-difference check.
 
-The engine is a small define-by-run autodiff system over dense float64
-numpy arrays.  Operations record themselves onto a Tape while one is open;
-backward() replays the tape in reverse and accumulates gradients into the
-leaves.  Nothing here is batched or lazy, which keeps the whole mechanism
-readable end to end.
+The engine is a small define-by-run autodiff system over dense numpy
+arrays of one compute dtype, float32 unless a block runs under
+engine.precision(np.float64).  Operations record themselves onto a Tape
+while one is open; backward() replays the tape in reverse and accumulates
+gradients into the leaves.  Nothing here is batched or lazy, which keeps the
+whole mechanism readable end to end.
 """
 
 import numpy as np
@@ -31,11 +32,18 @@ def main():
     print("z =", z.item())
     print("dz/db =", b.grad)
 
-    # The same gradients, checked against central differences.
-    def loss():
-        return (E.sigmoid(x @ w + b) * scale).sum()
+    print("compute dtype:", z.data.dtype)
 
-    rows = check_gradients(loss, [("x", x), ("w", w), ("b", b)], h=1e-5)
+    # The same gradients, checked against central differences.  Those need
+    # float64 leaves, so the check builds its own copies under float64.
+    with E.precision(np.float64):
+        x64, w64, b64 = (Tensor(t.data, requires_grad=True) for t in (x, w, b))
+        scale64 = Tensor(scale.data)
+
+        def loss():
+            return (E.sigmoid(x64 @ w64 + b64) * scale64).sum()
+
+        rows = check_gradients(loss, [("x", x64), ("w", w64), ("b", b64)], h=1e-5)
     print(f"finite differences agree to {max_rel_err(rows):.2e} relative error")
 
     # Gradients accumulate across backward calls until cleared.

@@ -96,7 +96,7 @@ def shift_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
     """
     nw = (h // m) * (w // m)
     if s == 0:
-        return np.zeros((nw, m * m, m * m))
+        return np.zeros((nw, m * m, m * m), dtype=E.compute_dtype())
     # Region labels live in the already-shifted frame: the wrap seam sits at
     # h-s / w-s, and only the last band of windows straddles it.
     img = np.zeros((h, w))
@@ -108,7 +108,7 @@ def shift_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
     gh, gw = h // m, w // m
     wins = img.reshape(gh, m, gw, m).transpose(0, 2, 1, 3).reshape(nw, m * m)
     diff = wins[:, None, :] != wins[:, :, None]
-    return np.where(diff, MASKED, 0.0)
+    return E.constant(np.where(diff, MASKED, 0.0))
 
 
 def spatial_bias(table: Tensor, rel_index: np.ndarray, m: int, heads: int) -> Tensor:
@@ -122,7 +122,8 @@ def windowed(x: Tensor, m: int, shift: int, mask_cache: dict, attend) -> Tensor:
 
     Pads bottom/right to window multiples, rolls by -shift and partitions
     into [nw, C, m, m] windows.  `mask` is None when unshifted, else the
-    shift mask of the padded extent, built once per extent into mask_cache.
+    shift mask of the padded extent, built once per extent and compute
+    dtype into mask_cache.
     The [nw, C, m, m] result is reversed, rolled back and cropped to h x w.
     """
     x, (h0, w0) = pad_to_window(x, m)
@@ -130,9 +131,10 @@ def windowed(x: Tensor, m: int, shift: int, mask_cache: dict, attend) -> Tensor:
     mask = None
     if shift:
         x = E.roll2d(x, -shift, -shift)
-        mask = mask_cache.get((h, w))
+        key = (h, w, E.compute_dtype())
+        mask = mask_cache.get(key)
         if mask is None:
-            mask = mask_cache[(h, w)] = shift_mask(h, w, m, shift)
+            mask = mask_cache[key] = shift_mask(h, w, m, shift)
     y = window_reverse(attend(window_partition(x, m), mask), m, h, w)
     if shift:
         y = E.roll2d(y, shift, shift)

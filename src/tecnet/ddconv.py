@@ -74,12 +74,14 @@ class DDConv(Module):
         return mixed.reshape(self.c_out, self.c_in, self.k, self.k)
 
     def _tap_grid(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Undisplaced sampling positions in input coordinates, cached per extent.
+        """Undisplaced sampling positions in input coordinates, cached per
+        extent and compute dtype.
 
         Returns base_y [k*k, H', 1] and base_x [k*k, 1, W'], which broadcast
         to the [k*k, H', W'] tap grid.
         """
-        grid = self._grids.get((h, w))
+        key = (h, w, E.compute_dtype())
+        grid = self._grids.get(key)
         if grid is None:
             k, s = self.k, self.stride
             # same-padding output extents, matching the offset head's conv
@@ -87,9 +89,9 @@ class DDConv(Module):
             ox = np.arange((w - 1) // s + 1) * s
             dy, dx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
             centre = (k - 1) / 2.0
-            grid = self._grids[(h, w)] = (
-                oy[None, :, None] + (dy.reshape(-1) - centre)[:, None, None],
-                ox[None, None, :] + (dx.reshape(-1) - centre)[:, None, None])
+            grid = self._grids[key] = (
+                E.constant(oy[None, :, None] + (dy.reshape(-1) - centre)[:, None, None]),
+                E.constant(ox[None, None, :] + (dx.reshape(-1) - centre)[:, None, None]))
         return grid
 
     def forward(self, x: Tensor) -> Tensor:

@@ -1,16 +1,27 @@
-"""Dense float64 tensors with define-by-run reverse-mode differentiation.
+"""Dense float tensors with define-by-run reverse-mode differentiation.
 
-A ``Tensor`` wraps a numpy array.  While a ``Tape`` is active, every
-operation that touches a differentiable input appends a record holding the
-output, the inputs, and a closure that maps the output gradient to input
-gradients.  ``backward(loss)`` replays those records in reverse, so each node
-is visited exactly once regardless of fan-out.
+A ``Tensor`` wraps a numpy array of the engine's compute dtype.  While a
+``Tape`` is active, every operation that touches a differentiable input
+appends a record holding the output, the inputs, and a closure that maps the
+output gradient to input gradients.  ``backward(loss)`` replays those records
+in reverse, so each node is visited exactly once regardless of fan-out.
 
 The tape is rebuilt on every forward pass; nothing here is compiled or
-cached between calls.  All arithmetic runs in float64.
+cached between calls.
+
+All arithmetic runs in one compute dtype, float32 unless changed with
+``precision``: tensors, constants and cached masks and matrices are made in
+it, so no op widens its inputs.  Float64 is for finite-difference gradient
+checks and exact oracles:
+
+    with engine.precision(np.float64):
+        ...  # build and run everything under test here
 """
 
 from __future__ import annotations
+
+import math
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -19,6 +30,9 @@ from scipy.special import erf, expit
 
 from .errors import ConfigurationError, DimensionError, UsageError
 
+# Tensor-valued ops only: perfbench/tracer.py wraps every name listed here
+# (less its NOT_OPS) as a primitive that returns a Tensor.  The precision
+# helpers stay off the list.
 __all__ = [
     "Tensor", "Tape", "backward", "as_tensor",
     "add", "sub", "mul", "div", "neg", "matmul",
@@ -32,10 +46,43 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------- precision
+
+_dtype = np.dtype(np.float32)
+
+
+def compute_dtype() -> np.dtype:
+    """The dtype every tensor, constant and cache is made in."""
+    return _dtype
+
+
+@contextmanager
+def precision(dtype):
+    """Run the enclosed block with compute dtype `dtype` (float32 or float64).
+
+    Tensors made inside keep their dtype after the block exits, so a model
+    must be built and run under the same precision.
+    """
+    global _dtype
+    new = np.dtype(dtype)
+    if new.char not in "fd":
+        raise UsageError(f"compute dtype must be a 4- or 8-byte float, got {new}")
+    old, _dtype = _dtype, new
+    try:
+        yield
+    finally:
+        _dtype = old
+
+
+def constant(x) -> np.ndarray:
+    """`x` as an array of the compute dtype (no copy when it already is one)."""
+    return np.asarray(x, dtype=_dtype)
+
+
 # ---------------------------------------------------------------- tensors
 
 class Tensor:
-    """A dense float64 array plus the bookkeeping needed for backprop.
+    """A dense array of the compute dtype plus the bookkeeping for backprop.
 
     ``requires_grad`` marks leaf tensors (parameters).  Leaves get a
     pre-allocated ``grad`` buffer so that parameters untouched by a given
@@ -45,7 +92,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=_dtype)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
@@ -246,8 +293,8 @@ def _binary(a, b, fwd, bwd_a, bwd_b):
     """Shared plumbing for elementwise binary ops with broadcasting."""
     ta = isinstance(a, Tensor)
     tb = isinstance(b, Tensor)
-    av = a.data if ta else np.asarray(a, dtype=np.float64)
-    bv = b.data if tb else np.asarray(b, dtype=np.float64)
+    av = a.data if ta else constant(a)
+    bv = b.data if tb else constant(b)
     try:
         out = Tensor(fwd(av, bv))
     except ValueError as e:
@@ -417,8 +464,9 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * (x.data > 0.0),))
 
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so they take the dtype of the array they meet
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -485,7 +533,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     if d % heads or dv % heads:
         raise ConfigurationError(f"feature dims {d}/{dv} not divisible by {heads} heads")
     dh, dvh = d // heads, dv // heads
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / math.sqrt(d)
 
     def split(a, dd, axes=(0, 2, 1, 3)):
         """[nw, T, heads*dd] -> contiguous per-head layout ([nw, heads, T, dd] by default)."""
@@ -658,18 +706,20 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
         raise DimensionError(f"bilinear_gather expects x [C,H,W], got {x.shape}")
     ty = isinstance(ys, Tensor)
     tx = isinstance(xs, Tensor)
-    yv = ys.data if ty else np.asarray(ys, dtype=np.float64)
-    xv = xs.data if tx else np.asarray(xs, dtype=np.float64)
+    yv = ys.data if ty else constant(ys)
+    xv = xs.data if tx else constant(xs)
     if yv.shape != xv.shape:
         raise DimensionError(f"coordinate shapes differ: {yv.shape} vs {xv.shape}")
     c, h, w = x.shape
     s = yv.shape
     n = yv.size
 
-    iy = np.floor(yv).astype(np.int64).reshape(n, 1)
-    ix = np.floor(xv).astype(np.int64).reshape(n, 1)
-    fy = yv.reshape(n, 1) - iy
-    fx = xv.reshape(n, 1) - ix
+    fy0 = np.floor(yv).reshape(n, 1)
+    fx0 = np.floor(xv).reshape(n, 1)
+    fy = yv.reshape(n, 1) - fy0                          # fractions stay in the compute dtype
+    fx = xv.reshape(n, 1) - fx0
+    iy = fy0.astype(np.int64)
+    ix = fx0.astype(np.int64)
     cy = iy + np.array([0, 0, 1, 1])                     # [n, 4] corner rows
     cx = ix + np.array([0, 1, 0, 1])
     valid = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
@@ -747,7 +797,7 @@ _BILINEAR_MATS: dict = {}
 
 def _upsample_matrix(n: int, f: int) -> np.ndarray:
     """Dense [n*f, n] interpolation matrix (half-pixel centres, clamped edges)."""
-    key = (n, f)
+    key = (n, f, _dtype)
     mat = _BILINEAR_MATS.get(key)
     if mat is None:
         out_n = n * f
@@ -756,7 +806,7 @@ def _upsample_matrix(n: int, f: int) -> np.ndarray:
         i0 = np.floor(src).astype(np.int64)
         frac = src - i0
         i1 = np.minimum(i0 + 1, n - 1)
-        mat = np.zeros((out_n, n))
+        mat = np.zeros((out_n, n), dtype=_dtype)
         mat[np.arange(out_n), i0] += 1.0 - frac
         mat[np.arange(out_n), i1] += frac
         _BILINEAR_MATS[key] = mat

@@ -6,6 +6,9 @@ the tape gradient with the relative error
     err = |g_ad - g_fd| / max(1, |g_ad|, |g_fd|)
 
 so tiny gradients are judged on absolute error and large ones on relative.
+The probed leaves must be float64: at h = 1e-4 a float32 central difference
+is off by about 1e-3, which would drown the errors the check looks for.
+Build the function and its leaves under ``engine.precision(np.float64)``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Tape, Tensor, backward
+from .errors import UsageError
 
 
 def fd_gradient(fn, t: Tensor, coords, h: float = 1e-4) -> np.ndarray:
@@ -41,6 +45,11 @@ def check_gradients(fn, params, h: float = 1e-4, max_coords: int | None = None,
     by the caller if needed.
     """
     params = list(params)
+    for name, p in params:
+        if p.data.dtype != np.float64:
+            raise UsageError(
+                f"gradient check of {name} needs a float64 leaf, got {p.data.dtype}; "
+                "build it under engine.precision(np.float64)")
     for _, p in params:
         p.zero_grad()
     with Tape():

@@ -11,7 +11,7 @@ from the concatenated final features.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,6 +24,16 @@ from .ddconv import DDConv
 from .nn import ChannelNorm, Conv2d, Linear, Module
 
 N_STAGES = 7
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+# TecNetConfig field annotation -> value check; the annotations are strings
+# because of `from __future__ import annotations`
+_TYPE_CHECKS = {"str": lambda v: isinstance(v, str), "int": _is_int,
+                "bool": lambda v: isinstance(v, bool)}
 
 
 # ---------------------------------------------------------------- config
@@ -45,11 +55,26 @@ class TecNetConfig:
     shared_kv: bool = False
 
     def __post_init__(self):
+        for key in ("layer_numbers", "heads"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+                raise ConfigurationError(
+                    f"config field {key} must be a list of ints, got {value!r}")
         self.layer_numbers = tuple(int(x) for x in self.layer_numbers)
         self.heads = tuple(int(x) for x in self.heads)
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check = _TYPE_CHECKS.get(f.type)
+            if check is not None and not check(value):
+                raise ConfigurationError(
+                    f"config field {f.name} must be of type {f.type}, got {value!r}")
+        for key in ("num_classes", "n_kernels"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(
+                    f"config field {key} must be at least 1, got {getattr(self, key)}")
         if len(self.layer_numbers) != N_STAGES or len(self.heads) != N_STAGES:
             raise ConfigurationError(
                 f"layer_numbers and heads must have {N_STAGES} entries, got "
@@ -82,8 +107,6 @@ class TecNetConfig:
             if not self.use_acam and c % self.heads[i]:
                 raise ConfigurationError(
                     f"stage {i} width {c} not divisible by heads={self.heads[i]}")
-        if self.n_kernels < 1:
-            raise ConfigurationError("n_kernels must be at least 1")
 
     def stage_width(self, i: int) -> int:
         return self.base_width * 2 ** min(i, N_STAGES - 1 - i)
@@ -99,6 +122,8 @@ class TecNetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TecNetConfig":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"config must be an object, got {type(d).__name__}")
         required = ["name", "layer_numbers", "heads", "base_width", "window",
                     "patch", "input_size", "num_classes", "n_kernels"]
         missing = [k for k in required if k not in d]

@@ -66,7 +66,7 @@ class Module:
             raise ConfigurationError(
                 f"state mismatch: missing {sorted(missing)[:4]}..., extra {sorted(extra)[:4]}...")
         for name, p in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name])
             if arr.shape != p.shape:
                 raise ConfigurationError(
                     f"parameter {name} has shape {p.shape}, checkpoint gives {arr.shape}")

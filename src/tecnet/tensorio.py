@@ -7,16 +7,19 @@ A tensor record is:
     dims   ndim * uint32 little-endian
     data   float32 little-endian, row-major
 
-Values are narrowed from the engine's float64 on write and widened back on
-read, so a save/load round trip costs one float32 rounding.  A checkpoint
-is a single .tect file holding the records of all parameters back to back,
-plus a JSON manifest naming each record and its byte offset.
+Records hold the engine's default float32 compute dtype as is, so a
+save/load round trip of float32 parameters is exact (wider arrays are
+rounded once, on write).  A checkpoint is a single .tect file holding the
+records of all parameters back to back, plus a JSON manifest naming each
+record and its byte offset.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -29,9 +32,9 @@ MAGIC = b"TECT"
 
 def write_tensor(fh, array: np.ndarray) -> int:
     """Append one tensor record to an open binary file; returns bytes written."""
-    arr = np.ascontiguousarray(array, dtype=np.float64)
+    arr = np.asarray(array, dtype="<f4")
     header = MAGIC + struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype("<f4").tobytes()
+    payload = arr.tobytes()                      # row-major, whatever arr's strides
     fh.write(header)
     fh.write(payload)
     return len(header) + len(payload)
@@ -51,9 +54,14 @@ def read_tensor(fh) -> np.ndarray:
         raise UsageError(f"bad tensor record magic: {magic!r}")
     (ndim,) = struct.unpack("<I", _read(fh, 4))
     dims = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
-    count = int(np.prod(dims)) if ndim else 1
-    data = np.frombuffer(_read(fh, 4 * count), dtype="<f4").astype(np.float64)
-    return data.reshape(dims)
+    # check the length before allocating: a damaged header can claim petabytes
+    start = fh.tell()
+    if fh.seek(0, os.SEEK_END) - start < 4 * math.prod(dims):
+        raise UsageError("truncated tensor record")
+    fh.seek(start)
+    data = np.empty(dims, dtype="<f4")
+    fh.readinto(data)
+    return data
 
 
 def config_hash(config: dict) -> str:
@@ -88,6 +96,36 @@ def save_checkpoint(path, named_arrays, config: dict) -> None:
         fh.write("\n")
 
 
+def _count(v) -> bool:
+    """True for a JSON non-negative integer (booleans excluded)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_manifest(manifest, manifest_path) -> None:
+    """Raise UsageError naming the file and key unless the manifest has the
+    structure save_checkpoint writes."""
+    def bad(what: str):
+        return UsageError(f"{manifest_path}: checkpoint manifest {what}")
+
+    if not isinstance(manifest, dict):
+        raise bad(f"must be a JSON object, got {type(manifest).__name__}")
+    if not isinstance(manifest.get("config"), dict):
+        raise bad("key 'config' must be an object")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise bad("key 'tensors' must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise bad(f"tensors[{i}] must be an object")
+        if not isinstance(entry.get("name"), str):
+            raise bad(f"tensors[{i}] key 'name' must be a string")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(_count(d) for d in shape):
+            raise bad(f"tensors[{i}] key 'shape' must be a list of non-negative integers")
+        if not _count(entry.get("offset")):
+            raise bad(f"tensors[{i}] key 'offset' must be a non-negative integer")
+
+
 def load_checkpoint(path, expected_config: dict | None = None):
     """Read a checkpoint; returns (ordered dict name -> array, manifest).
 
@@ -101,6 +139,7 @@ def load_checkpoint(path, expected_config: dict | None = None):
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise UsageError(f"{manifest_path}: corrupt checkpoint manifest: {e}") from e
+    _check_manifest(manifest, manifest_path)
     if expected_config is not None:
         want = config_hash(expected_config)
         got = manifest.get("config_hash")
@@ -116,7 +155,8 @@ def load_checkpoint(path, expected_config: dict | None = None):
             except UsageError as e:
                 raise UsageError(f"{path}: {e}") from e
             if list(arr.shape) != entry["shape"]:
-                raise UsageError(f"checkpoint entry {entry['name']} has shape {arr.shape}, "
+                raise UsageError(f"{path}: checkpoint entry {entry['name']} has shape {arr.shape}, "
                                  f"manifest says {entry['shape']}")
             arrays[entry["name"]] = arr
     return arrays, manifest
+

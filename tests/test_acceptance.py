@@ -46,165 +46,166 @@ def _fd(fn, leaves, tol, label, max_coords=None, h=1e-4):
 def test_criterion_01_gradient_fidelity():
     """Tape gradients match central differences: every primitive < 1e-4,
     composed modules < 1e-4, full model + loss < 1e-3; under 5 minutes."""
-    t0 = time.time()
-    worsts = {}
+    with E.precision(np.float64):   # finite differences need float64 leaves
+        t0 = time.time()
+        worsts = {}
 
-    # -- primitives --------------------------------------------------------
-    a, b = _leaf(3, 4), _leaf(3, 4)
-    c = _leaf(3, 4, loc=3.0)
-    worsts["arith"] = _fd(lambda: ((a + b) * (a - b) / c - (-a)).sum(),
-                          [("a", a), ("b", b), ("c", c)], 1e-4, "arith")
+        # -- primitives --------------------------------------------------------
+        a, b = _leaf(3, 4), _leaf(3, 4)
+        c = _leaf(3, 4, loc=3.0)
+        worsts["arith"] = _fd(lambda: ((a + b) * (a - b) / c - (-a)).sum(),
+                              [("a", a), ("b", b), ("c", c)], 1e-4, "arith")
 
-    u, v, w3 = _leaf(2, 3, 4), _leaf(4), _leaf(3, 1)
-    worsts["broadcast"] = _fd(lambda: ((u * v + w3) * (u + 2.0)).sum(),
-                              [("u", u), ("v", v), ("w", w3)], 1e-4, "broadcast")
+        u, v, w3 = _leaf(2, 3, 4), _leaf(4), _leaf(3, 1)
+        worsts["broadcast"] = _fd(lambda: ((u * v + w3) * (u + 2.0)).sum(),
+                                  [("u", u), ("v", v), ("w", w3)], 1e-4, "broadcast")
 
-    m1, m2 = _leaf(3, 4), _leaf(4, 5)
-    worsts["matmul"] = _fd(lambda: (m1 @ m2).sum(), [("a", m1), ("b", m2)],
-                           1e-4, "matmul")
-    b1, b2 = _leaf(2, 3, 4), _leaf(2, 4, 5)
-    wb = Tensor(RNG.standard_normal((2, 3, 5)))
-    worsts["matmul_batched"] = _fd(lambda: ((b1 @ b2) * wb).sum(),
-                                   [("a", b1), ("b", b2)], 1e-4, "matmul_batched")
+        m1, m2 = _leaf(3, 4), _leaf(4, 5)
+        worsts["matmul"] = _fd(lambda: (m1 @ m2).sum(), [("a", m1), ("b", m2)],
+                               1e-4, "matmul")
+        b1, b2 = _leaf(2, 3, 4), _leaf(2, 4, 5)
+        wb = Tensor(RNG.standard_normal((2, 3, 5)))
+        worsts["matmul_batched"] = _fd(lambda: ((b1 @ b2) * wb).sum(),
+                                       [("a", b1), ("b", b2)], 1e-4, "matmul_batched")
 
-    r = _leaf(2, 3, 4)
-    worsts["reduce"] = _fd(
-        lambda: E.reduce_sum(r, axis=(0, 2)).sum() + E.mean_all(r) * 2.0
-        + E.reduce_sum(r, axis=1, keepdims=True).sum(),
-        [("r", r)], 1e-4, "reduce")
+        r = _leaf(2, 3, 4)
+        worsts["reduce"] = _fd(
+            lambda: E.reduce_sum(r, axis=(0, 2)).sum() + E.mean_all(r) * 2.0
+            + E.reduce_sum(r, axis=1, keepdims=True).sum(),
+            [("r", r)], 1e-4, "reduce")
 
-    s = _leaf(2, 3, 4)
-    ws = Tensor(RNG.standard_normal((4, 6)))
-    worsts["reshape_permute"] = _fd(
-        lambda: (s.permute(1, 0, 2).reshape(6, 4) @ ws).sum().reshape(()).sum(),
-        [("s", s)], 1e-4, "reshape_permute")
+        s = _leaf(2, 3, 4)
+        ws = Tensor(RNG.standard_normal((4, 6)))
+        worsts["reshape_permute"] = _fd(
+            lambda: (s.permute(1, 0, 2).reshape(6, 4) @ ws).sum().reshape(()).sum(),
+            [("s", s)], 1e-4, "reshape_permute")
 
-    g1, g2 = _leaf(3, 4), _leaf(2, 4)
-    wg = Tensor(RNG.standard_normal((5, 4)))
-    worsts["getitem_concat"] = _fd(
-        lambda: (E.concat([g1, g2], axis=0) * wg).sum() + (g1[1:, :2] * g1[:2, 2:]).sum(),
-        [("a", g1), ("b", g2)], 1e-4, "getitem_concat")
+        g1, g2 = _leaf(3, 4), _leaf(2, 4)
+        wg = Tensor(RNG.standard_normal((5, 4)))
+        worsts["getitem_concat"] = _fd(
+            lambda: (E.concat([g1, g2], axis=0) * wg).sum() + (g1[1:, :2] * g1[:2, 2:]).sum(),
+            [("a", g1), ("b", g2)], 1e-4, "getitem_concat")
 
-    p = _leaf(2, 3, 3)
-    wp = Tensor(RNG.standard_normal((2, 6, 5)))
-    wr = Tensor(RNG.standard_normal((2, 3, 3)))
-    worsts["pad_roll"] = _fd(
-        lambda: (E.pad2d(p, 1, 2, 0, 2) * wp).sum() + (E.roll2d(p, 2, -1) * wr).sum(),
-        [("p", p)], 1e-4, "pad_roll")
+        p = _leaf(2, 3, 3)
+        wp = Tensor(RNG.standard_normal((2, 6, 5)))
+        wr = Tensor(RNG.standard_normal((2, 3, 3)))
+        worsts["pad_roll"] = _fd(
+            lambda: (E.pad2d(p, 1, 2, 0, 2) * wp).sum() + (E.roll2d(p, 2, -1) * wr).sum(),
+            [("p", p)], 1e-4, "pad_roll")
 
-    act = _leaf(3, 4)
-    off = _leaf(3, 4, loc=0.4)  # clear of the ReLU kink
-    worsts["activations"] = _fd(
-        lambda: E.relu(off).sum() + E.gelu(act).sum() + E.sigmoid(act).sum(),
-        [("a", act), ("o", off)], 1e-4, "activations")
+        act = _leaf(3, 4)
+        off = _leaf(3, 4, loc=0.4)  # clear of the ReLU kink
+        worsts["activations"] = _fd(
+            lambda: E.relu(off).sum() + E.gelu(act).sum() + E.sigmoid(act).sum(),
+            [("a", act), ("o", off)], 1e-4, "activations")
 
-    sm = _leaf(3, 5)
-    wm = Tensor(RNG.standard_normal((3, 5)))
-    ln_g, ln_b = _leaf(5), _leaf(5)
-    worsts["softmax_layernorm"] = _fd(
-        lambda: (E.softmax(sm, axis=-1) * wm).sum() + (E.layernorm(sm, ln_g, ln_b) * wm).sum(),
-        [("x", sm), ("g", ln_g), ("b", ln_b)], 1e-4, "softmax_layernorm")
+        sm = _leaf(3, 5)
+        wm = Tensor(RNG.standard_normal((3, 5)))
+        ln_g, ln_b = _leaf(5), _leaf(5)
+        worsts["softmax_layernorm"] = _fd(
+            lambda: (E.softmax(sm, axis=-1) * wm).sum() + (E.layernorm(sm, ln_g, ln_b) * wm).sum(),
+            [("x", sm), ("g", ln_g), ("b", ln_b)], 1e-4, "softmax_layernorm")
 
-    cx = _leaf(2, 6, 6)
-    cw = _leaf(3, 2, 3, 3, scale=0.5)
-    cb = _leaf(3)
-    w_s1 = Tensor(RNG.standard_normal((3, 6, 6)))
-    w_s2 = Tensor(RNG.standard_normal((3, 3, 3)))
-    worsts["conv2d"] = _fd(
-        lambda: (E.conv2d(cx, cw, cb, padding=1) * w_s1).sum()
-        + (E.conv2d(cx, cw, None, stride=2, padding=1) * w_s2).sum(),
-        [("x", cx), ("w", cw), ("b", cb)], 1e-4, "conv2d")
+        cx = _leaf(2, 6, 6)
+        cw = _leaf(3, 2, 3, 3, scale=0.5)
+        cb = _leaf(3)
+        w_s1 = Tensor(RNG.standard_normal((3, 6, 6)))
+        w_s2 = Tensor(RNG.standard_normal((3, 3, 3)))
+        worsts["conv2d"] = _fd(
+            lambda: (E.conv2d(cx, cw, cb, padding=1) * w_s1).sum()
+            + (E.conv2d(cx, cw, None, stride=2, padding=1) * w_s2).sum(),
+            [("x", cx), ("w", cw), ("b", cb)], 1e-4, "conv2d")
 
-    dx = _leaf(3, 5, 5)
-    dw = _leaf(3, 3, 3, scale=0.5)
-    db = _leaf(3)
-    wd = Tensor(RNG.standard_normal((3, 5, 5)))
-    worsts["depthwise"] = _fd(lambda: (E.depthwise_conv2d(dx, dw, db) * wd).sum(),
-                              [("x", dx), ("w", dw), ("b", db)], 1e-4, "depthwise")
+        dx = _leaf(3, 5, 5)
+        dw = _leaf(3, 3, 3, scale=0.5)
+        db = _leaf(3)
+        wd = Tensor(RNG.standard_normal((3, 5, 5)))
+        worsts["depthwise"] = _fd(lambda: (E.depthwise_conv2d(dx, dw, db) * wd).sum(),
+                                  [("x", dx), ("w", dw), ("b", db)], 1e-4, "depthwise")
 
-    gx = _leaf(2, 5, 5)
-    gys = Tensor(RNG.uniform(0.2, 3.7, 7) + 0.07, requires_grad=True)
-    gxs = Tensor(RNG.uniform(0.2, 3.7, 7) + 0.13, requires_grad=True)
-    wgt = Tensor(RNG.standard_normal((2, 7)))
-    worsts["bilinear_gather"] = _fd(
-        lambda: (E.bilinear_gather(gx, gys, gxs) * wgt).sum(),
-        [("x", gx), ("ys", gys), ("xs", gxs)], 1e-4, "bilinear_gather")
+        gx = _leaf(2, 5, 5)
+        gys = Tensor(RNG.uniform(0.2, 3.7, 7) + 0.07, requires_grad=True)
+        gxs = Tensor(RNG.uniform(0.2, 3.7, 7) + 0.13, requires_grad=True)
+        wgt = Tensor(RNG.standard_normal((2, 7)))
+        worsts["bilinear_gather"] = _fd(
+            lambda: (E.bilinear_gather(gx, gys, gxs) * wgt).sum(),
+            [("x", gx), ("ys", gys), ("xs", gxs)], 1e-4, "bilinear_gather")
 
-    px = _leaf(3, 4, 4)
-    table = _leaf(6, 3)
-    idx = np.array([0, 2, 2, 5])
-    wt = Tensor(RNG.standard_normal((4, 3)))
-    wu = Tensor(RNG.standard_normal((3, 8, 8)))
-    worsts["pool_select_upsample"] = _fd(
-        lambda: (E.global_avg_pool(px) * Tensor([1.0, -2.0, 0.5])).sum()
-        + (E.index_select(table, idx) * wt).sum()
-        + (E.upsample_nearest(px, 2) * wu).sum()
-        + (E.upsample_bilinear(px, 2) * wu).sum(),
-        [("x", px), ("t", table)], 1e-4, "pool_select_upsample")
+        px = _leaf(3, 4, 4)
+        table = _leaf(6, 3)
+        idx = np.array([0, 2, 2, 5])
+        wt = Tensor(RNG.standard_normal((4, 3)))
+        wu = Tensor(RNG.standard_normal((3, 8, 8)))
+        worsts["pool_select_upsample"] = _fd(
+            lambda: (E.global_avg_pool(px) * Tensor([1.0, -2.0, 0.5])).sum()
+            + (E.index_select(table, idx) * wt).sum()
+            + (E.upsample_nearest(px, 2) * wu).sum()
+            + (E.upsample_bilinear(px, 2) * wu).sum(),
+            [("x", px), ("t", table)], 1e-4, "pool_select_upsample")
 
-    # -- composed modules --------------------------------------------------
-    rng_mod = np.random.default_rng(7)
-    dd = DDConv(2, 3, n_kernels=2, rng=rng_mod)
-    dd.offset_head.bias.data[:] = RNG.uniform(0.2, 0.45, dd.offset_head.bias.size)
-    ddx = _leaf(2, 6, 6)
-    ddw = Tensor(RNG.standard_normal((3, 6, 6)))
-    worsts["ddconv"] = _fd(lambda: (dd(ddx) * ddw).sum(),
-                           list(dd.named_parameters()) + [("x", ddx)],
-                           1e-4, "ddconv", max_coords=6)
+        # -- composed modules --------------------------------------------------
+        rng_mod = np.random.default_rng(7)
+        dd = DDConv(2, 3, n_kernels=2, rng=rng_mod)
+        dd.offset_head.bias.data[:] = RNG.uniform(0.2, 0.45, dd.offset_head.bias.size)
+        ddx = _leaf(2, 6, 6)
+        ddw = Tensor(RNG.standard_normal((3, 6, 6)))
+        worsts["ddconv"] = _fd(lambda: (dd(ddx) * ddw).sum(),
+                               list(dd.named_parameters()) + [("x", ddx)],
+                               1e-4, "ddconv", max_coords=6)
 
-    for shifted in (False, True):
-        acam = ACAM(8, 2, heads=1, shifted=shifted, rng=np.random.default_rng(8))
-        ax = _leaf(8, 4, 4)
-        aw = Tensor(RNG.standard_normal((8, 4, 4)))
-        worsts[f"acam_shifted={shifted}"] = _fd(
-            lambda: (acam(ax) * aw).sum(),
-            list(acam.named_parameters()) + [("x", ax)],
-            1e-4, f"acam shifted={shifted}", max_coords=4)
+        for shifted in (False, True):
+            acam = ACAM(8, 2, heads=1, shifted=shifted, rng=np.random.default_rng(8))
+            ax = _leaf(8, 4, 4)
+            aw = Tensor(RNG.standard_normal((8, 4, 4)))
+            worsts[f"acam_shifted={shifted}"] = _fd(
+                lambda: (acam(ax) * aw).sum(),
+                list(acam.named_parameters()) + [("x", ax)],
+                1e-4, f"acam shifted={shifted}", max_coords=4)
 
-    lpm = LPM(8, rng=np.random.default_rng(9))
-    lpm.out.weight.data[:] = 0.1 * RNG.standard_normal(lpm.out.weight.shape)
-    lt = _leaf(16, 8)
-    lw = Tensor(RNG.standard_normal((16, 8)))
-    worsts["lpm"] = _fd(lambda: (lpm(lt.reshape(4, 4, 8)).reshape(16, 8) * lw).sum(),
-                        list(lpm.named_parameters()) + [("t", lt)],
-                        1e-4, "lpm", max_coords=5)
+        lpm = LPM(8, rng=np.random.default_rng(9))
+        lpm.out.weight.data[:] = 0.1 * RNG.standard_normal(lpm.out.weight.shape)
+        lt = _leaf(16, 8)
+        lw = Tensor(RNG.standard_normal((16, 8)))
+        worsts["lpm"] = _fd(lambda: (lpm(lt.reshape(4, 4, 8)).reshape(16, 8) * lw).sum(),
+                            list(lpm.named_parameters()) + [("t", lt)],
+                            1e-4, "lpm", max_coords=5)
 
-    stage = TransStage(8, 2, 2, 1, True, True, False, rng=np.random.default_rng(10))
-    for name, prm in stage.named_parameters():
-        if prm.ndim >= 2 and np.all(prm.data == 0):
-            prm.data[:] = 0.05 * RNG.standard_normal(prm.shape)
-    bt = _leaf(16, 8)
-    bw = Tensor(RNG.standard_normal((16, 8)))
-    worsts["trans_stage"] = _fd(lambda: (stage(bt.reshape(4, 4, 8)).reshape(16, 8) * bw).sum(),
-                                list(stage.named_parameters()) + [("t", bt)],
-                                1e-4, "trans_stage", max_coords=3)
+        stage = TransStage(8, 2, 2, 1, True, True, False, rng=np.random.default_rng(10))
+        for name, prm in stage.named_parameters():
+            if prm.ndim >= 2 and np.all(prm.data == 0):
+                prm.data[:] = 0.05 * RNG.standard_normal(prm.shape)
+        bt = _leaf(16, 8)
+        bw = Tensor(RNG.standard_normal((16, 8)))
+        worsts["trans_stage"] = _fd(lambda: (stage(bt.reshape(4, 4, 8)).reshape(16, 8) * bw).sum(),
+                                    list(stage.named_parameters()) + [("t", bt)],
+                                    1e-4, "trans_stage", max_coords=3)
 
-    # -- full model + loss -------------------------------------------------
-    model = TecNet(nano_config(), seed=0)
-    gen = np.random.default_rng(42)
-    for name, prm in model.named_parameters():
-        if name.endswith("offset_head.bias"):
-            # move deformable sampling off the integer lattice, where the
-            # bilinear interpolant is not differentiable and FD straddles it
-            sign = np.where(gen.random(prm.shape) < 0.5, 1.0, -1.0)
-            prm.data[:] = gen.uniform(0.2, 0.45, prm.shape) * sign
-        elif prm.ndim >= 2 and np.all(prm.data == 0):
-            prm.data[:] = 0.02 * gen.standard_normal(prm.shape)
-    sample = make_dataset(SynthSpec(seed=7, count=1, size=64))[0]
-    target = Tensor(sample.mask)
-    lam = ramp_coefficient(0.5)
+        # -- full model + loss -------------------------------------------------
+        model = TecNet(nano_config(), seed=0)
+        gen = np.random.default_rng(42)
+        for name, prm in model.named_parameters():
+            if name.endswith("offset_head.bias"):
+                # move deformable sampling off the integer lattice, where the
+                # bilinear interpolant is not differentiable and FD straddles it
+                sign = np.where(gen.random(prm.shape) < 0.5, 1.0, -1.0)
+                prm.data[:] = gen.uniform(0.2, 0.45, prm.shape) * sign
+            elif prm.ndim >= 2 and np.all(prm.data == 0):
+                prm.data[:] = 0.02 * gen.standard_normal(prm.shape)
+        sample = make_dataset(SynthSpec(seed=7, count=1, size=64))[0]
+        target = Tensor(sample.mask)
+        lam = ramp_coefficient(0.5)
 
-    def loss_fn():
-        return total_loss(model.forward(sample.image), target, lam)[0]
+        def loss_fn():
+            return total_loss(model.forward(sample.image), target, lam)[0]
 
-    worsts["full_model"] = _fd(loss_fn, list(model.named_parameters()),
-                               1e-3, "full model", max_coords=1)
+        worsts["full_model"] = _fd(loss_fn, list(model.named_parameters()),
+                                   1e-3, "full model", max_coords=1)
 
-    elapsed = time.time() - t0
-    assert elapsed < 300.0, f"gradient sweep took {elapsed:.0f}s (budget 300s)"
-    print(f"\ngradient fidelity: worst per case "
-          f"{ {k: float(f'{v:.2e}') for k, v in worsts.items()} }, "
-          f"{elapsed:.0f}s")
+        elapsed = time.time() - t0
+        assert elapsed < 300.0, f"gradient sweep took {elapsed:.0f}s (budget 300s)"
+        print(f"\ngradient fidelity: worst per case "
+              f"{ {k: float(f'{v:.2e}') for k, v in worsts.items()} }, "
+              f"{elapsed:.0f}s")
 
 
 def test_criterion_02_ddconv_degeneracy():

@@ -14,6 +14,8 @@ from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
 from tecnet.errors import ConfigurationError
 from tecnet.gradcheck import check_gradients, max_rel_err
 
+# finite differences and exact oracles: every tensor here is float64
+pytestmark = pytest.mark.usefixtures("float64")
 RNG = np.random.default_rng(99)
 
 

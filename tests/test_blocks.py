@@ -8,6 +8,8 @@ from tecnet.blocks import LPM, Mlp, TransformerBlock
 from tecnet.gradcheck import check_gradients, max_rel_err
 from tecnet.model import PatchEmbed, PatchExpand, PatchMerge, TransStage
 
+# finite differences and exact oracles: every tensor here is float64
+pytestmark = pytest.mark.usefixtures("float64")
 RNG = np.random.default_rng(123)
 
 

@@ -92,7 +92,32 @@ def test_eval_rejects_mismatched_config(workdir, capsys, tmp_path):
     assert "hash" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["record_header", "manifest"])
+def _damage_manifest(kind: str, manifest: dict):
+    """A structurally broken variant of a saved checkpoint's manifest."""
+    entry = manifest["tensors"][0]
+    if kind == "not_object":
+        return []
+    if kind == "empty_object":
+        return {}
+    if kind == "no_config":
+        manifest.pop("config")
+    elif kind == "config_not_object":
+        manifest["config"] = "nano"
+    elif kind == "tensors_not_list":
+        manifest["tensors"] = {}
+    elif kind == "entry_without_shape":
+        entry.pop("shape")
+    elif kind == "shape_not_ints":
+        entry["shape"] = [str(d) for d in entry["shape"]]
+    elif kind == "negative_offset":
+        entry["offset"] = -4
+    return manifest
+
+
+@pytest.mark.parametrize("damage", [
+    "record_header", "manifest", "not_object", "empty_object", "no_config",
+    "config_not_object", "tensors_not_list", "entry_without_shape", "shape_not_ints",
+    "negative_offset"])
 def test_eval_rejects_corrupt_checkpoint(workdir, capsys, tmp_path, damage):
     ckpt = tmp_path / "checkpoint.tect"
     manifest = tmp_path / "checkpoint.tect.json"
@@ -100,12 +125,20 @@ def test_eval_rejects_corrupt_checkpoint(workdir, capsys, tmp_path, damage):
     text = (workdir["run"] / "checkpoint.tect.json").read_text()
     if damage == "record_header":   # cut after the last record's magic and 2 bytes of ndim
         blob = blob[:json.loads(text)["tensors"][-1]["offset"] + 6]
-    else:
+    elif damage == "manifest":
         text = text[: len(text) // 2]
+    else:
+        text = json.dumps(_damage_manifest(damage, json.loads(text)))
     ckpt.write_bytes(blob)
     manifest.write_text(text)
     rc = main(["eval", "--checkpoint", str(ckpt), "--config", str(workdir["config"]),
                "--data", str(workdir["data"]), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(ckpt) in err
+    # dump-features reads the checkpoint without a config to check it against
+    rc = main(["dump-features", "--checkpoint", str(ckpt), "--data", str(workdir["data"]),
+               "--out", str(tmp_path / "f")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and str(ckpt) in err
@@ -227,6 +260,18 @@ def test_analyze_rejects_non_positive_config(tmp_path, capsys, field, value):
     assert main(["analyze", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "must be positive" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("window", "4"), ("window", True), ("base_width", 16.0), ("n_kernels", 2.5),
+    ("layer_numbers", [1, 1, "2", 1, "2", 1, 1]), ("use_acam", 1), ("shared_kv", "no"),
+    ("num_classes", 0), ("num_classes", -1)])
+def test_analyze_rejects_mistyped_config(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {**nano_config().to_dict(), field: value}}))
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"config field {field} " in err
 
 
 def test_dump_features_writes_stage_maps(workdir):

@@ -9,6 +9,8 @@ from tecnet.ddconv import DDConv
 from tecnet.errors import ConfigurationError
 from tecnet.gradcheck import check_gradients, max_rel_err
 
+# finite differences and exact oracles: every tensor here is float64
+pytestmark = pytest.mark.usefixtures("float64")
 RNG = np.random.default_rng(77)
 
 

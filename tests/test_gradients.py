@@ -7,13 +7,17 @@ modules and in the acceptance suite.
 """
 
 import numpy as np
+import pytest
 
 from oracles import bilinear_gather_loop, bilinear_image_grad_bincount
 from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.engine import _record
+from tecnet.errors import UsageError
 from tecnet.gradcheck import check_gradients, max_rel_err
 
+# finite differences and exact oracles: every tensor here is float64
+pytestmark = pytest.mark.usefixtures("float64")
 TOL = 1e-4
 RNG = np.random.default_rng(20240817)
 
@@ -257,3 +261,12 @@ def test_checker_flags_a_wrong_backward():
     t = Tensor(RNG.standard_normal(4) + 2.0, requires_grad=True)
     rows = check_gradients(lambda: bad_square(t).sum(), [("t", t)])
     assert max_rel_err(rows) > 1e-2
+
+
+def test_checker_refuses_float32_leaves():
+    """A float32 central difference at h = 1e-4 is off by about 1e-3, so the
+    harness refuses such a leaf instead of judging it."""
+    with E.precision(np.float32):
+        t = Tensor(RNG.standard_normal(4), requires_grad=True)
+    with pytest.raises(UsageError, match=r"engine\.precision\(np\.float64\)"):
+        check_gradients(lambda: (t * t).sum(), [("t", t)])

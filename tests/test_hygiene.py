@@ -71,3 +71,20 @@ def test_no_dead_definitions():
             used |= referenced_names(stmt) - ({stmt.name} if own else set())
     dead = [f"{where}: {name}" for name, where in defined if name not in used]
     assert not dead, f"defined but never referenced: {dead}"
+
+
+def test_benchmark_tracer_wraps_the_engine(monkeypatch):
+    """perfbench/tracer.py wraps every name in engine.__all__ (less its
+    NOT_OPS) as an op that returns a Tensor, so a traced nano train step
+    must run; an export that is not a Tensor op breaks every traced run."""
+    from tecnet.model import TecNet, nano_config
+    from tecnet.synth import SynthSpec, make_dataset
+    from tecnet.training import TrainSchedule, train
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    data = make_dataset(SynthSpec(seed=5, count=1, size=64))
+    with tracer.Tracer() as tr:
+        train(TecNet(nano_config(), seed=0), data, TrainSchedule(steps=1, batch_size=1))
+    assert tr.counters["tapes"] == 1 and tr.op_calls["matmul"] > 0

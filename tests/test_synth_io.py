@@ -2,6 +2,7 @@
 
 import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ def test_tensor_stream_roundtrip():
     assert b.shape == (3, 4, 5)
     # storage is 32-bit: equal after narrowing
     assert np.array_equal(b, a.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), ()], ids=["matrix", "scalar"])
+def test_tensor_record_is_float32_and_exact(shape):
+    buf = io.BytesIO()
+    a = RNG.standard_normal(shape).astype(np.float32)
+    write_tensor(buf, a.T)                      # a transposed view is written row-major
+    buf.seek(0)
+    b = read_tensor(buf)
+    assert b.dtype == np.float32 and b.shape == a.T.shape and np.array_equal(a.T, b)
+
+
+def test_tensor_record_claiming_more_than_the_file_holds(tmp_path):
+    # a damaged header must not make the reader allocate what it claims
+    path = tmp_path / "big.tect"
+    dims = (70000, 70000, 70000)
+    path.write_bytes(b"TECT" + struct.pack("<4I", len(dims), *dims) + bytes(64))
+    with open(path, "rb") as fh, pytest.raises(UsageError, match="truncated"):
+        read_tensor(fh)
 
 
 def test_config_hash_is_order_insensitive():

@@ -9,11 +9,36 @@ from tecnet.errors import UsageError
 
 
 def test_tensor_wraps_float64():
+    with E.precision(np.float64):
+        t = Tensor([[1, 2], [3, 4]])
+        assert t.data.dtype == np.float64
+        assert t.shape == (2, 2)
+        assert t.ndim == 2
+        assert t.size == 4
+        assert (Tensor([1.0]) * np.ones(1, np.float32)).data.dtype == np.float64
+
+
+def test_tensor_wraps_compute_dtype():
     t = Tensor([[1, 2], [3, 4]])
-    assert t.data.dtype == np.float64
+    assert t.data.dtype == np.float32 == E.compute_dtype()
     assert t.shape == (2, 2)
     assert t.ndim == 2
     assert t.size == 4
+    with E.precision(np.float64):
+        assert Tensor([1]).data.dtype == np.float64
+    assert Tensor([1]).data.dtype == np.float32
+
+
+def test_precision_restores_on_error_and_rejects_non_floats():
+    with pytest.raises(RuntimeError):
+        with E.precision(np.float64):
+            raise RuntimeError("boom")
+    assert E.compute_dtype() == np.float32
+    for bad in (np.float16, np.int32, bool):
+        with pytest.raises(UsageError):
+            with E.precision(bad):
+                pass
+    assert E.compute_dtype() == np.float32
 
 
 def test_item_requires_scalar():

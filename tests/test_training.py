@@ -1,13 +1,15 @@
 """Loss blending, optimizer behavior, and the training loop contract."""
 
 import csv
+import inspect
 import math
 import os
 
 import numpy as np
 import pytest
 
-from tecnet import Tape, Tensor
+from tecnet import Tape, Tensor, backward
+from tecnet import engine as E
 from tecnet.errors import ConfigurationError, TrainingDiverged
 from tecnet.model import TecNet, nano_config
 from tecnet.synth import SynthSpec, make_dataset
@@ -46,7 +48,7 @@ def test_coefficients_sum_to_one():
 
 # ---------------------------------------------------------------- losses
 
-def test_branch_loss_against_numpy_oracle():
+def test_branch_loss_against_numpy_oracle(float64):
     pred = Tensor(RNG.standard_normal((2, 5, 5)))
     target = Tensor((RNG.random((2, 5, 5)) > 0.5).astype(float))
     got = branch_loss(pred, target).item()
@@ -66,7 +68,7 @@ def test_branch_loss_zero_for_perfect_confident_prediction():
     assert branch_loss(logits, target).item() < 1e-3
 
 
-def test_total_loss_blend():
+def test_total_loss_blend(float64):
     target = Tensor((RNG.random((1, 4, 4)) > 0.5).astype(float))
     outs = {k: Tensor(RNG.standard_normal((1, 4, 4)))
             for k in ("y_tec", "y_cnn", "y_trans")}
@@ -168,6 +170,83 @@ def test_tape_budget_of_one_nano_train_sample():
     assert len(tape.nodes) == NANO_SAMPLE_TAPE_NODES
 
 
+def test_nano_train_step_is_float32_throughout(monkeypatch):
+    """Forward, total_loss, backward and Adam at the default dtype: every
+    float array an engine op is given, every tape-node output, every
+    gradient handed between nodes, every .grad and every Adam moment is
+    float32."""
+    model = TecNet(nano_config(), seed=0)
+    sample = make_dataset(SynthSpec(seed=5, count=1, size=64))[0]
+    # fill the layers' mask and tap-grid caches and the upsampling cache under
+    # float64 first, so a cache that ignores the dtype leaks into the step below
+    with E.precision(np.float64):
+        model.forward(sample.image)
+    fed = []
+
+    def watched(op):
+        def call(*args, **kwargs):
+            for a in (*args, *kwargs.values()):
+                arr = a.data if isinstance(a, Tensor) else a
+                if isinstance(arr, np.ndarray) and arr.dtype.kind == "f":
+                    fed.append((op.__name__, arr.dtype))
+            return op(*args, **kwargs)
+        return call
+
+    for name in set(E.__all__) - {"backward"}:
+        if inspect.isfunction(getattr(E, name)):
+            monkeypatch.setattr(E, name, watched(getattr(E, name)))
+    opt = Adam(model.named_parameters())
+    with Tape() as tape:
+        loss, _ = total_loss(model.forward(sample.image), Tensor(sample.mask), 0.5)
+    assert fed and {dt for _, dt in fed} == {np.dtype(np.float32)}, \
+        sorted({f for f in fed if f[1] != np.float32})
+    seen = []
+
+    def checked(fn):
+        def backward_fn(g):
+            grads = fn(g)
+            seen.extend((fn.__qualname__, gi.dtype) for gi in grads if gi is not None)
+            return grads
+        return backward_fn
+
+    for node in tape.nodes:
+        assert node.out.data.dtype == np.float32, node.backward_fn.__qualname__
+        node.backward_fn = checked(node.backward_fn)
+    backward(loss)
+    opt.step()
+    assert seen and {dt for _, dt in seen} == {np.dtype(np.float32)}, \
+        sorted({s for s in seen if s[1] != np.float32})
+    for name, p in model.named_parameters():
+        assert p.data.dtype == p.grad.dtype == np.float32, name
+        assert opt._m[name].dtype == opt._v[name].dtype == np.float32, name
+
+
+def test_float32_gradients_agree_with_float64():
+    """All parameters perturbed, so zero-initialised layers carry gradient
+    too; the float32 gradient of total_loss is the float64 one to 1e-4
+    relative L2."""
+    sample = make_dataset(SynthSpec(seed=5, count=1, size=64))[0]
+    perturb = np.random.default_rng(6)
+    state = None
+    grads = {}
+    for dtype in (np.float64, np.float32):
+        with E.precision(dtype):
+            model = TecNet(nano_config(), seed=0)
+            if state is None:
+                for _, p in model.named_parameters():
+                    p.data += 0.05 * perturb.standard_normal(p.shape)
+                state = dict(model.state_arrays())
+            else:
+                model.load_state(state)
+            with Tape():
+                loss, _ = total_loss(model.forward(sample.image), Tensor(sample.mask), 0.5)
+            backward(loss)
+            grads[dtype] = np.concatenate(
+                [p.grad.reshape(-1).astype(np.float64) for p in model.parameters()])
+    ref, got = grads[np.float64], grads[np.float32]
+    assert np.linalg.norm(got - ref) < 1e-4 * np.linalg.norm(ref)
+
+
 def test_train_writes_log_and_checkpoint(tmp_path):
     res, model, data = _tiny_run(tmp_path)
     assert os.path.exists(res.checkpoint_path)
@@ -203,6 +282,15 @@ def test_eval_after_reload_matches_summary(tmp_path):
     reloaded = load_model(res.checkpoint_path)
     again = evaluate_dice(reloaded, data[:2])
     assert abs(again - res.summary["val_dice"]) < 1e-9
+
+
+def test_checkpoint_reload_is_bit_identical_to_live_model(tmp_path):
+    # train() scores the live model, so its reload must hold the same bits
+    res, model, _ = _tiny_run(tmp_path)
+    reloaded = load_model(res.checkpoint_path)
+    for (n1, a1), (n2, a2) in zip(model.state_arrays(), reloaded.state_arrays(), strict=True):
+        assert n1 == n2 and a1.dtype == a2.dtype
+        assert np.array_equal(a1, a2), n1
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
