@@ -21,7 +21,7 @@ from tecnet.ddconv import DDConv
 
 def main():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((4, 12, 12)))
+    x = Tensor(rng.standard_normal((2, 4, 12, 12)))     # a batch of two [C, H, W] maps
 
     layer = DDConv(4, 6, k=3, n_kernels=1, rng=rng)
     plain = E.conv2d(x, Tensor(layer.kernels.data[0]), layer.bias, padding=1)
@@ -30,9 +30,9 @@ def main():
 
     # With several candidates the gate starts uniform...
     layer = DDConv(4, 6, k=3, n_kernels=3, rng=rng)
-    print("gate at init:", layer.kernel_gate(x).data.round(4))
+    print("gate at init, one row per image:", layer.kernel_gate(x).data.round(4))
 
-    # ...and moves once the gate weights are nonzero.
+    # ...and moves once the gate weights are nonzero, image by image.
     layer.gate.weight.data[:] = 0.5 * rng.standard_normal(layer.gate.weight.shape)
     print("gate after perturbation:", layer.kernel_gate(x).data.round(4))
 
@@ -46,7 +46,7 @@ def main():
 
     # The offset field is a learned function of the input.
     field = layer.predict_offsets(x)
-    print("offset field shape (2*k*k maps):", field.shape)
+    print("offset field shape (B, 2*k*k maps, H, W):", field.shape)
 
 
 if __name__ == "__main__":

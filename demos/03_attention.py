@@ -24,13 +24,15 @@ def main():
     rng = np.random.default_rng(5)
 
     # -- windowing is exactly invertible, padding included ----------------
-    x = Tensor(rng.standard_normal((16, 14, 10)))
-    xp, (h, w) = pad_to_window(x, 4)
-    hp, wp = xp.shape[1], xp.shape[2]
+    # Layers take channels-last [B, h, w, C] maps; the window machinery
+    # works on their [B, C, h, w] view and stacks all images' windows.
+    x = Tensor(rng.standard_normal((2, 14, 10, 16)))
+    xp, (h, w) = pad_to_window(x.permute(0, 3, 1, 2), 4)
+    hp, wp = xp.shape[2], xp.shape[3]
     windows = window_partition(xp, 4)
     back = crop_to(window_reverse(windows, 4, hp, wp), h, w)
-    print("14x10 -> pad 16x12 ->", windows.shape[0], "windows -> restored:",
-          np.array_equal(back.data, x.data))
+    print("2 images of 14x10 -> pad 16x12 ->", windows.shape[0], "windows -> restored:",
+          np.array_equal(back.data, x.data.transpose(0, 3, 1, 2)))
 
     # -- a layer is the identity at initialization ------------------------
     # The output projection is zero-initialized, so a fresh layer vanishes;
@@ -51,9 +53,10 @@ def main():
     shifted = ACAM(16, window=4, heads=2, shifted=True, rng=rng)
     collect = {}
     shifted(x, collect=collect)
-    mask = shift_mask(16, 12, 4, 2)
-    leak = max(float(collect["spatial"][i][:, mask[i] < 0].sum())
-               for i in range(mask.shape[0]))
+    mask = shift_mask(16, 12, 4, 2)             # one image's windows, shared by the batch
+    nw = mask.shape[0]
+    leak = max(float(collect["spatial"][i][:, mask[i % nw] < 0].sum())
+               for i in range(collect["spatial"].shape[0]))
     print("largest attention mass across the seam:", f"{leak:.2e}")
 
     # -- cost model, MACs per layer ----------------------------------------

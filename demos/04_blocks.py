@@ -25,7 +25,7 @@ def main():
         print(f"{d:5d} | {lpm:10,} | {mlp:10,}")
 
     # -- a two-block stage is the identity at init --------------------------
-    x = Tensor(rng.standard_normal((8, 8, 32)))       # channels-last [h, w, C] map
+    x = Tensor(rng.standard_normal((2, 8, 8, 32)))    # two channels-last [h, w, C] maps
     stage = TransStage(32, 2, 4, 2, True, True, False, rng=rng)
     out = stage(x)
     print("\nfresh two-block stage == identity:",

@@ -23,10 +23,10 @@ def main():
 
     model = TecNet(cfg, seed=0)
     rng = np.random.default_rng(0)
-    image = rng.random((1, cfg.input_size, cfg.input_size))
+    images = rng.random((2, 1, cfg.input_size, cfg.input_size))   # [B, C, H, W]
 
     collect = {}
-    out = model.forward(image, collect=collect)
+    out = model.forward(images, collect=collect)
     print("\nheads:", {k: v.shape for k, v in out.items()})
 
     print("\nstage | cnn features | transformer features")

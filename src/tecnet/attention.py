@@ -1,8 +1,10 @@
 """Window attention with four complementary branches.
 
-Feature maps are cut into M x M windows (cyclically shifted for alternating
-layers, Swin style).  Inside each window, four attention branches run over
-different axis pairings of the [C, M, M] block:
+Feature maps are channels-last [B, h, w, C].  They are cut into M x M
+windows (cyclically shifted for alternating layers, Swin style), and the
+windows of all B images are stacked on one window axis, so every product
+below runs once per batch.  Inside each window, four attention branches run
+over different axis pairings of the [C, M, M] block:
 
 * spatial:  M*M position tokens with C-dim features, relative-position bias
             and the shift mask;
@@ -12,8 +14,14 @@ different axis pairings of the [C, M, M] block:
 * cross C-W: (C*M) tokens over the height axis.
 
 Every branch projects its feature axis down to max(1, d // 8) before the
-attention product, which is what makes the whole thing cheap, and the four
-outputs are fused by learnable scalars initialised to 1/4 each.
+attention product, and the four outputs are fused by learnable scalars
+initialised to 1/4 each.  The projection shrinks the products' feature
+dimension, not their token count: the channel branch attends over C tokens
+and the cross branches over C*M, so their products grow with C^2.  In the
+default separate-projection mode the layer therefore costs more than plain
+window attention at some widths (nano stages 1 and 3); `attention_macs`
+counts what each mode really multiplies, and `tecnet analyze` prints it
+beside the formulas.
 
 In shared-projection mode the K and V embeddings are computed once from the
 spatial token layout and every branch re-reads them in its own arrangement
@@ -38,34 +46,36 @@ MASKED = -1e9
 # ---------------------------------------------------------------- windows
 
 def window_partition(x: Tensor, m: int) -> Tensor:
-    """[C, h, w] -> [nw, C, m, m] row-major over window positions.
+    """[B, C, h, w] -> [B*nw, C, m, m]: image-major, then row-major over
+    window positions.
 
     Extents must already be multiples of m; pad first if they are not.
     """
-    c, h, w = x.shape
+    b, c, h, w = x.shape
     if h % m or w % m:
         raise UsageError(
             f"window_partition needs extents divisible by {m}, got {h}x{w}; pad_to_window first")
     gh, gw = h // m, w // m
-    t = x.reshape(c, gh, m, gw, m)
-    t = t.permute(1, 3, 0, 2, 4)             # [gh, gw, C, m, m]
-    return t.reshape(gh * gw, c, m, m)
+    t = x.reshape(b, c, gh, m, gw, m)
+    t = t.permute(0, 2, 4, 1, 3, 5)          # [B, gh, gw, C, m, m]
+    return t.reshape(b * gh * gw, c, m, m)
 
 
 def window_reverse(windows: Tensor, m: int, h: int, w: int) -> Tensor:
-    """Inverse of window_partition back to [C, h, w]."""
-    nw, c, m1, m2 = windows.shape
-    if m1 != m or m2 != m or nw != (h // m) * (w // m):
-        raise UsageError(f"window_reverse got {windows.shape} for target {h}x{w}, m={m}")
+    """Inverse of window_partition back to [B, C, h, w]."""
+    n, c, m1, m2 = windows.shape
     gh, gw = h // m, w // m
-    t = windows.reshape(gh, gw, c, m, m)
-    t = t.permute(2, 0, 3, 1, 4)              # [C, gh, m, gw, m]
-    return t.reshape(c, h, w)
+    if m1 != m or m2 != m or h % m or w % m or n % (gh * gw):
+        raise UsageError(f"window_reverse got {windows.shape} for target {h}x{w}, m={m}")
+    b = n // (gh * gw)
+    t = windows.reshape(b, gh, gw, c, m, m)
+    t = t.permute(0, 3, 1, 4, 2, 5)           # [B, C, gh, m, gw, m]
+    return t.reshape(b, c, h, w)
 
 
 def pad_to_window(x: Tensor, m: int) -> tuple[Tensor, tuple[int, int]]:
-    """Zero-pad bottom/right so both extents are multiples of m."""
-    c, h, w = x.shape
+    """Zero-pad the trailing two axes at bottom/right to multiples of m."""
+    h, w = x.shape[-2:]
     ph = (m - h % m) % m
     pw = (m - w % m) % m
     if ph or pw:
@@ -118,16 +128,17 @@ def spatial_bias(table: Tensor, rel_index: np.ndarray, m: int, heads: int) -> Te
 
 
 def windowed(x: Tensor, m: int, shift: int, mask_cache: dict, attend) -> Tensor:
-    """Run `attend(windows, mask)` over the m x m windows of a [C, h, w] map.
+    """Run `attend(windows, mask)` over the m x m windows of a [B, h, w, C] map.
 
-    Pads bottom/right to window multiples, rolls by -shift and partitions
-    into [nw, C, m, m] windows.  `mask` is None when unshifted, else the
-    shift mask of the padded extent, built once per extent and compute
-    dtype into mask_cache.
-    The [nw, C, m, m] result is reversed, rolled back and cropped to h x w.
+    Moves channels first, pads bottom/right to window multiples, rolls by
+    -shift and partitions into [B*nw, C, m, m] windows.  `mask` is None when
+    unshifted, else the [nw, m^2, m^2] shift mask of one padded image, built
+    once per extent and compute dtype into mask_cache; `engine.attention`
+    broadcasts it over the B images.  The [B*nw, C, m, m] result is
+    reversed, rolled back, cropped to h x w and returned channels-last.
     """
-    x, (h0, w0) = pad_to_window(x, m)
-    _, h, w = x.shape
+    x, (h0, w0) = pad_to_window(x.permute(0, 3, 1, 2), m)
+    h, w = x.shape[2:]
     mask = None
     if shift:
         x = E.roll2d(x, -shift, -shift)
@@ -138,7 +149,7 @@ def windowed(x: Tensor, m: int, shift: int, mask_cache: dict, attend) -> Tensor:
     y = window_reverse(attend(window_partition(x, m), mask), m, h, w)
     if shift:
         y = E.roll2d(y, shift, shift)
-    return crop_to(y, h0, w0)
+    return crop_to(y, h0, w0).permute(0, 2, 3, 1)
 
 
 def _effective_heads(dim: int, heads: int) -> int:
@@ -151,9 +162,9 @@ def _effective_heads(dim: int, heads: int) -> int:
 def branch_attention(q: Tensor, k: Tensor, v: Tensor, *, heads: int = 1,
                      bias: Tensor | None = None, mask: np.ndarray | None = None,
                      collect: dict | None = None, collect_key: str | None = None) -> Tensor:
-    """Scaled dot-product attention over [nw, T, D] token batches (`engine.attention`).
+    """Scaled dot-product attention over [B*nw, T, D] token batches (`engine.attention`).
 
-    With `collect` and `collect_key` given, the [nw, heads, T, T] attention
+    With `collect` and `collect_key` given, the [B*nw, heads, T, T] attention
     weights are stored in `collect` under that key.
     """
     probs = [] if collect is not None and collect_key is not None else None
@@ -164,11 +175,11 @@ def branch_attention(q: Tensor, k: Tensor, v: Tensor, *, heads: int = 1,
 
 
 class ACAM(Module):
-    """Four-branch adaptive complementary attention over one feature map.
+    """Four-branch adaptive complementary attention over a batch of feature maps.
 
-    Input and output are [C, h, w]; extents are padded to window multiples
-    internally and cropped back.  `shifted` selects the cyclically shifted
-    window arrangement with its wrap mask.
+    Input and output are [B, h, w, C]; extents are padded to window
+    multiples internally and cropped back.  `shifted` selects the
+    cyclically shifted window arrangement with its wrap mask.
     """
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool,
@@ -226,8 +237,8 @@ class ACAM(Module):
             self.heads_cross = _effective_heads(self.p8, heads)
 
     def forward(self, x: Tensor, collect: dict | None = None) -> Tensor:
-        if x.shape[0] != self.channels:
-            raise ConfigurationError(f"expected {self.channels} channels, got {x.shape[0]}")
+        if x.shape[-1] != self.channels:
+            raise ConfigurationError(f"expected {self.channels} channels, got {x.shape[-1]}")
         branches = self._branches_shared if self.shared_kv else self._branches_separate
         return windowed(x, self.window, self.shift, self._mask_cache,
                         lambda wins, mask: branches(wins, mask, collect))

@@ -1,8 +1,8 @@
 """Transformer-branch building blocks: LPM and the attention/MLP recurrence.
 
-Feature maps are channels-last [h, w, C], so the grid travels in the shape:
-norms and linears act on the last axis, and window attention and the LPM
-ghost convolution take their [C, h, w] view with one permute each way.
+Feature maps are channels-last [B, h, w, C], so the grid travels in the
+shape: norms, linears and window attention take the map as it is, and the
+LPM ghost convolution takes its [B, C, h, w] view with one permute each way.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ class LPM(Module):
         self.out = Linear(4 * d, d, rng=rng, zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        p = E.gelu(self.primary(x))                      # [h, w, 2d]
-        g = E.gelu(self.ghost(p.permute(2, 0, 1)))       # [2d, h, w]
-        return self.out(E.concat([p, g.permute(1, 2, 0)], axis=2))
+        p = E.gelu(self.primary(x))                      # [B, h, w, 2d]
+        g = E.gelu(self.ghost(p.permute(0, 3, 1, 2)))    # [B, 2d, h, w]
+        return self.out(E.concat([p, g.permute(0, 2, 3, 1)], axis=3))
 
 
 class Mlp(Module):
@@ -62,6 +62,5 @@ class TransformerBlock(Module):
         self.mlp = LPM(channels, rng=rng) if use_lpm else Mlp(channels, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        a = self.attn(self.norm_attn(x).permute(2, 0, 1))
-        t_hat = a.permute(1, 2, 0) + x
+        t_hat = self.attn(self.norm_attn(x)) + x
         return self.mlp(self.norm_mlp(t_hat)) + t_hat

@@ -29,7 +29,7 @@ from .metrics import evaluate_pairs, write_metrics_csv
 from .model import (N_STAGES, PRESETS, TecNet, TecNetConfig, attention_rows,
                     count_flops, count_params)
 from .synth import FAMILIES, SynthSpec, generate, load_dataset, quantize, write_pgm
-from .training import TrainSchedule, load_model, predict_probs, train
+from .training import TrainSchedule, load_model, predictions, train
 
 TRAIN_KEYS = ("total_epochs", "batch_size", "lr", "delta",
               "plateau_patience", "plateau_factor", "seed")
@@ -127,7 +127,8 @@ def cmd_train(args) -> int:
         if row["step"] % max(1, args.log_every) == 0:
             print(f"step {row['step']:>5}  epoch {row['epoch']:>3}  "
                   f"lambda {row['lambda']:.4f}  lr {row['lr']:.2e}  "
-                  f"loss {row['loss_total']:.5f}")
+                  f"loss {row['loss_total']:.5f}  grad_norm {row['grad_norm']:.3e}  "
+                  f"{row['wall_ms']:.0f} ms  {row['samples_per_s']:.2f} samples/s")
 
     result = train(model, samples, schedule, val_samples=val,
                    out_dir=args.out, progress=progress)
@@ -145,9 +146,8 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     pairs = []
-    for sample in samples:
-        probs = predict_probs(model, sample.image)["y_tec"]
-        pred = probs[0] >= args.threshold
+    for sample, p in predictions(model, samples):
+        pred = p[0] >= args.threshold
         write_pgm(os.path.join(args.out, f"pred_{sample.sample_id}.pgm"),
                   np.where(pred, 255, 0).astype(np.uint8))
         pairs.append((sample.sample_id, pred, sample.mask[0] > 0.5))
@@ -193,16 +193,18 @@ def cmd_analyze(args) -> int:
         print("(informational; candidate-kernel count and per-branch "
               "projections differ from the published configuration)")
 
-    print("\nattention cost per stage (MACs, window attention vs baselines)")
+    print("\nattention cost per stage (MACs: formulas for three layer kinds; "
+          "actual: the layer this config runs)")
     print(f"{'stage':<8}{'grid':>6}{'width':>7}{'global':>16}"
-          f"{'windowed':>14}{'adaptive':>14}")
+          f"{'windowed':>14}{'adaptive':>14}{'actual':>14}")
     m = cfg.window
     for i in range(N_STAGES):
         g = cfg.stage_grid(i)
         c = cfg.stage_width(i)
         gp = -(-g // m) * m                   # windows run on the padded grid
+        actual = attention_rows(cfg, i)[-1]["actual_macs"]
         print(f"{i:<8}{g:>6}{c:>7}{cost_msa(g, g, c):>16,}"
-              f"{cost_swmsa(gp, gp, c, m):>14,}{cost_acam(gp, gp, c, m):>14,}")
+              f"{cost_swmsa(gp, gp, c, m):>14,}{cost_acam(gp, gp, c, m):>14,}{actual:>14,}")
 
     if args.mac_report:
         rows = [row for i in range(N_STAGES) for row in attention_rows(cfg, i)]
@@ -219,10 +221,10 @@ def cmd_dump_features(args) -> int:
                          f"(dataset has {len(samples)} samples)")
     sample = samples[args.index]
     collect: dict = {}
-    model.forward(sample.image, collect=collect)
+    model.forward(sample.image[None], collect=collect)
     os.makedirs(args.out, exist_ok=True)
     for tag in sorted(collect):
-        heat = collect[tag].mean(axis=0)
+        heat = collect[tag][0].mean(axis=0)
         lo, hi = heat.min(), heat.max()
         norm = (heat - lo) / (hi - lo) if hi > lo else np.zeros_like(heat)
         write_pgm(os.path.join(args.out, f"{tag}.pgm"), quantize(norm))

@@ -9,6 +9,9 @@ Two dynamic mechanisms on top of a plain k x k convolution:
 * dynamic kernels: n candidate weight tensors are blended per image by a
   softmax gate driven by globally pooled input statistics.
 
+Maps are [B, C, H, W]; each image of the batch gets its own gate and
+offsets, and one batched product applies the B blended kernels.
+
 Because both the offset head and the gate start at zero (uniform blend,
 undisplaced taps), a freshly built layer behaves exactly like the blended
 static convolution, which keeps early training stable.
@@ -25,7 +28,7 @@ from .nn import Conv2d, Linear, Module, parameter
 
 
 class DDConv(Module):
-    """Dynamic deformable convolution over [C_in, H, W] maps.
+    """Dynamic deformable convolution over [B, C_in, H, W] maps.
 
     Offsets are predicted by a stride-matched conv with 2*k*k output
     channels, laid out tap-major: channels (2t, 2t+1) hold (dy, dx) for tap
@@ -58,20 +61,18 @@ class DDConv(Module):
     # -- pieces exposed for tests ----------------------------------------
 
     def predict_offsets(self, x: Tensor) -> Tensor:
-        """[2*k*k, H', W'] tap displacement field for input [C, H, W]."""
+        """[B, 2*k*k, H', W'] tap displacement fields for input [B, C, H, W]."""
         return self.offset_head(x)
 
     def kernel_gate(self, x: Tensor) -> Tensor:
-        """[n] softmax blend weights for this image."""
+        """[B, n] softmax blend weights, one row per image."""
         pooled = E.global_avg_pool(x)
         return E.softmax(self.gate(pooled), axis=-1)
 
     def blended_kernel(self, alpha: Tensor) -> Tensor:
-        """[C_out, C_in, k, k] mixture of the candidate kernels."""
-        n = self.n_kernels
-        flat = self.kernels.reshape(n, -1)
-        mixed = alpha.reshape(1, n) @ flat
-        return mixed.reshape(self.c_out, self.c_in, self.k, self.k)
+        """[B, C_out, C_in, k, k] per-image mixtures of the candidate kernels."""
+        mixed = alpha @ self.kernels.reshape(self.n_kernels, -1)
+        return mixed.reshape(alpha.shape[0], self.c_out, self.c_in, self.k, self.k)
 
     def _tap_grid(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
         """Undisplaced sampling positions in input coordinates, cached per
@@ -95,21 +96,21 @@ class DDConv(Module):
         return grid
 
     def forward(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
+        b, c, h, w = x.shape
         if c != self.c_in:
             raise ConfigurationError(f"expected {self.c_in} input channels, got {c}")
         k = self.k
-        offsets = self.predict_offsets(x)                    # [2k^2, H', W']
-        ho, wo = offsets.shape[1], offsets.shape[2]
-        off = offsets.reshape(k * k, 2, ho, wo)
+        offsets = self.predict_offsets(x)                    # [B, 2k^2, H', W']
+        ho, wo = offsets.shape[2], offsets.shape[3]
+        off = offsets.reshape(b, k * k, 2, ho, wo)
         base_y, base_x = self._tap_grid(h, w)
-        ys = off[:, 0] + base_y                              # [k^2, H', W']
-        xs = off[:, 1] + base_x
-        sampled = E.bilinear_gather(x, ys, xs)               # [C_in, k^2, H', W']
+        ys = off[:, :, 0] + base_y                           # [B, k^2, H', W']
+        xs = off[:, :, 1] + base_x
+        sampled = E.bilinear_gather(x, ys, xs)               # [B, C_in, k^2, H', W']
 
         alpha = self.kernel_gate(x)
-        kern = self.blended_kernel(alpha)                    # [C_out, C_in, k, k]
-        w2 = kern.reshape(self.c_out, self.c_in * k * k)
-        cols = sampled.reshape(self.c_in * k * k, ho * wo)
-        y = (w2 @ cols).reshape(self.c_out, ho, wo)
+        kern = self.blended_kernel(alpha)                    # [B, C_out, C_in, k, k]
+        w2 = kern.reshape(b, self.c_out, self.c_in * k * k)
+        cols = sampled.reshape(b, self.c_in * k * k, ho * wo)
+        y = (w2 @ cols).reshape(b, self.c_out, ho, wo)
         return y + self.bias.reshape(-1, 1, 1)

@@ -7,7 +7,14 @@ output gradient to input gradients.  ``backward(loss)`` replays those records
 in reverse, so each node is visited exactly once regardless of fan-out.
 
 The tape is rebuilt on every forward pass; nothing here is compiled or
-cached between calls.
+cached between calls.  References run one way only: a tensor holds its
+node, a node its inputs and its tape, while the tape and the node hold the
+node and its output weakly.  So dropping the loss frees the whole recorded
+graph by reference counting, without waiting for the cyclic collector.
+
+Image ops take a leading batch axis: feature maps are [B, C, H, W] and
+every image of the batch is processed alike, so B images cost one op call
+each, not B.
 
 All arithmetic runs in one compute dtype, float32 unless changed with
 ``precision``: tensors, constants and cached masks and matrices are made in
@@ -21,6 +28,7 @@ checks and exact oracles:
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -89,7 +97,7 @@ class Tensor:
     loss report an exact zero gradient rather than None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=_dtype)
@@ -188,22 +196,37 @@ class Tensor:
 # ---------------------------------------------------------------- tape
 
 class _Node:
-    __slots__ = ("out", "inputs", "backward_fn", "tape")
+    """One tape record.  `out` is a weak reference: the output tensor owns
+    its node, not the other way round."""
+
+    __slots__ = ("_out", "inputs", "backward_fn", "tape", "__weakref__")
 
     def __init__(self, out, inputs, backward_fn, tape):
-        self.out = out
+        self._out = weakref.ref(out)
         self.inputs = inputs
         self.backward_fn = backward_fn
         self.tape = tape
 
+    @property
+    def out(self):
+        return self._out()
+
 
 class Tape:
-    """Records operations while active.  Use as a context manager."""
+    """Records operations while active.  Use as a context manager.
+
+    The tape references its nodes weakly; ``nodes`` lists, in recording
+    order, those still reachable from a live tensor.
+    """
 
     _stack: list = []
 
     def __init__(self):
-        self.nodes = []
+        self._refs = []
+
+    @property
+    def nodes(self) -> list:
+        return [node for node in (ref() for ref in self._refs) if node is not None]
 
     def __enter__(self) -> "Tape":
         if Tape._stack:
@@ -231,7 +254,7 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     if tape is not None and any(_tracked(t) for t in inputs):
         node = _Node(out, inputs, backward_fn, tape)
         out.node = node
-        tape.nodes.append(node)
+        tape._refs.append(weakref.ref(node))
     return out
 
 
@@ -241,7 +264,8 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate into ``.grad`` of every reachable leaf; leaves the
     loss does not depend on keep their zero buffer untouched.  Works after
     the recording tape's `with` block has exited, since every node keeps a
-    reference to its tape.
+    reference to its tape.  Nodes keep their outputs and inputs after the
+    sweep, for inspection, until the loss is dropped.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward() needs a scalar, got shape {loss.shape}")
@@ -437,10 +461,17 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), backward_fn)
 
 
+def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """`a` with its trailing two axes zero-padded (np.pad costs ~20 us a call)."""
+    h, w = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (top + h + bottom, left + w + right), dtype=a.dtype)
+    out[..., top:top + h, left:left + w] = a
+    return out
+
+
 def pad2d(x: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
     """Zero-pad the trailing two axes."""
-    pads = [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)]
-    out = Tensor(np.pad(x.data, pads))
+    out = Tensor(_zero_pad(x.data, top, bottom, left, right))
     h, w = x.shape[-2], x.shape[-1]
 
     def backward_fn(g):
@@ -513,25 +544,28 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
               bias: Tensor | None = None, mask: np.ndarray | None = None,
               probs: list | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(D) + bias + mask) v over [nw, T, D] token batches.
+    """softmax(q k^T / sqrt(D) + bias + mask) v over [n, T, D] token batches.
 
     Heads split the feature axes of q, k and v evenly; the scale is
     1/sqrt(D) for the full feature dim D, independent of the split.  `bias`
     is [heads, T, T] or [T, T]; `mask` is a constant [nw, T, T] additive
-    array.  The logits are scaled, biased, masked and normalised in place in
-    one [nw, heads, T, T] buffer, which the single tape node keeps as the
-    probabilities for its backward.  When `probs` is a list, a copy of those
+    array for the nw windows of one image, broadcast over the n // nw
+    images whose windows make up the leading axis.  The logits are scaled,
+    biased, masked and normalised in place in one [n, heads, T, T] buffer,
+    which the single tape node keeps as the probabilities for its backward.  When `probs` is a list, a copy of those
     probabilities is appended to it.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3:
-        raise DimensionError(f"attention expects [nw, T, D] tokens, got {q.shape}")
+        raise DimensionError(f"attention expects [n, T, D] tokens, got {q.shape}")
     nw, t, d = q.shape
     if k.shape != (nw, t, d) or v.ndim != 3 or v.shape[:2] != (nw, t):
         raise ConfigurationError(f"attention operand mismatch: {q.shape}, {k.shape}, {v.shape}")
     dv = v.shape[2]
     if d % heads or dv % heads:
         raise ConfigurationError(f"feature dims {d}/{dv} not divisible by {heads} heads")
+    if mask is not None and (mask.shape[1:] != (t, t) or nw % mask.shape[0]):
+        raise ConfigurationError(f"mask {mask.shape} does not tile {nw} windows of {t} tokens")
     dh, dvh = d // heads, dv // heads
     scale = 1.0 / math.sqrt(d)
 
@@ -551,7 +585,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         bias = as_tensor(bias)
         a += bias.data
     if mask is not None:
-        a += mask.reshape(nw, 1, t, t)
+        per_image = a.reshape(-1, mask.shape[0], heads, t, t)   # a view: adds into a
+        per_image += mask[:, None]
     _softmax_(a)
     if probs is not None:
         probs.append(a.copy())
@@ -597,25 +632,31 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
 # ---------------------------------------------------------------- convolution
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """View a padded [C, Hp, Wp] image as [C, k, k, ho, wo] sliding windows."""
-    c = xp.shape[0]
-    s0, s1, s2 = xp.strides
-    shape = (c, k, k, ho, wo)
-    strides = (s0, s1, s2, s1 * stride, s2 * stride)
+    """View padded [B, C, Hp, Wp] images as [B, C, k, k, ho, wo] sliding windows."""
+    b, c = xp.shape[:2]
+    sb, sc, sy, sx = xp.strides
+    shape = (b, c, k, k, ho, wo)
+    strides = (sb, sc, sy, sx, sy * stride, sx * stride)
     return as_strided(xp, shape=shape, strides=strides)
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """[C, B, ...] -> contiguous [B, C, ...] (no copy when B is 1)."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) of [C_in, H, W] with [C_out, C_in, k, k].
+    """2-D convolution (cross-correlation) of [B, C_in, H, W] with [C_out, C_in, k, k].
 
     The kernel must be square with odd side.  Output extents follow the
     usual floor rule, (h + 2p - k) // stride + 1; at least one full window
-    must fit, otherwise the configuration is rejected.
+    must fit, otherwise the configuration is rejected.  The windows of all
+    B images form the columns of one product with the kernel.
     """
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError(f"conv2d expects x [C,H,W] and w [O,C,k,k], got {x.shape} and {w.shape}")
-    cin, h, wd = x.shape
+    if x.ndim != 4 or w.ndim != 4:
+        raise DimensionError(f"conv2d expects x [B,C,H,W] and w [O,C,k,k], got {x.shape} and {w.shape}")
+    b, cin, h, wd = x.shape
     cout, cin_w, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ConfigurationError(f"conv2d kernel must be square with odd side, got {k}x{k2}")
@@ -627,25 +668,29 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wd + 2 * padding - k) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(xp, k, stride, ho, wo).reshape(cin * k * k, ho * wo)
+    xp = _zero_pad(x.data, padding, padding, padding, padding)
+    # taps as rows, the B images' output positions as columns: one product
+    windows = _im2col(xp, k, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
+    cols = windows.reshape(cin * k * k, b * ho * wo)
     w2 = w.data.reshape(cout, cin * k * k)
-    y = (w2 @ cols).reshape(cout, ho, wo)
+    y = _batch_major((w2 @ cols).reshape(cout, b, ho, wo))
     if bias is not None:
         y = y + bias.data[:, None, None]
     out = Tensor(y)
 
     def backward_fn(g):
-        g2 = g.reshape(cout, ho * wo)
+        g2 = np.swapaxes(g, 0, 1).reshape(cout, b * ho * wo)
         gw = (g2 @ cols.T).reshape(w.shape)
-        gcols = (w2.T @ g2).reshape(cin, k, k, ho, wo)
-        gxp = np.zeros_like(xp)
+        gcols = (w2.T @ g2).reshape(cin, k, k, b, ho, wo)
+        gxp = np.zeros((cin, b) + xp.shape[2:], dtype=xp.dtype)
         for dy in range(k):
             for dx in range(k):
-                gxp[:, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += gcols[:, dy, dx]
-        gx = gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
+                gxp[:, :, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += gcols[:, dy, dx]
+        gx = np.swapaxes(gxp, 0, 1)
+        if padding:
+            gx = gx[:, :, padding:padding + h, padding:padding + wd]
         if bias is not None:
-            return gx, gw, g.sum(axis=(1, 2))
+            return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
 
     inputs = (x, w, bias) if bias is not None else (x, w)
@@ -655,33 +700,33 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-channel 2-D convolution with same padding, stride 1.
 
-    x is [C, H, W], w is [C, k, k] with k odd.
+    x is [B, C, H, W], w is [C, k, k] with k odd.
     """
-    if x.ndim != 3 or w.ndim != 3:
-        raise DimensionError(f"depthwise_conv2d expects x [C,H,W] and w [C,k,k], got {x.shape} and {w.shape}")
-    c, h, wd = x.shape
+    if x.ndim != 4 or w.ndim != 3:
+        raise DimensionError(f"depthwise_conv2d expects x [B,C,H,W] and w [C,k,k], got {x.shape} and {w.shape}")
+    b, c, h, wd = x.shape
     cw, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ConfigurationError(f"depthwise kernel must be square with odd side, got {k}x{k2}")
     if cw != c:
         raise ConfigurationError(f"depthwise channel mismatch: input has {c}, kernel has {cw}")
     p = k // 2
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
-    win = _im2col(xp, k, 1, h, wd)            # [C, k, k, H, W]
-    y = np.einsum("ckl,cklhw->chw", w.data, win)
+    xp = _zero_pad(x.data, p, p, p, p)
+    win = _im2col(xp, k, 1, h, wd)            # [B, C, k, k, H, W]
+    y = np.einsum("ckl,bcklhw->bchw", w.data, win)
     if bias is not None:
         y = y + bias.data[:, None, None]
     out = Tensor(y)
 
     def backward_fn(g):
-        gw = np.einsum("chw,cklhw->ckl", g, win)
+        gw = np.einsum("bchw,bcklhw->ckl", g, win)
         gxp = np.zeros_like(xp)
         for dy in range(k):
             for dx in range(k):
-                gxp[:, dy:dy + h, dx:dx + wd] += g * w.data[:, dy, dx][:, None, None]
-        gx = gxp[:, p:p + h, p:p + wd]
+                gxp[:, :, dy:dy + h, dx:dx + wd] += g * w.data[:, dy, dx][:, None, None]
+        gx = gxp[:, :, p:p + h, p:p + wd]
         if bias is not None:
-            return gx, gw, g.sum(axis=(1, 2))
+            return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
 
     inputs = (x, w, bias) if bias is not None else (x, w)
@@ -691,27 +736,32 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
 # ---------------------------------------------------------------- sampling
 
 def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
-    """Sample x [C, H, W] at fractional positions, zero outside the canvas.
+    """Sample each image of x [B, C, H, W] at fractional positions, zero
+    outside the canvas.
 
-    ys and xs share an arbitrary shape S; the result is [C, *S].  Gradients
-    flow into x and, when ys/xs are tensors, into the coordinates as well.
+    ys and xs share a shape [B, *S] and give image b's points in row b; the
+    result is [B, C, *S].  Gradients flow into x and, when ys/xs are
+    tensors, into the coordinates as well.
 
-    Sampling is one sparse product: row i of the [|S|, H*W] matrix holds the
-    bilinear weights of point i's four neighbours, in the order (y0, x0),
-    (y0, x1), (y1, x0), (y1, x1), with zero weight on neighbours outside the
-    canvas.  The coordinate gradients are the same product with the weights'
-    derivatives in place of the weights.
+    Sampling is one sparse product for the whole batch: row i of the
+    [B*|S|, B*H*W] matrix holds the bilinear weights of point i's four
+    neighbours, in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1), in the
+    columns of its own image (offset by b*H*W), with zero weight on
+    neighbours outside the canvas.  The coordinate gradients are the same
+    product with the weights' derivatives in place of the weights.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"bilinear_gather expects x [C,H,W], got {x.shape}")
+    if x.ndim != 4:
+        raise DimensionError(f"bilinear_gather expects x [B,C,H,W], got {x.shape}")
     ty = isinstance(ys, Tensor)
     tx = isinstance(xs, Tensor)
     yv = ys.data if ty else constant(ys)
     xv = xs.data if tx else constant(xs)
     if yv.shape != xv.shape:
         raise DimensionError(f"coordinate shapes differ: {yv.shape} vs {xv.shape}")
-    c, h, w = x.shape
-    s = yv.shape
+    b, c, h, w = x.shape
+    if yv.ndim < 1 or yv.shape[0] != b:
+        raise DimensionError(f"coordinates {yv.shape} do not lead with the batch of {b} images")
+    s = yv.shape[1:]
     n = yv.size
 
     fy0 = np.floor(yv).reshape(n, 1)
@@ -726,18 +776,21 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
     weights = np.hstack([(1.0 - fy) * (1.0 - fx), (1.0 - fy) * fx,
                          fy * (1.0 - fx), fy * fx])
     sm = csr_matrix(((weights * valid).reshape(-1), np.where(valid, cy * w + cx, 0).reshape(-1),
-                     np.arange(0, 4 * n + 1, 4)), shape=(n, h * w))
-    flat_t = x.data.reshape(c, h * w).T                  # [H*W, C]
-    out = Tensor(np.ascontiguousarray((sm @ flat_t).T).reshape((c,) + s))
+                     np.arange(0, 4 * n + 1, 4)), shape=(n, b * h * w))
+    per_image = sm.indices.reshape(b, -1)                # a view: image b's columns
+    per_image += np.arange(0, b * h * w, h * w, dtype=per_image.dtype)[:, None]   # start at b*H*W
+    flat_t = np.swapaxes(x.data.reshape(b, c, h * w), 1, 2).reshape(b * h * w, c)
+    out = Tensor(_batch_major((sm @ flat_t).T.reshape(c, b, n // b)).reshape((b, c) + s))
 
     def coordinate_grad(g_t, dweights):
         """Channel sum of g times the sample's derivative, given the [n, 4] weight derivatives."""
         d = csr_matrix(((dweights * valid).reshape(-1), sm.indices, sm.indptr), shape=sm.shape)
-        return np.sum(g_t * (d @ flat_t), axis=1).reshape(s)
+        return np.sum(g_t * (d @ flat_t), axis=1).reshape(yv.shape)
 
     def backward_fn(g):
-        g_t = g.reshape(c, n).T                          # [n, C]
-        grads = [np.ascontiguousarray((sm.T @ g_t).T).reshape(c, h, w)]
+        g_t = np.swapaxes(g.reshape(b, c, n // b), 1, 2).reshape(n, c)   # [n, C]
+        gx = _batch_major((sm.T @ g_t).T.reshape(c, b, h * w)).reshape(b, c, h, w)
+        grads = [gx]
         if ty:
             grads.append(coordinate_grad(g_t, np.hstack([fx - 1.0, -fx, 1.0 - fx, fx])))
         if tx:
@@ -751,14 +804,14 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
 # ---------------------------------------------------------------- pooling etc.
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """[C, H, W] -> [C] spatial mean."""
-    if x.ndim != 3:
-        raise DimensionError(f"global_avg_pool expects [C,H,W], got {x.shape}")
-    c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(1, 2)))
+    """[B, C, H, W] -> [B, C] spatial mean."""
+    if x.ndim != 4:
+        raise DimensionError(f"global_avg_pool expects [B,C,H,W], got {x.shape}")
+    h, w = x.shape[2:]
+    out = Tensor(x.data.mean(axis=(2, 3)))
 
     def backward_fn(g):
-        return (np.broadcast_to(g[:, None, None] / (h * w), x.shape).copy(),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy(),)
 
     return _record(out, (x,), backward_fn)
 
@@ -779,15 +832,15 @@ def index_select(table: Tensor, indices) -> Tensor:
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Integer-factor nearest-neighbour upsampling of [C, H, W]."""
-    if x.ndim != 3:
-        raise DimensionError(f"upsample_nearest expects [C,H,W], got {x.shape}")
-    c, h, w = x.shape
+    """Integer-factor nearest-neighbour upsampling of [B, C, H, W]."""
+    if x.ndim != 4:
+        raise DimensionError(f"upsample_nearest expects [B,C,H,W], got {x.shape}")
+    b, c, h, w = x.shape
     f = int(factor)
-    out = Tensor(np.repeat(np.repeat(x.data, f, axis=1), f, axis=2))
+    out = Tensor(np.repeat(np.repeat(x.data, f, axis=2), f, axis=3))
 
     def backward_fn(g):
-        return (g.reshape(c, h, f, w, f).sum(axis=(2, 4)),)
+        return (g.reshape(b, c, h, f, w, f).sum(axis=(3, 5)),)
 
     return _record(out, (x,), backward_fn)
 
@@ -814,16 +867,16 @@ def _upsample_matrix(n: int, f: int) -> np.ndarray:
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Integer-factor bilinear upsampling of [C, H, W]."""
-    if x.ndim != 3:
-        raise DimensionError(f"upsample_bilinear expects [C,H,W], got {x.shape}")
-    c, h, w = x.shape
+    """Integer-factor bilinear upsampling of [B, C, H, W]."""
+    if x.ndim != 4:
+        raise DimensionError(f"upsample_bilinear expects [B,C,H,W], got {x.shape}")
+    h, w = x.shape[2:]
     f = int(factor)
     wy = _upsample_matrix(h, f)
     wx = _upsample_matrix(w, f)
-    out = Tensor(np.einsum("oh,chw,pw->cop", wy, x.data, wx, optimize=True))
+    out = Tensor(np.einsum("oh,bchw,pw->bcop", wy, x.data, wx, optimize=True))
 
     def backward_fn(g):
-        return (np.einsum("oh,cop,pw->chw", wy, g, wx, optimize=True),)
+        return (np.einsum("oh,bcop,pw->bchw", wy, g, wx, optimize=True),)
 
     return _record(out, (x,), backward_fn)

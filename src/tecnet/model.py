@@ -7,6 +7,9 @@ width), stage 3 is the bottleneck, stages 4-6 decode back up with skip
 connections inside each branch and cross-branch fusion joining the two at
 every decoder stage.  Three 1x1 heads emit logits: one per branch and one
 from the concatenated final features.
+
+Everything runs on a batch: images are [B, C, H, W], CNN-branch maps
+[B, C, h, w] and transformer-branch maps channels-last [B, h, w, C].
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ PRESETS = {"nano": nano_config, "tiny": tiny_config, "base": base_config}
 # ---------------------------------------------------------------- submodules
 
 class PatchEmbed(Module):
-    """Non-overlapping p x p linear projection of the image to a [g, g, D] map."""
+    """Non-overlapping p x p linear projection of [B, C, H, W] images to [B, g, g, D] maps."""
 
     def __init__(self, c_img: int, patch: int, d: int, rng=None):
         self.c_img = c_img
@@ -183,15 +186,15 @@ class PatchEmbed(Module):
         self.proj = Linear(c_img * patch * patch, d, rng=rng)
 
     def forward(self, image: Tensor) -> Tensor:
-        c, h, w = image.shape
+        b, c, h, w = image.shape
         p = self.patch
         if c != self.c_img or h % p or w % p:
             raise ConfigurationError(
-                f"patch embed needs [{self.c_img}, k*{p}, k*{p}] input, got {image.shape}")
+                f"patch embed needs [B, {self.c_img}, k*{p}, k*{p}] input, got {image.shape}")
         gh, gw = h // p, w // p
-        t = image.reshape(c, gh, p, gw, p)
-        t = t.permute(1, 3, 0, 2, 4)                  # [gh, gw, c, p, p]
-        return self.proj(t.reshape(gh, gw, c * p * p))
+        t = image.reshape(b, c, gh, p, gw, p)
+        t = t.permute(0, 2, 4, 1, 3, 5)               # [B, gh, gw, c, p, p]
+        return self.proj(t.reshape(b, gh, gw, c * p * p))
 
 
 class CnnStem(Module):
@@ -258,22 +261,22 @@ class TransStage(Module):
 
 
 class PatchMerge(Module):
-    """Transformer-branch downsample: each 2x2 group of [h, w, C] -> one 2C vector."""
+    """Transformer-branch downsample: each 2x2 group of [B, h, w, C] -> one 2C vector."""
 
     def __init__(self, channels: int, rng=None):
         self.reduce = Linear(4 * channels, 2 * channels, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        h, w, c = x.shape
+        b, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ConfigurationError(f"patch merge needs even extents, got {h}x{w}")
-        t = x.reshape(h // 2, 2, w // 2, 2, c)
-        t = t.permute(0, 2, 1, 3, 4)                   # [h/2, w/2, 2, 2, C]
-        return self.reduce(t.reshape(h // 2, w // 2, 4 * c))
+        t = x.reshape(b, h // 2, 2, w // 2, 2, c)
+        t = t.permute(0, 1, 3, 2, 4, 5)                # [B, h/2, w/2, 2, 2, C]
+        return self.reduce(t.reshape(b, h // 2, w // 2, 4 * c))
 
 
 class PatchExpand(Module):
-    """Transformer-branch upsample: [h, w, C] -> [2h, 2w, C/2], child (a, b) of (i, j) at (2i+a, 2j+b)."""
+    """Transformer-branch upsample: [B, h, w, C] -> [B, 2h, 2w, C/2], child (a, b) of (i, j) at (2i+a, 2j+b)."""
 
     def __init__(self, channels: int, rng=None):
         if channels % 2:
@@ -281,17 +284,17 @@ class PatchExpand(Module):
         self.grow = Linear(channels, 2 * channels, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        h, w, c = x.shape
-        t = self.grow(x).reshape(h, w, 2, 2, c // 2)
-        t = t.permute(0, 2, 1, 3, 4)                   # [h, 2, w, 2, C/2]
-        return t.reshape(2 * h, 2 * w, c // 2)
+        b, h, w, c = x.shape
+        t = self.grow(x).reshape(b, h, w, 2, 2, c // 2)
+        t = t.permute(0, 1, 3, 2, 4, 5)                # [B, h, 2, w, 2, C/2]
+        return t.reshape(b, 2 * h, 2 * w, c // 2)
 
 
 def cross_branch_fuse(mix: Conv2d, a: Tensor, b: Tensor) -> Tensor:
-    """Concat two same-shape feature maps on channels, 1x1-conv back down."""
+    """Concat two same-shape [B, C, h, w] maps on channels, 1x1-conv back down."""
     if a.shape != b.shape:
         raise ConfigurationError(f"fusion operands differ: {a.shape} vs {b.shape}")
-    return mix(E.concat([a, b], axis=0))
+    return mix(E.concat([a, b], axis=1))
 
 
 # ---------------------------------------------------------------- the model
@@ -341,20 +344,25 @@ class TecNet(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, image, collect: dict | None = None) -> dict:
+    def forward(self, images, collect: dict | None = None) -> dict:
+        """Logits [B, num_classes, H, W] of the three heads for images [B, c_img, H, W].
+
+        With `collect` given, each stage's two output maps are stored in it
+        as [B, C, h, w] arrays.
+        """
         cfg = self.cfg
-        image = as_tensor(image)
-        if image.shape != (self.c_img, cfg.input_size, cfg.input_size):
-            raise UsageError(
-                f"expected input {(self.c_img, cfg.input_size, cfg.input_size)}, got {image.shape}")
+        images = as_tensor(images)
+        want = (self.c_img, cfg.input_size, cfg.input_size)
+        if images.ndim != 4 or images.shape[1:] != want:
+            raise UsageError(f"expected input [B, {', '.join(map(str, want))}], got {images.shape}")
 
         def note(i: int, c: Tensor, t: Tensor) -> None:
-            if collect is not None:   # both maps as [C, h, w]
+            if collect is not None:   # both maps as [B, C, h, w]
                 collect[f"cnn_stage{i}"] = c.data.copy()
-                collect[f"trans_stage{i}"] = t.data.transpose(2, 0, 1).copy()
+                collect[f"trans_stage{i}"] = t.data.transpose(0, 3, 1, 2).copy()
 
-        c = self.cnn_stem(image)                       # [D, g0, g0]
-        t = self.patch_embed(image)                    # [g0, g0, D]
+        c = self.cnn_stem(images)                      # [B, D, g0, g0]
+        t = self.patch_embed(images)                   # [B, g0, g0, D]
 
         skips_c, skips_t = [], []
         for i in range(3):
@@ -374,20 +382,20 @@ class TecNet(Module):
             c = self.cnn_up[j](E.upsample_nearest(c, 2))
             t = self.trans_up[j](t)
             # skip connections from the mirrored encoder stage
-            c = self.cnn_skip[j](E.concat([c, skips_c[6 - i]], axis=0))
-            t = self.trans_skip[j](E.concat([t, skips_t[6 - i]], axis=2))
+            c = self.cnn_skip[j](E.concat([c, skips_c[6 - i]], axis=1))
+            t = self.trans_skip[j](E.concat([t, skips_t[6 - i]], axis=3))
             # cross-branch fusion: each branch sees the other's features
-            tg = t.permute(2, 0, 1)
+            tg = t.permute(0, 3, 1, 2)
             c_fused = cross_branch_fuse(self.cnn_fuse[j], c, tg)
             t_fused = cross_branch_fuse(self.trans_fuse[j], tg, c)
             c = self.cnn_stages[i](c_fused)
-            t = self.trans_stages[i](t_fused.permute(1, 2, 0))
+            t = self.trans_stages[i](t_fused.permute(0, 2, 3, 1))
             note(i, c, t)
 
-        tg = t.permute(2, 0, 1)
+        tg = t.permute(0, 3, 1, 2)
         y_cnn = E.upsample_bilinear(self.head_cnn(c), cfg.patch)
         y_trans = E.upsample_bilinear(self.head_trans(tg), cfg.patch)
-        y_tec = E.upsample_bilinear(self.head_tec(E.concat([c, tg], axis=0)), cfg.patch)
+        y_tec = E.upsample_bilinear(self.head_tec(E.concat([c, tg], axis=1)), cfg.patch)
         return {"y_cnn": y_cnn, "y_trans": y_trans, "y_tec": y_tec}
 
 

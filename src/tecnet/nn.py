@@ -81,7 +81,7 @@ class Module:
 
 
 class Linear(Module):
-    """y = x @ W + b with W of shape [d_in, d_out]."""
+    """y = x @ W + b with W of shape [d_in, d_out], over the last axis of x."""
 
     def __init__(self, d_in: int, d_out: int, rng=None, bias: bool = True,
                  zero: bool = False):
@@ -89,17 +89,14 @@ class Linear(Module):
         self.bias = parameter((d_out,), zero=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        flat = x.ndim == 1
-        if flat:
-            x = x.reshape(1, -1)
         y = x @ self.weight
         if self.bias is not None:
             y = y + self.bias
-        return y.reshape(-1) if flat else y
+        return y
 
 
 class Conv2d(Module):
-    """Square odd-kernel 2-D convolution over [C, H, W]."""
+    """Square odd-kernel 2-D convolution over [B, C, H, W]."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng=None, stride: int = 1,
                  padding: int | None = None, bias: bool = True, zero: bool = False):
@@ -138,7 +135,7 @@ class LayerNorm(Module):
 
 
 class ChannelNorm(Module):
-    """LayerNorm over the channel axis of [C, H, W] feature maps."""
+    """LayerNorm over the channel axis of [B, C, H, W] feature maps."""
 
     def __init__(self, channels: int, eps: float = 1e-5):
         self.gain = Tensor(np.ones(channels), requires_grad=True)
@@ -146,6 +143,6 @@ class ChannelNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        t = x.permute(1, 2, 0)                      # [H, W, C]
+        t = x.permute(0, 2, 3, 1)                   # [B, H, W, C]
         t = E.layernorm(t, self.gain, self.bias, eps=self.eps)
-        return t.permute(2, 0, 1)
+        return t.permute(0, 3, 1, 2)

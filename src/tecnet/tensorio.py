@@ -101,9 +101,15 @@ def _count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def _check_manifest(manifest, manifest_path) -> None:
+def _record_bytes(shape) -> int:
+    """Size of the tensor record write_tensor makes for `shape`."""
+    return len(MAGIC) + 4 + 4 * len(shape) + 4 * math.prod(shape)
+
+
+def _check_manifest(manifest, manifest_path, payload_bytes: int) -> None:
     """Raise UsageError naming the file and key unless the manifest has the
-    structure save_checkpoint writes."""
+    structure save_checkpoint writes: unique names, and records that lie
+    inside the payload file of `payload_bytes` bytes."""
     def bad(what: str):
         return UsageError(f"{manifest_path}: checkpoint manifest {what}")
 
@@ -114,16 +120,24 @@ def _check_manifest(manifest, manifest_path) -> None:
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise bad("key 'tensors' must be a list")
+    first = {}                                   # name -> index of its first entry
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise bad(f"tensors[{i}] must be an object")
         if not isinstance(entry.get("name"), str):
             raise bad(f"tensors[{i}] key 'name' must be a string")
+        j = first.setdefault(entry["name"], i)
+        if j != i:
+            raise bad(f"tensors[{i}] repeats the name {entry['name']!r} of tensors[{j}]")
         shape = entry.get("shape")
         if not isinstance(shape, list) or not all(_count(d) for d in shape):
             raise bad(f"tensors[{i}] key 'shape' must be a list of non-negative integers")
         if not _count(entry.get("offset")):
             raise bad(f"tensors[{i}] key 'offset' must be a non-negative integer")
+        end = entry["offset"] + _record_bytes(shape)
+        if end > payload_bytes:
+            raise bad(f"tensors[{i}] ({entry['name']}) ends at byte {end}, "
+                      f"past the end of the {payload_bytes}-byte payload")
 
 
 def load_checkpoint(path, expected_config: dict | None = None):
@@ -139,7 +153,7 @@ def load_checkpoint(path, expected_config: dict | None = None):
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise UsageError(f"{manifest_path}: corrupt checkpoint manifest: {e}") from e
-    _check_manifest(manifest, manifest_path)
+    _check_manifest(manifest, manifest_path, os.path.getsize(path))
     if expected_config is not None:
         want = config_hash(expected_config)
         got = manifest.get("config_hash")

@@ -12,6 +12,11 @@ fused head:
 
 With delta = 1 the three coefficients sum to 1 at every k, so the loss
 scale stays steady while the mix shifts.
+
+A training step stacks its samples into one [B, C, H, W] batch and records
+one tape; every loss is the mean of the per-sample losses, so the objective
+is the same at any batch size.  Evaluation runs stacked chunks of
+EVAL_BATCH samples.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -31,8 +37,10 @@ from .metrics import confusion_metrics
 from .model import TecNet, TecNetConfig
 
 DICE_EPS = 1.0
+EVAL_BATCH = 8      # samples per stacked forward in evaluation and `tecnet eval`
 LOG_FIELDS = ["step", "epoch", "lambda", "lr",
-              "loss_total", "loss_tec", "loss_cnn", "loss_trans"]
+              "loss_total", "loss_tec", "loss_cnn", "loss_trans",
+              "wall_ms", "samples_per_s", "grad_norm"]
 
 
 def ramp_coefficient(k: float, delta: float = 1.0) -> float:
@@ -49,13 +57,17 @@ def loss_coefficients(k: float, delta: float = 1.0) -> tuple[float, float, float
 
 
 def branch_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """MSE on probabilities plus soft Dice loss, both over [ncls, H, W]."""
+    """MSE on probabilities plus soft Dice loss over [..., H, W] logit maps.
+
+    For a batch [B, ncls, H, W] this is the mean of the B per-sample losses:
+    every sample has as many pixels and as many (sample, class) Dice terms.
+    """
     p = engine.sigmoid(pred)
     diff = p - target
     mse = engine.mean_all(diff * diff)
-    inter = engine.reduce_sum(p * target, axis=(1, 2))
-    psum = engine.reduce_sum(p, axis=(1, 2))
-    tsum = engine.reduce_sum(target, axis=(1, 2))
+    inter = engine.reduce_sum(p * target, axis=(-2, -1))
+    psum = engine.reduce_sum(p, axis=(-2, -1))
+    tsum = engine.reduce_sum(target, axis=(-2, -1))
     dice = (inter * 2.0 + DICE_EPS) / (psum + tsum + DICE_EPS)
     dice_loss = engine.mean_all(1.0 - dice)
     return mse + dice_loss
@@ -185,40 +197,66 @@ class TrainResult:
 
 # ---------------------------------------------------------------- loop
 
-def _forward_loss(model: TecNet, sample, lam: float):
-    target = Tensor(sample.mask)
-    outputs = model.forward(sample.image)
-    return total_loss(outputs, target, lam)
+def stack(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Images [B, C, H, W] and masks [B, ncls, H, W] of same-size samples."""
+    return np.stack([s.image for s in samples]), np.stack([s.mask for s in samples])
 
 
-def predict_probs(model: TecNet, image: np.ndarray) -> dict:
-    """Sigmoid probability maps for all three heads, no tape."""
-    outputs = model.forward(image)
+def _chunks(samples):
+    """Consecutive runs of at most EVAL_BATCH samples."""
+    for i in range(0, len(samples), EVAL_BATCH):
+        yield samples[i:i + EVAL_BATCH]
+
+
+def predict_batch(model: TecNet, images: np.ndarray) -> dict:
+    """Sigmoid probability maps [B, ncls, H, W] for all three heads, no tape."""
+    outputs = model.forward(images)
     return {k: engine.sigmoid(v).data for k, v in outputs.items()}
 
 
-def predict_mask(model: TecNet, image: np.ndarray,
-                 threshold: float = 0.5) -> np.ndarray:
-    """Binary mask [ncls, H, W] from the fused head."""
-    return predict_probs(model, image)["y_tec"] >= threshold
+def predict_probs(model: TecNet, image: np.ndarray) -> dict:
+    """Sigmoid probability maps [ncls, H, W] of one [C, H, W] image, no tape."""
+    return {k: v[0] for k, v in predict_batch(model, np.asarray(image)[None]).items()}
+
+
+def predictions(model: TecNet, samples):
+    """(sample, fused-head probabilities [ncls, H, W]) for each sample, from
+    stacked forwards of EVAL_BATCH images, no tape."""
+    for chunk in _chunks(samples):
+        probs = predict_batch(model, np.stack([s.image for s in chunk]))["y_tec"]
+        yield from zip(chunk, probs)
 
 
 def evaluate_loss(model: TecNet, samples, lam: float) -> float:
     """Mean blended loss over samples with the ramp weight held fixed."""
     total = 0.0
-    for sample in samples:
-        _, parts = _forward_loss(model, sample, lam)
-        total += parts["loss_total"]
+    for chunk in _chunks(samples):
+        images, masks = stack(chunk)
+        _, parts = total_loss(model.forward(images), Tensor(masks), lam)
+        total += parts["loss_total"] * len(chunk)
     return total / len(samples)
 
 
 def evaluate_dice(model: TecNet, samples, threshold: float = 0.5) -> float:
     """Mean hard Dice (0..100) of the fused head over samples."""
-    scores = []
-    for sample in samples:
-        pred = predict_mask(model, sample.image, threshold)
-        scores.append(confusion_metrics(pred[0], sample.mask[0] > 0.5)["DI"])
-    return float(np.mean(scores))
+    return float(np.mean([confusion_metrics(p[0] >= threshold, s.mask[0] > 0.5)["DI"]
+                          for s, p in predictions(model, samples)]))
+
+
+def _learn(model: TecNet, images: np.ndarray, masks: np.ndarray, lam: float) -> dict:
+    """Forward, loss and backward of one batch on one tape; returns the loss parts.
+
+    The tape is freed when this returns and the loss goes out of scope.
+    """
+    with Tape():
+        loss, parts = total_loss(model.forward(images), Tensor(masks), lam)
+    backward(loss)
+    return parts
+
+
+def grad_norm(params) -> float:
+    """Global L2 norm of the parameters' gradients."""
+    return math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params if p.grad is not None))
 
 
 def train(model: TecNet, samples, schedule: TrainSchedule, *,
@@ -273,24 +311,21 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
                     k = epoch / total_epochs
                 lam = ramp_coefficient(k, schedule.delta)
 
-                idx = order[b * batch:(b + 1) * batch]
+                t0 = perf_counter()
+                chunk = [samples[i] for i in order[b * batch:(b + 1) * batch]]
                 optimizer.zero_grad()
-                parts_sum = {f: 0.0 for f in LOG_FIELDS[4:]}
-                for i in idx:
-                    with Tape():
-                        loss, parts = _forward_loss(model, samples[i], lam)
-                        scaled = loss * (1.0 / len(idx))
-                    backward(scaled)
-                    for f in parts_sum:
-                        parts_sum[f] += parts[f] / len(idx)
-                if not all(math.isfinite(v) for v in parts_sum.values()):
+                parts = _learn(model, *stack(chunk), lam)
+                if not all(math.isfinite(v) for v in parts.values()):
                     raise TrainingDiverged(
-                        f"non-finite loss at step {step}: {parts_sum}")
+                        f"non-finite loss at step {step}: {parts}")
+                norm = grad_norm(p for _, p in optimizer.params)
                 optimizer.step()
                 step += 1
+                wall_ms = (perf_counter() - t0) * 1e3
 
-                row = {"step": step, "epoch": epoch,
-                       "lambda": lam, "lr": optimizer.lr, **parts_sum}
+                row = {"step": step, "epoch": epoch, "lambda": lam, "lr": optimizer.lr,
+                       **parts, "wall_ms": wall_ms,
+                       "samples_per_s": len(chunk) / wall_ms * 1e3, "grad_norm": norm}
                 result.history.append(row)
                 if log_writer is not None:
                     log_writer.writerow({k_: (f"{v:.8f}" if isinstance(v, float) else v)

@@ -11,14 +11,18 @@ attention composed from small tape ops, bilinear sampling as a loop over
 points, and its image gradient as bincount scatters.  They perform the
 same float operations in the same order as the fast paths' forwards, so
 forwards compare exactly.
+
+The training reference is the step that one batched tape replaced: a tape
+per sample, each sample's loss scaled by 1/B.
 """
 
 import math
 
 import numpy as np
 
-from tecnet import Tensor
+from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
+from tecnet.training import total_loss
 
 
 def confusion_loop(pred, gt):
@@ -115,3 +119,19 @@ def bilinear_image_grad_bincount(g, ys, xs, shape):
         grad += np.bincount(keys.reshape(-1), weights=(g * (wgt * valid)).reshape(-1),
                             minlength=c * h * w)
     return grad.reshape(c, h, w)
+
+
+def per_sample_step(model, samples, lam):
+    """One training step as a loop over samples: forward, blended loss and
+    backward of each sample on its own tape, the loss scaled by
+    1/len(samples).  Gradients accumulate in the parameters; returns the
+    mean loss parts."""
+    mean = {}
+    for s in samples:
+        with Tape():
+            loss, parts = total_loss(model.forward(s.image[None]), Tensor(s.mask[None]), lam)
+            scaled = loss * (1.0 / len(samples))
+        backward(scaled)
+        for key, value in parts.items():
+            mean[key] = mean.get(key, 0.0) + value / len(samples)
+    return mean

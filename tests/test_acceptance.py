@@ -106,38 +106,38 @@ def test_criterion_01_gradient_fidelity():
             lambda: (E.softmax(sm, axis=-1) * wm).sum() + (E.layernorm(sm, ln_g, ln_b) * wm).sum(),
             [("x", sm), ("g", ln_g), ("b", ln_b)], 1e-4, "softmax_layernorm")
 
-        cx = _leaf(2, 6, 6)
+        cx = _leaf(1, 2, 6, 6)
         cw = _leaf(3, 2, 3, 3, scale=0.5)
         cb = _leaf(3)
-        w_s1 = Tensor(RNG.standard_normal((3, 6, 6)))
-        w_s2 = Tensor(RNG.standard_normal((3, 3, 3)))
+        w_s1 = Tensor(RNG.standard_normal((1, 3, 6, 6)))
+        w_s2 = Tensor(RNG.standard_normal((1, 3, 3, 3)))
         worsts["conv2d"] = _fd(
             lambda: (E.conv2d(cx, cw, cb, padding=1) * w_s1).sum()
             + (E.conv2d(cx, cw, None, stride=2, padding=1) * w_s2).sum(),
             [("x", cx), ("w", cw), ("b", cb)], 1e-4, "conv2d")
 
-        dx = _leaf(3, 5, 5)
+        dx = _leaf(1, 3, 5, 5)
         dw = _leaf(3, 3, 3, scale=0.5)
         db = _leaf(3)
-        wd = Tensor(RNG.standard_normal((3, 5, 5)))
+        wd = Tensor(RNG.standard_normal((1, 3, 5, 5)))
         worsts["depthwise"] = _fd(lambda: (E.depthwise_conv2d(dx, dw, db) * wd).sum(),
                                   [("x", dx), ("w", dw), ("b", db)], 1e-4, "depthwise")
 
-        gx = _leaf(2, 5, 5)
-        gys = Tensor(RNG.uniform(0.2, 3.7, 7) + 0.07, requires_grad=True)
-        gxs = Tensor(RNG.uniform(0.2, 3.7, 7) + 0.13, requires_grad=True)
-        wgt = Tensor(RNG.standard_normal((2, 7)))
+        gx = _leaf(1, 2, 5, 5)
+        gys = Tensor(RNG.uniform(0.2, 3.7, (1, 7)) + 0.07, requires_grad=True)
+        gxs = Tensor(RNG.uniform(0.2, 3.7, (1, 7)) + 0.13, requires_grad=True)
+        wgt = Tensor(RNG.standard_normal((1, 2, 7)))
         worsts["bilinear_gather"] = _fd(
             lambda: (E.bilinear_gather(gx, gys, gxs) * wgt).sum(),
             [("x", gx), ("ys", gys), ("xs", gxs)], 1e-4, "bilinear_gather")
 
-        px = _leaf(3, 4, 4)
+        px = _leaf(1, 3, 4, 4)
         table = _leaf(6, 3)
         idx = np.array([0, 2, 2, 5])
         wt = Tensor(RNG.standard_normal((4, 3)))
-        wu = Tensor(RNG.standard_normal((3, 8, 8)))
+        wu = Tensor(RNG.standard_normal((1, 3, 8, 8)))
         worsts["pool_select_upsample"] = _fd(
-            lambda: (E.global_avg_pool(px) * Tensor([1.0, -2.0, 0.5])).sum()
+            lambda: (E.global_avg_pool(px) * Tensor([[1.0, -2.0, 0.5]])).sum()
             + (E.index_select(table, idx) * wt).sum()
             + (E.upsample_nearest(px, 2) * wu).sum()
             + (E.upsample_bilinear(px, 2) * wu).sum(),
@@ -147,16 +147,16 @@ def test_criterion_01_gradient_fidelity():
         rng_mod = np.random.default_rng(7)
         dd = DDConv(2, 3, n_kernels=2, rng=rng_mod)
         dd.offset_head.bias.data[:] = RNG.uniform(0.2, 0.45, dd.offset_head.bias.size)
-        ddx = _leaf(2, 6, 6)
-        ddw = Tensor(RNG.standard_normal((3, 6, 6)))
+        ddx = _leaf(1, 2, 6, 6)
+        ddw = Tensor(RNG.standard_normal((1, 3, 6, 6)))
         worsts["ddconv"] = _fd(lambda: (dd(ddx) * ddw).sum(),
                                list(dd.named_parameters()) + [("x", ddx)],
                                1e-4, "ddconv", max_coords=6)
 
         for shifted in (False, True):
             acam = ACAM(8, 2, heads=1, shifted=shifted, rng=np.random.default_rng(8))
-            ax = _leaf(8, 4, 4)
-            aw = Tensor(RNG.standard_normal((8, 4, 4)))
+            ax = _leaf(1, 4, 4, 8)
+            aw = Tensor(RNG.standard_normal((1, 4, 4, 8)))
             worsts[f"acam_shifted={shifted}"] = _fd(
                 lambda: (acam(ax) * aw).sum(),
                 list(acam.named_parameters()) + [("x", ax)],
@@ -166,7 +166,7 @@ def test_criterion_01_gradient_fidelity():
         lpm.out.weight.data[:] = 0.1 * RNG.standard_normal(lpm.out.weight.shape)
         lt = _leaf(16, 8)
         lw = Tensor(RNG.standard_normal((16, 8)))
-        worsts["lpm"] = _fd(lambda: (lpm(lt.reshape(4, 4, 8)).reshape(16, 8) * lw).sum(),
+        worsts["lpm"] = _fd(lambda: (lpm(lt.reshape(1, 4, 4, 8)).reshape(16, 8) * lw).sum(),
                             list(lpm.named_parameters()) + [("t", lt)],
                             1e-4, "lpm", max_coords=5)
 
@@ -176,7 +176,7 @@ def test_criterion_01_gradient_fidelity():
                 prm.data[:] = 0.05 * RNG.standard_normal(prm.shape)
         bt = _leaf(16, 8)
         bw = Tensor(RNG.standard_normal((16, 8)))
-        worsts["trans_stage"] = _fd(lambda: (stage(bt.reshape(4, 4, 8)).reshape(16, 8) * bw).sum(),
+        worsts["trans_stage"] = _fd(lambda: (stage(bt.reshape(1, 4, 4, 8)).reshape(16, 8) * bw).sum(),
                                     list(stage.named_parameters()) + [("t", bt)],
                                     1e-4, "trans_stage", max_coords=3)
 
@@ -192,11 +192,11 @@ def test_criterion_01_gradient_fidelity():
             elif prm.ndim >= 2 and np.all(prm.data == 0):
                 prm.data[:] = 0.02 * gen.standard_normal(prm.shape)
         sample = make_dataset(SynthSpec(seed=7, count=1, size=64))[0]
-        target = Tensor(sample.mask)
+        target = Tensor(sample.mask[None])
         lam = ramp_coefficient(0.5)
 
         def loss_fn():
-            return total_loss(model.forward(sample.image), target, lam)[0]
+            return total_loss(model.forward(sample.image[None]), target, lam)[0]
 
         worsts["full_model"] = _fd(loss_fn, list(model.named_parameters()),
                                    1e-3, "full model", max_coords=1)
@@ -218,7 +218,7 @@ def test_criterion_02_ddconv_degeneracy():
         c_out = shapes[(trial + 1) % len(shapes)][0]
         layer = DDConv(c, c_out, k=3, n_kernels=1,
                        rng=np.random.default_rng(trial))
-        x = Tensor(RNG.standard_normal((c, h, w)))
+        x = Tensor(RNG.standard_normal((1, c, h, w)))
         got = layer(x).data
         want = E.conv2d(x, Tensor(layer.kernels.data[0]), layer.bias,
                         padding=1).data
@@ -232,9 +232,9 @@ def test_criterion_03_window_machinery():
     in {8,16,28}^2 x {4,7}; masked attention mass < 1e-8 per shifted window."""
     for hw in (8, 16, 28):
         for m in (4, 7):
-            x = Tensor(RNG.standard_normal((8, hw, hw)))
+            x = Tensor(RNG.standard_normal((1, 8, hw, hw)))
             xp, _ = pad_to_window(x, m)
-            hp, wp = xp.shape[1], xp.shape[2]
+            hp, wp = xp.shape[2], xp.shape[3]
             back = crop_to(window_reverse(window_partition(xp, m), m, hp, wp),
                            hw, hw)
             assert np.array_equal(back.data, x.data), f"partition {hw}x{hw} M={m}"
@@ -246,7 +246,7 @@ def test_criterion_03_window_machinery():
             layer = ACAM(8, m, heads=1, shifted=True,
                          rng=np.random.default_rng(hw * m))
             collect = {}
-            layer(x, collect=collect)
+            layer(x.permute(0, 2, 3, 1), collect=collect)
             attn = collect["spatial"]
             mask = shift_mask(hp, wp, m, s)
             blocked = mask < 0

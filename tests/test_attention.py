@@ -24,14 +24,15 @@ RNG = np.random.default_rng(99)
 @pytest.mark.parametrize("hw", [8, 16, 28])
 @pytest.mark.parametrize("m", [4, 7])
 def test_partition_reverse_roundtrip(hw, m):
-    """Partition and reverse invert each other exactly, padding included."""
-    x = Tensor(RNG.standard_normal((3, hw, hw)))
+    """Partition and reverse invert each other exactly, padding included;
+    the windows of both images share one window axis."""
+    x = Tensor(RNG.standard_normal((2, 3, hw, hw)))
     xp, (h0, w0) = pad_to_window(x, m)
     assert (h0, w0) == (hw, hw)
-    hp, wp = xp.shape[1], xp.shape[2]
+    hp, wp = xp.shape[2], xp.shape[3]
     assert hp % m == 0 and wp % m == 0
     windows = window_partition(xp, m)
-    assert windows.shape == ((hp // m) * (wp // m), 3, m, m)
+    assert windows.shape == (2 * (hp // m) * (wp // m), 3, m, m)
     back = crop_to(window_reverse(windows, m, hp, wp), hw, hw)
     assert np.array_equal(back.data, x.data)
 
@@ -46,12 +47,14 @@ def test_cyclic_shift_roundtrip(hw, m):
 
 
 def test_partition_layout_is_row_major_windows():
-    # 1 channel, 4x4 grid, window 2: window 0 must be the top-left block
-    x = Tensor(np.arange(16.0).reshape(1, 4, 4))
+    # 2 images, 1 channel, 4x4 grid, window 2: window 0 must be the first
+    # image's top-left block, and the second image's windows follow the first's
+    x = Tensor(np.arange(32.0).reshape(2, 1, 4, 4))
     w = window_partition(x, 2)
     np.testing.assert_array_equal(w.data[0, 0], [[0, 1], [4, 5]])
     np.testing.assert_array_equal(w.data[1, 0], [[2, 3], [6, 7]])
     np.testing.assert_array_equal(w.data[2, 0], [[8, 9], [12, 13]])
+    np.testing.assert_array_equal(w.data[4, 0], [[16, 17], [20, 21]])
 
 
 # -------------------------------------------------------------------- masks
@@ -95,9 +98,9 @@ def _acam(c=16, m=4, heads=1, shifted=False, shared_kv=False):
 
 def test_output_shape_and_identity_at_init():
     layer = _acam()
-    x = Tensor(RNG.standard_normal((16, 8, 8)))
+    x = Tensor(RNG.standard_normal((2, 8, 8, 16)))
     out = layer(x)
-    assert out.shape == (16, 8, 8)
+    assert out.shape == (2, 8, 8, 16)
     # zero-initialized output projections make the module vanish at init
     assert np.max(np.abs(out.data)) == 0.0
 
@@ -105,7 +108,7 @@ def test_output_shape_and_identity_at_init():
 def test_padded_extents_roundtrip():
     """Extents that are not window multiples are zero-padded bottom/right
     and cropped back: the output equals running on the padded map."""
-    x = Tensor(RNG.standard_normal((16, 6, 7)))  # not window multiples
+    x = Tensor(RNG.standard_normal((2, 6, 7, 16)))  # not window multiples
     wake = np.random.default_rng(12)
     for shifted in (False, True):
         same = windowed(x, 4, 2 if shifted else 0, {}, lambda wins, mask: wins)
@@ -121,14 +124,14 @@ def test_padded_extents_roundtrip():
                 if not p.data.any():
                     p.data[:] = 0.05 * wake.standard_normal(p.shape)
             y = layer(x)
-            assert y.shape == (16, 6, 7), name
-            full = layer(E.pad2d(x, 0, 2, 0, 1))
+            assert y.shape == (2, 6, 7, 16), name
+            full = layer(Tensor(np.pad(x.data, ((0, 0), (0, 2), (0, 1), (0, 0)))))
             assert np.array_equal(y.data, full.data[:, :6, :7]), f"{name} shifted={shifted}"
 
 
 def test_four_branches_collected():
     layer = _acam(heads=2)
-    x = Tensor(RNG.standard_normal((16, 8, 8)))
+    x = Tensor(RNG.standard_normal((1, 8, 8, 16)))
     collect = {}
     layer(x, collect=collect)
     assert set(collect) >= {"spatial", "channel", "cross_h", "cross_w"}
@@ -144,13 +147,15 @@ def test_four_branches_collected():
 def test_masked_pairs_get_no_attention():
     c, m = 16, 4
     layer = _acam(c=c, m=m, shifted=True)
-    x = Tensor(RNG.standard_normal((c, 8, 8)))
+    x = Tensor(RNG.standard_normal((2, 8, 8, c)))
     collect = {}
     layer(x, collect=collect)
-    attn = collect["spatial"]  # [nw, heads, M*M, M*M]
+    attn = collect["spatial"]  # [B*nw, heads, M*M, M*M]
     mask = shift_mask(8, 8, m, m // 2)
     blocked = mask < 0
-    mass = sum(attn[w][:, blocked[w]].sum() for w in range(attn.shape[0]))
+    nw = mask.shape[0]
+    assert attn.shape[0] == 2 * nw
+    mass = sum(attn[w][:, blocked[w % nw]].sum() for w in range(attn.shape[0]))
     assert mass < 1e-8
 
 
@@ -161,7 +166,19 @@ def test_masked_pairs_get_no_attention():
 def test_fused_attention_matches_composed_chain(heads, bias_shape, masked, shared_qk):
     """engine.attention equals the composed op chain it replaced: the forward
     exactly, the input and bias gradients to 1e-12 relative."""
-    nw, t, d, dv = 4, 16, 4, 6
+    _compare_fused_with_chain(heads, bias_shape, masked, shared_qk, images=1)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_fused_attention_broadcasts_the_mask_over_images(heads):
+    """Three images' windows on one axis take the one-image [4, T, T] shift
+    mask, and match the chain given the mask tiled three times."""
+    _compare_fused_with_chain(heads, "heads,T,T", True, False, images=3)
+
+
+def _compare_fused_with_chain(heads, bias_shape, masked, shared_qk, images):
+    t, d, dv = 16, 4, 6
+    nw = 4 * images
     rng = np.random.default_rng(17)
     q = Tensor(rng.standard_normal((nw, t, d)), requires_grad=True)
     k = q if shared_qk else Tensor(rng.standard_normal((nw, t, d)), requires_grad=True)
@@ -176,11 +193,12 @@ def test_fused_attention_matches_composed_chain(heads, bias_shape, masked, share
     weight = Tensor(rng.standard_normal((nw, t, dv)))
 
     runs = []
-    for fn in (E.attention, attention_reference):
+    for fn, fn_mask in ((E.attention, mask),
+                        (attention_reference, None if mask is None else np.tile(mask, (images, 1, 1)))):
         for p in leaves:
             p.zero_grad()
         with Tape():
-            out = fn(q, k, v, heads=heads, bias=bias, mask=mask)
+            out = fn(q, k, v, heads=heads, bias=bias, mask=fn_mask)
             loss = (out * weight).sum()
         backward(loss)
         runs.append((out.data, [p.grad.copy() for p in leaves]))
@@ -188,6 +206,25 @@ def test_fused_attention_matches_composed_chain(heads, bias_shape, masked, share
     assert np.array_equal(fast, slow)
     for got, want in zip(fast_grads, slow_grads):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["acam", "acam_shared", "wmsa"])
+def test_batch_equals_images_one_at_a_time(kind):
+    """Windows of a batch are attended image by image: shifted windows on a
+    padded 6x7 map give each image what it gets alone, to 1e-12."""
+    wake = np.random.default_rng(14)
+    if kind == "wmsa":
+        layer = WindowAttention(16, 4, heads=2, shifted=True, rng=np.random.default_rng(5))
+    else:
+        layer = _acam(m=4, shifted=True, shared_kv=kind == "acam_shared")
+    for _, p in layer.named_parameters():
+        if not p.data.any():
+            p.data[:] = 0.05 * wake.standard_normal(p.shape)
+    x = Tensor(RNG.standard_normal((3, 6, 7, 16)))
+    batch = layer(x).data
+    for i in range(3):
+        alone = layer(Tensor(x.data[i:i + 1])).data
+        np.testing.assert_allclose(batch[i:i + 1], alone, rtol=0, atol=1e-12)
 
 
 def test_fusion_weights_start_at_quarter_each():
@@ -198,8 +235,8 @@ def test_fusion_weights_start_at_quarter_each():
 
 def test_gradients_unshifted():
     layer = _acam(c=8, m=2, heads=1)
-    x = Tensor(RNG.standard_normal((8, 4, 4)), requires_grad=True)
-    w = Tensor(RNG.standard_normal((8, 4, 4)))
+    x = Tensor(RNG.standard_normal((2, 4, 4, 8)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((2, 4, 4, 8)))
     params = list(layer.named_parameters()) + [("x", x)]
     rows = check_gradients(lambda: (layer(x) * w).sum(), params,
                            max_coords=4, rng=np.random.default_rng(2))
@@ -210,8 +247,8 @@ def test_gradients_shifted_and_shared():
     for shared in (False, True):
         layer = ACAM(8, 2, heads=1, shifted=True, shared_kv=shared,
                      rng=np.random.default_rng(6))
-        x = Tensor(RNG.standard_normal((8, 4, 4)), requires_grad=True)
-        w = Tensor(RNG.standard_normal((8, 4, 4)))
+        x = Tensor(RNG.standard_normal((1, 4, 4, 8)), requires_grad=True)
+        w = Tensor(RNG.standard_normal((1, 4, 4, 8)))
         params = list(layer.named_parameters()) + [("x", x)]
         rows = check_gradients(lambda: (layer(x) * w).sum(), params,
                                max_coords=3, rng=np.random.default_rng(3))
@@ -221,8 +258,8 @@ def test_gradients_shifted_and_shared():
     rng = np.random.default_rng(13)
     layer = WindowAttention(8, 2, heads=2, shifted=True, rng=np.random.default_rng(6))
     layer.out.weight.data[:] = 0.1 * rng.standard_normal(layer.out.weight.shape)
-    x = Tensor(rng.standard_normal((8, 3, 5)), requires_grad=True)
-    w = Tensor(rng.standard_normal((8, 3, 5)))
+    x = Tensor(rng.standard_normal((2, 3, 5, 8)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 3, 5, 8)))
     params = list(layer.named_parameters()) + [("x", x)]
     rows = check_gradients(lambda: (layer(x) * w).sum(), params,
                            max_coords=3, rng=np.random.default_rng(3))
@@ -237,10 +274,10 @@ def test_rejects_incompatible_heads():
 def test_plain_window_attention_runs_and_masks():
     layer = WindowAttention(8, 4, heads=2, shifted=True,
                             rng=np.random.default_rng(7))
-    x = Tensor(RNG.standard_normal((8, 8, 8)))
+    x = Tensor(RNG.standard_normal((1, 8, 8, 8)))
     collect = {}
     out = layer(x, collect=collect)
-    assert out.shape == (8, 8, 8)
+    assert out.shape == (1, 8, 8, 8)
     attn = collect["spatial"]
     mask = shift_mask(8, 8, 4, 2)
     blocked = mask < 0
@@ -303,13 +340,13 @@ def test_shared_kv_projection_budget():
 
 
 def test_shared_and_separate_modes_differ_in_value():
-    x = Tensor(RNG.standard_normal((16, 8, 8)))
+    x = Tensor(RNG.standard_normal((1, 8, 8, 16)))
     a = ACAM(16, 4, heads=1, shifted=False, shared_kv=False,
              rng=np.random.default_rng(11))
     b = ACAM(16, 4, heads=1, shifted=False, shared_kv=True,
              rng=np.random.default_rng(11))
     # different parameterizations, independently sane shapes
-    assert a(x).shape == b(x).shape == (16, 8, 8)
+    assert a(x).shape == b(x).shape == (1, 8, 8, 16)
     na = sum(p.size for _, p in a.named_parameters())
     nb = sum(p.size for _, p in b.named_parameters())
     assert nb < na  # sharing K/V embeddings saves parameters

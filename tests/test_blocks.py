@@ -1,4 +1,4 @@
-"""Transformer blocks, the ghost-feature MLP, and the channels-last layout."""
+"""Transformer blocks, the ghost-feature MLP, and the channels-last [B, h, w, C] layout."""
 
 import numpy as np
 import pytest
@@ -23,39 +23,44 @@ def _affine(layer, v: np.ndarray) -> np.ndarray:
 def test_patch_embed_puts_patch_ij_at_ij():
     embed = PatchEmbed(2, 4, 8, rng=np.random.default_rng(0))
     embed.proj.bias.data[:] = RNG.standard_normal(8)
-    image = RNG.standard_normal((2, 12, 8))
+    image = RNG.standard_normal((2, 2, 12, 8))
     out = embed(Tensor(image)).data
-    assert out.shape == (3, 2, 8)
-    for i in range(3):
-        for j in range(2):
-            patch = image[:, 4 * i:4 * i + 4, 4 * j:4 * j + 4].reshape(-1)
-            np.testing.assert_allclose(out[i, j], _affine(embed.proj, patch), rtol=1e-12)
+    assert out.shape == (2, 3, 2, 8)
+    for b in range(2):
+        for i in range(3):
+            for j in range(2):
+                patch = image[b, :, 4 * i:4 * i + 4, 4 * j:4 * j + 4].reshape(-1)
+                np.testing.assert_allclose(out[b, i, j], _affine(embed.proj, patch), rtol=1e-12)
 
 
 def test_patch_merge_reduces_2x2_group_in_row_major_order():
     merge = PatchMerge(3, rng=np.random.default_rng(1))
     merge.reduce.bias.data[:] = RNG.standard_normal(6)
-    x = RNG.standard_normal((4, 6, 3))
+    x = RNG.standard_normal((2, 4, 6, 3))
     out = merge(Tensor(x)).data
-    assert out.shape == (2, 3, 6)
-    for i in range(2):
-        for j in range(3):
-            group = np.concatenate([x[2 * i + a, 2 * j + b] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))])
-            np.testing.assert_allclose(out[i, j], _affine(merge.reduce, group), rtol=1e-12)
+    assert out.shape == (2, 2, 3, 6)
+    for n in range(2):
+        for i in range(2):
+            for j in range(3):
+                group = np.concatenate([x[n, 2 * i + a, 2 * j + b]
+                                        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))])
+                np.testing.assert_allclose(out[n, i, j], _affine(merge.reduce, group), rtol=1e-12)
 
 
 def test_patch_expand_puts_child_ab_at_2i_plus_a_2j_plus_b():
     expand = PatchExpand(4, rng=np.random.default_rng(2))
     expand.grow.bias.data[:] = RNG.standard_normal(8)
-    x = RNG.standard_normal((2, 3, 4))
+    x = RNG.standard_normal((2, 2, 3, 4))
     out = expand(Tensor(x)).data
-    assert out.shape == (4, 6, 2)
-    for i in range(2):
-        for j in range(3):
-            children = _affine(expand.grow, x[i, j]).reshape(2, 2, 2)   # [a, b, C/2]
-            for a in range(2):
-                for b in range(2):
-                    np.testing.assert_allclose(out[2 * i + a, 2 * j + b], children[a, b], rtol=1e-12)
+    assert out.shape == (2, 4, 6, 2)
+    for n in range(2):
+        for i in range(2):
+            for j in range(3):
+                children = _affine(expand.grow, x[n, i, j]).reshape(2, 2, 2)   # [a, b, C/2]
+                for a in range(2):
+                    for b in range(2):
+                        np.testing.assert_allclose(out[n, 2 * i + a, 2 * j + b], children[a, b],
+                                                   rtol=1e-12)
 
 
 # ---------------------------------------------------------------------- LPM
@@ -89,7 +94,7 @@ def test_lpm_cheaper_than_plain_mlp_at_model_widths(d):
 
 def test_lpm_identity_at_init():
     lpm = LPM(8, rng=np.random.default_rng(2))
-    t = Tensor(RNG.standard_normal((4, 4, 8)))
+    t = Tensor(RNG.standard_normal((2, 4, 4, 8)))
     out = lpm(t)
     assert np.max(np.abs(out.data)) == 0.0  # zero-init out projection
 
@@ -98,8 +103,8 @@ def test_lpm_gradients():
     lpm = LPM(8, rng=np.random.default_rng(3))
     # break the zero init so gradients flow through every path
     lpm.out.weight.data[:] = 0.1 * RNG.standard_normal(lpm.out.weight.shape)
-    t = Tensor(RNG.standard_normal((4, 4, 8)), requires_grad=True)
-    w = Tensor(RNG.standard_normal((4, 4, 8)))
+    t = Tensor(RNG.standard_normal((2, 4, 4, 8)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((2, 4, 4, 8)))
     params = list(lpm.named_parameters()) + [("t", t)]
     rows = check_gradients(lambda: (lpm(t) * w).sum(), params,
                            max_coords=5, rng=np.random.default_rng(0))
@@ -116,7 +121,7 @@ def _block(c=8, m=2, shifted=False, **kw):
 def test_block_is_identity_at_init():
     """Zero-init output projections make a fresh block the identity map."""
     block = _block()
-    t = Tensor(RNG.standard_normal((4, 4, 8)))
+    t = Tensor(RNG.standard_normal((2, 4, 4, 8)))
     out = block(t)
     assert np.max(np.abs(out.data - t.data)) == 0.0
 
@@ -125,8 +130,8 @@ def test_block_pair_applies_both_arrangements():
     pair = TransStage(8, 2, 2, 1, True, True, False, rng=np.random.default_rng(5))
     assert pair.blocks[0].attn.shifted is False
     assert pair.blocks[1].attn.shifted is True
-    t = Tensor(RNG.standard_normal((4, 4, 8)))
-    assert pair(t).shape == (4, 4, 8)
+    t = Tensor(RNG.standard_normal((2, 4, 4, 8)))
+    assert pair(t).shape == (2, 4, 4, 8)
 
 
 def test_block_gradients():
@@ -135,8 +140,8 @@ def test_block_gradients():
     for name, p in block.named_parameters():
         if p.data.size and np.all(p.data == 0) and "bias" not in name:
             p.data[:] = 0.05 * RNG.standard_normal(p.shape)
-    t = Tensor(RNG.standard_normal((4, 4, 8)), requires_grad=True)
-    w = Tensor(RNG.standard_normal((4, 4, 8)))
+    t = Tensor(RNG.standard_normal((2, 4, 4, 8)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((2, 4, 4, 8)))
     params = list(block.named_parameters()) + [("t", t)]
     rows = check_gradients(lambda: (block(t) * w).sum(), params,
                            max_coords=3, rng=np.random.default_rng(1))
@@ -145,7 +150,7 @@ def test_block_gradients():
 
 def test_block_without_optional_parts():
     plain = _block(use_acam=False, use_lpm=False)
-    t = Tensor(RNG.standard_normal((4, 4, 8)))
-    assert plain(t).shape == (4, 4, 8)
+    t = Tensor(RNG.standard_normal((2, 4, 4, 8)))
+    assert plain(t).shape == (2, 4, 4, 8)
     names = [n for n, _ in plain.named_parameters()]
     assert not any("lambda" in n for n in names)

@@ -9,7 +9,8 @@ import pytest
 
 from tecnet.attention import ACAM, WindowAttention, count_actual_macs
 from tecnet.cli import main
-from tecnet.model import N_STAGES, TecNet, count_flops, count_params, nano_config
+from tecnet.model import (N_STAGES, TecNet, attention_rows, count_flops,
+                          count_params, nano_config)
 from tecnet.synth import read_pgm, write_pgm
 from tecnet.tensorio import load_checkpoint
 
@@ -92,7 +93,7 @@ def test_eval_rejects_mismatched_config(workdir, capsys, tmp_path):
     assert "hash" in capsys.readouterr().err
 
 
-def _damage_manifest(kind: str, manifest: dict):
+def _damage_manifest(kind: str, manifest: dict, payload_bytes: int):
     """A structurally broken variant of a saved checkpoint's manifest."""
     entry = manifest["tensors"][0]
     if kind == "not_object":
@@ -111,13 +112,23 @@ def _damage_manifest(kind: str, manifest: dict):
         entry["shape"] = [str(d) for d in entry["shape"]]
     elif kind == "negative_offset":
         entry["offset"] = -4
+    elif kind == "offset_past_end":
+        manifest["tensors"][-1]["offset"] = payload_bytes + 4
+    elif kind == "duplicate_name":
+        # the name again, on another record of the same shape: it would load silently
+        twin = next(e for e in manifest["tensors"][1:] if e["shape"] == entry["shape"])
+        manifest["tensors"].append({**twin, "name": entry["name"]})
     return manifest
+
+
+# what the error must say beyond the file name, where a case has a message of its own
+DAMAGE_REASONS = {"offset_past_end": "past the end", "duplicate_name": "repeats the name"}
 
 
 @pytest.mark.parametrize("damage", [
     "record_header", "manifest", "not_object", "empty_object", "no_config",
     "config_not_object", "tensors_not_list", "entry_without_shape", "shape_not_ints",
-    "negative_offset"])
+    "negative_offset", "offset_past_end", "duplicate_name"])
 def test_eval_rejects_corrupt_checkpoint(workdir, capsys, tmp_path, damage):
     ckpt = tmp_path / "checkpoint.tect"
     manifest = tmp_path / "checkpoint.tect.json"
@@ -128,20 +139,20 @@ def test_eval_rejects_corrupt_checkpoint(workdir, capsys, tmp_path, damage):
     elif damage == "manifest":
         text = text[: len(text) // 2]
     else:
-        text = json.dumps(_damage_manifest(damage, json.loads(text)))
+        text = json.dumps(_damage_manifest(damage, json.loads(text), len(blob)))
     ckpt.write_bytes(blob)
     manifest.write_text(text)
     rc = main(["eval", "--checkpoint", str(ckpt), "--config", str(workdir["config"]),
                "--data", str(workdir["data"]), "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error:" in err and str(ckpt) in err
+    assert "error:" in err and str(ckpt) in err and DAMAGE_REASONS.get(damage, "") in err
     # dump-features reads the checkpoint without a config to check it against
     rc = main(["dump-features", "--checkpoint", str(ckpt), "--data", str(workdir["data"]),
                "--out", str(tmp_path / "f")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error:" in err and str(ckpt) in err
+    assert "error:" in err and str(ckpt) in err and DAMAGE_REASONS.get(damage, "") in err
 
 
 @pytest.mark.parametrize("mismatch", ["mask", "image"])
@@ -244,6 +255,21 @@ def test_analyze_mac_report(tmp_path, capsys, size):
         layer_rows = count_actual_macs(model.trans_stages[i].blocks[0].attn, g, g)
         want.append(next(r["actual_macs"] for r in layer_rows if r["branch"] == "total"))
     assert totals == want
+
+
+@pytest.mark.parametrize("size", [None, 128], ids=["native", "128"])
+def test_analyze_attention_table_prints_actual_cost(capsys, size):
+    """The attention table's last column is the total MAC row of the layer
+    the config runs, the one count_flops adds up."""
+    argv = ["analyze", "--preset", "nano"]
+    if size is not None:
+        argv += ["--input-size", str(size)]
+    assert main(argv) == 0
+    cfg = nano_config() if size is None else nano_config(input_size=size)
+    lines = capsys.readouterr().out.split("attention cost per stage")[1].splitlines()
+    assert lines[1].split()[-1] == "actual"
+    actual = [int(line.split()[-1].replace(",", "")) for line in lines[2:2 + N_STAGES]]
+    assert actual == [attention_rows(cfg, i)[-1]["actual_macs"] for i in range(N_STAGES)]
 
 
 @pytest.mark.parametrize("size", ["72", "0"])

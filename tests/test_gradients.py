@@ -131,51 +131,51 @@ def test_attention():
 
 
 def test_conv2d_variants():
-    x = leaf(2, 6, 6)
+    x = leaf(2, 2, 6, 6)
     w = leaf(3, 2, 3, 3, scale=0.5)
     b = leaf(3)
-    wt = Tensor(RNG.standard_normal((3, 6, 6)))
+    wt = Tensor(RNG.standard_normal((2, 3, 6, 6)))
     run(lambda: (E.conv2d(x, w, b, stride=1, padding=1) * wt).sum(), x, w, b)
-    wt2 = Tensor(RNG.standard_normal((3, 3, 3)))
+    wt2 = Tensor(RNG.standard_normal((2, 3, 3, 3)))
     run(lambda: (E.conv2d(x, w, b, stride=2, padding=1) * wt2).sum(), x, w, b)
-    wt3 = Tensor(RNG.standard_normal((3, 4, 4)))
+    wt3 = Tensor(RNG.standard_normal((2, 3, 4, 4)))
     run(lambda: (E.conv2d(x, w, None, stride=1, padding=0) * wt3).sum(), x, w)
 
 
 def test_depthwise_conv2d():
-    x = leaf(3, 5, 5)
+    x = leaf(2, 3, 5, 5)
     w = leaf(3, 3, 3, scale=0.5)
     b = leaf(3)
-    wt = Tensor(RNG.standard_normal((3, 5, 5)))
+    wt = Tensor(RNG.standard_normal((2, 3, 5, 5)))
     run(lambda: (E.depthwise_conv2d(x, w, b) * wt).sum(), x, w, b)
 
 
 def test_bilinear_gather():
-    x = leaf(2, 5, 5)
+    x = leaf(2, 2, 5, 5)
     # keep sample points clear of integer lattice lines, where the
     # interpolant has kinks and central differences straddle them
-    ys = Tensor(RNG.uniform(0.3, 3.6, 7) + 0.07, requires_grad=True)
-    xs = Tensor(RNG.uniform(0.3, 3.6, 7) + 0.13, requires_grad=True)
-    w = Tensor(RNG.standard_normal((2, 7)))
+    ys = Tensor(RNG.uniform(0.3, 3.6, (2, 7)) + 0.07, requires_grad=True)
+    xs = Tensor(RNG.uniform(0.3, 3.6, (2, 7)) + 0.13, requires_grad=True)
+    w = Tensor(RNG.standard_normal((2, 2, 7)))
     run(lambda: (E.bilinear_gather(x, ys, xs) * w).sum(), x, ys, xs)
 
 
 def test_bilinear_gather_out_of_canvas():
-    x = leaf(1, 4, 4)
-    ys = Tensor([-2.3, 1.4, 5.7], requires_grad=True)  # two points outside
-    xs = Tensor([0.6, 1.8, 9.2], requires_grad=True)
-    w = Tensor(RNG.standard_normal((1, 3)))
+    x = leaf(1, 1, 4, 4)
+    ys = Tensor([[-2.3, 1.4, 5.7]], requires_grad=True)  # two points outside
+    xs = Tensor([[0.6, 1.8, 9.2]], requires_grad=True)
+    w = Tensor(RNG.standard_normal((1, 1, 3)))
     run(lambda: (E.bilinear_gather(x, ys, xs) * w).sum(), x, ys, xs)
 
 
 def test_pool_select_upsample():
-    x = leaf(3, 4, 4)
-    run(lambda: (E.global_avg_pool(x) * Tensor([1.0, -2.0, 0.5])).sum(), x)
+    x = leaf(2, 3, 4, 4)
+    run(lambda: (E.global_avg_pool(x) * Tensor([[1.0, -2.0, 0.5], [0.3, 1.0, -0.7]])).sum(), x)
     table = leaf(6, 3)
     idx = np.array([0, 2, 2, 5])
     w = Tensor(RNG.standard_normal((4, 3)))
     run(lambda: (E.index_select(table, idx) * w).sum(), table)
-    w2 = Tensor(RNG.standard_normal((3, 8, 8)))
+    w2 = Tensor(RNG.standard_normal((2, 3, 8, 8)))
     run(lambda: (E.upsample_nearest(x, 2) * w2).sum(), x)
     run(lambda: (E.upsample_bilinear(x, 2) * w2).sum(), x)
 
@@ -203,42 +203,42 @@ def test_gelu_known_values():
 
 
 def test_conv2d_against_loop():
-    x = Tensor(RNG.standard_normal((2, 5, 5)))
+    x = Tensor(RNG.standard_normal((2, 2, 5, 5)))
     w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
     b = Tensor(RNG.standard_normal(3))
     got = E.conv2d(x, w, b, stride=2, padding=1).data
 
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
     want = np.empty_like(got)
-    for o in range(3):
-        for i in range(got.shape[1]):
-            for j in range(got.shape[2]):
-                acc = b.data[o]
-                for c in range(2):
-                    for u in range(3):
-                        for v in range(3):
-                            acc += w.data[o, c, u, v] * xp[c, 2 * i + u, 2 * j + v]
-                want[o, i, j] = acc
+    for n, o, i, j in np.ndindex(got.shape):
+        acc = b.data[o]
+        for c in range(2):
+            for u in range(3):
+                for v in range(3):
+                    acc += w.data[o, c, u, v] * xp[n, c, 2 * i + u, 2 * j + v]
+        want[n, o, i, j] = acc
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_bilinear_gather_against_loop():
     """The sparse-matrix sampler equals a per-point loop exactly, including
     points off the canvas, on integer coordinates and on the last row and
-    column; its image gradient equals the bincount scatter to 1e-12."""
+    column; its image gradient equals the bincount scatter to 1e-12.  Row b
+    of the coordinates samples image b."""
     h, w = 5, 6
-    x = Tensor(RNG.standard_normal((3, h, w)), requires_grad=True)
+    x = Tensor(RNG.standard_normal((2, 3, h, w)), requires_grad=True)
     ys = np.array([[-2.3, -0.5, -1.0, 0.0, 2.0, 4.0, 4.0],
                    [4.5, 3.25, 5.0, 1.7, 9.0, 0.4, 2.5]])
     xs = np.array([[1.5, 0.25, 3.0, 0.0, 5.0, 2.0, 5.0],
                    [2.5, 5.5, 1.0, -0.6, 1.0, 6.0, 4.75]])
-    g = RNG.standard_normal((3,) + ys.shape)
+    g = RNG.standard_normal((2, 3, 7))
     with Tape():
         out = E.bilinear_gather(x, ys, xs)
         loss = (out * Tensor(g)).sum()
     backward(loss)
-    assert np.array_equal(out.data, bilinear_gather_loop(x.data, ys, xs))
-    want = bilinear_image_grad_bincount(g, ys, xs, x.shape)
+    assert np.array_equal(out.data, [bilinear_gather_loop(x.data[b], ys[b], xs[b]) for b in range(2)])
+    want = np.stack([bilinear_image_grad_bincount(g[b], ys[b], xs[b], x.shape[1:])
+                     for b in range(2)])
     assert np.max(np.abs(x.grad - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -57,8 +57,8 @@ def test_config_rejects_bad_geometry():
         nano_config(input_size=24)           # stage-0 grid not divisible by 8
     # 32 px is the smallest square input: grid 8 halves down to 1x1 and back
     cfg = nano_config(input_size=32)
-    out = TecNet(cfg, seed=0).forward(RNG.random((1, 32, 32)))
-    assert out["y_tec"].shape == (1, 32, 32)
+    out = TecNet(cfg, seed=0).forward(RNG.random((1, 1, 32, 32)))
+    assert out["y_tec"].shape == (1, 1, 32, 32)
 
 
 @pytest.mark.parametrize("field", ["window", "base_width"])
@@ -80,22 +80,39 @@ def test_config_rejects_head_width_mismatch():
 def test_forward_output_contract():
     cfg = nano_config()
     model = TecNet(cfg, seed=0)
-    x = RNG.random((1, 64, 64))
+    x = RNG.random((2, 1, 64, 64))
     out = model.forward(x)
     assert set(out) == {"y_cnn", "y_trans", "y_tec"}
     for v in out.values():
-        assert v.shape == (1, 64, 64)
+        assert v.shape == (2, 1, 64, 64)
         assert np.all(np.isfinite(v.data))
 
 
 def test_forward_rejects_wrong_size():
     model = TecNet(nano_config(), seed=0)
     with pytest.raises(UsageError):
-        model.forward(RNG.random((1, 32, 32)))
+        model.forward(RNG.random((1, 1, 32, 32)))
+    with pytest.raises(UsageError):   # one image needs its batch axis
+        model.forward(RNG.random((1, 64, 64)))
+
+
+def test_batch_forward_equals_images_one_at_a_time():
+    """Every head of a batch of three gives each image what it gets alone,
+    to float32 rounding."""
+    model = TecNet(nano_config(), seed=0)
+    perturb = np.random.default_rng(3)
+    for _, p in model.named_parameters():   # wake the zero-initialised maps
+        p.data += 0.05 * perturb.standard_normal(p.shape).astype(p.data.dtype)
+    x = RNG.random((3, 1, 64, 64))
+    batch = model.forward(x)
+    for i in range(3):
+        alone = model.forward(x[i:i + 1])
+        for key, v in alone.items():
+            np.testing.assert_allclose(batch[key].data[i:i + 1], v.data, rtol=0, atol=1e-5)
 
 
 def test_same_seed_same_model():
-    x = RNG.random((1, 64, 64))
+    x = RNG.random((1, 1, 64, 64))
     a = TecNet(nano_config(), seed=11).forward(x)["y_tec"].data
     b = TecNet(nano_config(), seed=11).forward(x)["y_tec"].data
     assert np.array_equal(a, b)
@@ -105,7 +122,7 @@ def test_same_seed_same_model():
 
 def test_forward_is_deterministic():
     model = TecNet(nano_config(), seed=0)
-    x = RNG.random((1, 64, 64))
+    x = RNG.random((1, 1, 64, 64))
     a = model.forward(x)["y_tec"].data
     b = model.forward(x)["y_tec"].data
     assert np.array_equal(a, b)
@@ -114,22 +131,22 @@ def test_forward_is_deterministic():
 def test_feature_collection_covers_all_stages():
     model = TecNet(nano_config(), seed=0)
     collect = {}
-    model.forward(RNG.random((1, 64, 64)), collect=collect)
+    model.forward(RNG.random((2, 1, 64, 64)), collect=collect)
     # the stage maps and nothing else: attention weights stay in the layers
     assert set(collect) == {f"{branch}_stage{i}" for branch in ("cnn", "trans")
                             for i in range(N_STAGES)}
     for i in range(N_STAGES):
         g = nano_config().stage_grid(i)
         c = nano_config().stage_width(i)
-        assert collect[f"cnn_stage{i}"].shape == (c, g, g)
-        assert collect[f"trans_stage{i}"].shape == (c, g, g)
+        assert collect[f"cnn_stage{i}"].shape == (2, c, g, g)
+        assert collect[f"trans_stage{i}"].shape == (2, c, g, g)
 
 
 def test_multiclass_heads():
     cfg = nano_config(num_classes=3)
     model = TecNet(cfg, seed=0)
-    out = model.forward(RNG.random((1, 64, 64)))
-    assert out["y_tec"].shape == (3, 64, 64)
+    out = model.forward(RNG.random((1, 1, 64, 64)))
+    assert out["y_tec"].shape == (1, 3, 64, 64)
 
 
 # --------------------------------------------------------------- accounting
@@ -175,7 +192,7 @@ PARAM_PREFIXES = _param_prefixes()
 
 
 def test_toggle_combinations_build_and_count():
-    x = RNG.random((1, 64, 64))
+    x = RNG.random((1, 1, 64, 64))
     totals = {}
     for dd in (True, False):
         for ac in (True, False):
@@ -192,7 +209,7 @@ def test_toggle_combinations_build_and_count():
                         assert n == sum(p.size for name, p in params.items()
                                         if name.startswith(PARAM_PREFIXES[key])), key
                 out = model.forward(x)
-                assert out["y_tec"].shape == (1, 64, 64)
+                assert out["y_tec"].shape == (1, 1, 64, 64)
                 totals[(dd, ac, lp)] = enumerated
     # each feature has a parameter cost, so disabling changes the total
     assert totals[(True, True, True)] != totals[(False, True, True)]

@@ -1,22 +1,28 @@
 """Loss blending, optimizer behavior, and the training loop contract."""
 
 import csv
+import gc
 import inspect
 import math
 import os
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import per_sample_step
 from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.errors import ConfigurationError, TrainingDiverged
+from tecnet.metrics import confusion_metrics
 from tecnet.model import TecNet, nano_config
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (LOG_FIELDS, Adam, PlateauHalver, TrainSchedule,
-                             branch_loss, evaluate_dice, load_model,
-                             loss_coefficients, ramp_coefficient,
-                             soft_dice_score, total_loss, train)
+                             branch_loss, evaluate_dice, evaluate_loss,
+                             load_model, loss_coefficients, predict_probs,
+                             ramp_coefficient, soft_dice_score, stack,
+                             total_loss, train)
 
 RNG = np.random.default_rng(31415)
 
@@ -149,25 +155,123 @@ def _tiny_run(tmp_path, **kw):
                  out_dir=str(tmp_path)), model, data
 
 
-# Tape nodes one nano train sample records (forward, total_loss and the
-# 1/batch scale in train()).  A change that moves this number should say why;
-# one that splits attention back into small ops fails here instead of only
-# running slower.
-NANO_SAMPLE_TAPE_NODES = 1332
+# Tape nodes one nano train step records (forward and total_loss), at any
+# batch size: each op runs once for the whole batch.  A change that moves
+# this number should say why; one that splits attention back into small ops
+# fails here instead of only running slower.
+NANO_SAMPLE_TAPE_NODES = 1280
+
+# Engine op calls of one untaped nano forward of one image, as the benchmark
+# tracer counts them (1,285 before the batch axis): an op added to the
+# inference path fails here.
+NANO_FORWARD_OP_CALLS = 1234
 
 
 def test_tape_budget_of_one_nano_train_sample():
+    """One sample or a batch of 8: the step's tape has the same nodes."""
     model = TecNet(nano_config(), seed=0)
-    sample = make_dataset(SynthSpec(seed=5, count=1, size=64))[0]
-    with Tape() as tape:
-        loss, _ = total_loss(model.forward(sample.image), Tensor(sample.mask), 0.5)
-        loss * (1.0 / 8)
-    ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
     acam_layers = sum(len(stage.blocks) for stage in model.trans_stages)
     ddconv_layers = sum(name.endswith(".kernels") for name, _ in model.named_parameters())
-    assert ops.count("attention") == 4 * acam_layers     # one node per branch
-    assert ops.count("softmax") == ddconv_layers          # only the kernel gates
-    assert len(tape.nodes) == NANO_SAMPLE_TAPE_NODES
+    for batch in (1, 8):
+        images, masks = stack(make_dataset(SynthSpec(seed=5, count=batch, size=64)))
+        with Tape() as tape:
+            loss, _ = total_loss(model.forward(images), Tensor(masks), 0.5)
+        ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
+        assert ops.count("attention") == 4 * acam_layers     # one node per branch
+        assert ops.count("softmax") == ddconv_layers          # only the kernel gates
+        assert len(ops) == NANO_SAMPLE_TAPE_NODES, batch
+
+
+def test_op_calls_of_one_nano_forward(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracer
+
+    model = TecNet(nano_config(), seed=0)
+    image = make_dataset(SynthSpec(seed=5, count=1, size=64))[0].image
+    with tracer.Tracer() as tr:
+        model.forward(image[None])
+    assert sum(tr.op_calls.values()) <= NANO_FORWARD_OP_CALLS
+
+
+def test_dropped_loss_frees_its_tape_without_the_cycle_collector():
+    """The tape holds no reference cycle: with the cyclic collector off,
+    dropping the loss and the tape after backward frees both the tape and
+    the arrays its nodes recorded."""
+    model = TecNet(nano_config(), seed=0)
+    images, masks = stack(make_dataset(SynthSpec(seed=5, count=2, size=64)))
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss, _ = total_loss(model.forward(images), Tensor(masks), 0.5)
+        backward(loss)
+        nodes = tape.nodes
+        tape_alive, out_alive = weakref.ref(tape), weakref.ref(nodes[len(nodes) // 2].out.data)
+        del tape, nodes, loss
+        assert tape_alive() is None and out_alive() is None
+    finally:
+        gc.enable()
+
+
+def test_batched_step_equals_per_sample_loop(monkeypatch):
+    """Under float64, train()'s one-tape step over 8 samples gives the mean
+    loss and every parameter gradient of the per-sample loop to 1e-10."""
+    samples = make_dataset(SynthSpec(seed=5, count=8, size=64))
+    grads = []
+    monkeypatch.setattr(Adam, "step", lambda self: grads.append(
+        {name: p.grad.copy() for name, p in self.params}))
+    with E.precision(np.float64):
+        model = TecNet(nano_config(), seed=0)
+        perturb = np.random.default_rng(8)
+        for _, p in model.named_parameters():   # every layer carries gradient
+            p.data += 0.05 * perturb.standard_normal(p.shape)
+        res = train(model, samples, TrainSchedule(steps=1, batch_size=8, seed=0))
+        for p in model.parameters():
+            p.zero_grad()
+        want = per_sample_step(model, samples, res.history[0]["lambda"])
+    assert abs(res.history[0]["loss_total"] - want["loss_total"]) <= 1e-10 * want["loss_total"]
+    scale = math.sqrt(sum(np.sum(p.grad ** 2) for p in model.parameters()))
+    for name, p in model.named_parameters():
+        got = grads[0][name]
+        if ".k_" in name and name.endswith(".bias"):
+            # a key bias adds the same q.b to every logit of a query's row,
+            # which softmax ignores: its gradient is zero up to rounding
+            assert max(np.linalg.norm(got), np.linalg.norm(p.grad)) <= 1e-15 * scale, name
+        else:
+            assert np.linalg.norm(got - p.grad) <= 1e-10 * np.linalg.norm(p.grad), name
+
+
+def test_log_columns_time_throughput_and_gradient_norm(tmp_path, monkeypatch):
+    norms = []
+    step = Adam.step
+
+    def recording_step(self):
+        norms.append(math.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2) for _, p in self.params)))
+        step(self)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    res, _, _ = _tiny_run(tmp_path, steps=2, batch_size=2)
+    for row, norm in zip(res.history, norms, strict=True):
+        for key in ("wall_ms", "samples_per_s", "grad_norm"):
+            assert math.isfinite(row[key]) and row[key] > 0, key
+        assert row["samples_per_s"] == 2 / row["wall_ms"] * 1e3
+        assert row["grad_norm"] == pytest.approx(norm, rel=1e-5)
+    with open(res.log_path) as fh:
+        logged = list(csv.DictReader(fh))
+    assert float(logged[0]["grad_norm"]) == pytest.approx(res.history[0]["grad_norm"], rel=1e-6)
+
+
+def test_chunked_evaluation_matches_one_image_at_a_time():
+    """evaluate_loss and evaluate_dice run stacked chunks; they score 10
+    samples (a full and a partial chunk) as the one-image path does."""
+    samples = make_dataset(SynthSpec(seed=6, count=10, size=64))
+    model = TecNet(nano_config(), seed=2)
+    singles = [total_loss(model.forward(s.image[None]), Tensor(s.mask[None]), 0.3)[1]["loss_total"]
+               for s in samples]
+    assert evaluate_loss(model, samples, 0.3) == pytest.approx(np.mean(singles), rel=1e-5)
+    probs = [predict_probs(model, s.image)["y_tec"] for s in samples]
+    assert probs[0].shape == (1, 64, 64)
+    dice = np.mean([confusion_metrics(p[0] >= 0.5, s.mask[0] > 0.5)["DI"] for p, s in zip(probs, samples)])
+    assert evaluate_dice(model, samples) == pytest.approx(dice, abs=1e-9)
 
 
 def test_nano_train_step_is_float32_throughout(monkeypatch):
@@ -176,11 +280,11 @@ def test_nano_train_step_is_float32_throughout(monkeypatch):
     gradient handed between nodes, every .grad and every Adam moment is
     float32."""
     model = TecNet(nano_config(), seed=0)
-    sample = make_dataset(SynthSpec(seed=5, count=1, size=64))[0]
+    image, mask = stack(make_dataset(SynthSpec(seed=5, count=2, size=64)))
     # fill the layers' mask and tap-grid caches and the upsampling cache under
     # float64 first, so a cache that ignores the dtype leaks into the step below
     with E.precision(np.float64):
-        model.forward(sample.image)
+        model.forward(image)
     fed = []
 
     def watched(op):
@@ -197,7 +301,7 @@ def test_nano_train_step_is_float32_throughout(monkeypatch):
             monkeypatch.setattr(E, name, watched(getattr(E, name)))
     opt = Adam(model.named_parameters())
     with Tape() as tape:
-        loss, _ = total_loss(model.forward(sample.image), Tensor(sample.mask), 0.5)
+        loss, _ = total_loss(model.forward(image), Tensor(mask), 0.5)
     assert fed and {dt for _, dt in fed} == {np.dtype(np.float32)}, \
         sorted({f for f in fed if f[1] != np.float32})
     seen = []
@@ -239,7 +343,7 @@ def test_float32_gradients_agree_with_float64():
             else:
                 model.load_state(state)
             with Tape():
-                loss, _ = total_loss(model.forward(sample.image), Tensor(sample.mask), 0.5)
+                loss, _ = total_loss(model.forward(sample.image[None]), Tensor(sample.mask[None]), 0.5)
             backward(loss)
             grads[dtype] = np.concatenate(
                 [p.grad.reshape(-1).astype(np.float64) for p in model.parameters()])
