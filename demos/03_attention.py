@@ -25,14 +25,14 @@ def main():
 
     # -- windowing is exactly invertible, padding included ----------------
     # Layers take channels-last [B, h, w, C] maps; the window machinery
-    # works on their [B, C, h, w] view and stacks all images' windows.
+    # keeps that layout and stacks all images' windows on one axis.
     x = Tensor(rng.standard_normal((2, 14, 10, 16)))
-    xp, (h, w) = pad_to_window(x.permute(0, 3, 1, 2), 4)
-    hp, wp = xp.shape[2], xp.shape[3]
+    xp, (h, w) = pad_to_window(x, 4)
+    hp, wp = xp.shape[1], xp.shape[2]
     windows = window_partition(xp, 4)
     back = crop_to(window_reverse(windows, 4, hp, wp), h, w)
     print("2 images of 14x10 -> pad 16x12 ->", windows.shape[0], "windows -> restored:",
-          np.array_equal(back.data, x.data.transpose(0, 3, 1, 2)))
+          np.array_equal(back.data, x.data))
 
     # -- a layer is the identity at initialization ------------------------
     # The output projection is zero-initialized, so a fresh layer vanishes;

@@ -1,10 +1,12 @@
 """Window attention with four complementary branches.
 
-Feature maps are channels-last [B, h, w, C].  They are cut into M x M
-windows (cyclically shifted for alternating layers, Swin style), and the
-windows of all B images are stacked on one window axis, so every product
-below runs once per batch.  Inside each window, four attention branches run
-over different axis pairings of the [C, M, M] block:
+Feature maps are channels-last [B, h, w, C] and stay so: they are padded,
+cyclically shifted (alternating layers, Swin style) and cut into
+[B*nw, M, M, C] windows, all B images' windows on one axis, so every
+product below runs once per batch.  The shift mask and relative-position
+index are built once per shape and shared by every layer.  Inside each
+window four branches attend over different axis pairings, the spatial one
+on the window's own token layout, the others on its [C, M, M] view:
 
 * spatial:  M*M position tokens with C-dim features, relative-position bias
             and the shift mask;
@@ -46,36 +48,34 @@ MASKED = -1e9
 # ---------------------------------------------------------------- windows
 
 def window_partition(x: Tensor, m: int) -> Tensor:
-    """[B, C, h, w] -> [B*nw, C, m, m]: image-major, then row-major over
-    window positions.
+    """[B, h, w, C] -> [B*nw, m, m, C]: image-major, then row-major over
+    window positions; tokens stay row-major inside each window.
 
     Extents must already be multiples of m; pad first if they are not.
     """
-    b, c, h, w = x.shape
+    b, h, w, c = x.shape
     if h % m or w % m:
         raise UsageError(
             f"window_partition needs extents divisible by {m}, got {h}x{w}; pad_to_window first")
     gh, gw = h // m, w // m
-    t = x.reshape(b, c, gh, m, gw, m)
-    t = t.permute(0, 2, 4, 1, 3, 5)          # [B, gh, gw, C, m, m]
-    return t.reshape(b * gh * gw, c, m, m)
+    t = x.reshape(b, gh, m, gw, m, c).permute(0, 1, 3, 2, 4, 5)   # [B, gh, gw, m, m, C]
+    return t.reshape(b * gh * gw, m, m, c)
 
 
 def window_reverse(windows: Tensor, m: int, h: int, w: int) -> Tensor:
-    """Inverse of window_partition back to [B, C, h, w]."""
-    n, c, m1, m2 = windows.shape
+    """Inverse of window_partition back to [B, h, w, C]."""
+    n, m1, m2, c = windows.shape
     gh, gw = h // m, w // m
     if m1 != m or m2 != m or h % m or w % m or n % (gh * gw):
         raise UsageError(f"window_reverse got {windows.shape} for target {h}x{w}, m={m}")
     b = n // (gh * gw)
-    t = windows.reshape(b, gh, gw, c, m, m)
-    t = t.permute(0, 3, 1, 4, 2, 5)           # [B, C, gh, m, gw, m]
-    return t.reshape(b, c, h, w)
+    t = windows.reshape(b, gh, gw, m, m, c).permute(0, 1, 3, 2, 4, 5)   # [B, gh, m, gw, m, C]
+    return t.reshape(b, h, w, c)
 
 
 def pad_to_window(x: Tensor, m: int) -> tuple[Tensor, tuple[int, int]]:
-    """Zero-pad the trailing two axes at bottom/right to multiples of m."""
-    h, w = x.shape[-2:]
+    """Zero-pad the spatial axes 1 and 2 at bottom/right to multiples of m."""
+    h, w = x.shape[1:3]
     ph = (m - h % m) % m
     pw = (m - w % m) % m
     if ph or pw:
@@ -84,18 +84,24 @@ def pad_to_window(x: Tensor, m: int) -> tuple[Tensor, tuple[int, int]]:
 
 
 def crop_to(x: Tensor, h: int, w: int) -> Tensor:
-    if x.shape[-2] == h and x.shape[-1] == w:
-        return x
-    return x[..., :h, :w]
+    return x if x.shape[1:3] == (h, w) else x[:, :h, :w]
+
+
+# Derived constants, built once per key and shared by every layer; read-only.
+_REL_INDEX: dict = {}
+_SHIFT_MASKS: dict = {}
 
 
 def relative_position_index(m: int) -> np.ndarray:
-    """[m*m, m*m] lookup into a (2m-1)^2 relative offset table."""
-    coords = np.stack(np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
-    coords = coords.reshape(2, -1)                       # [2, m^2]
-    rel = coords[:, :, None] - coords[:, None, :]        # [2, m^2, m^2]
-    rel = rel + (m - 1)
-    return rel[0] * (2 * m - 1) + rel[1]
+    """[m*m, m*m] lookup into a (2m-1)^2 relative offset table, built once per m."""
+    if m not in _REL_INDEX:
+        coords = np.stack(np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+        coords = coords.reshape(2, -1)                       # [2, m^2]
+        rel = coords[:, :, None] - coords[:, None, :]        # [2, m^2, m^2]
+        rel = rel + (m - 1)
+        idx = _REL_INDEX[m] = rel[0] * (2 * m - 1) + rel[1]
+        idx.flags.writeable = False
+    return _REL_INDEX[m]
 
 
 def shift_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
@@ -103,53 +109,53 @@ def shift_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
 
     Zero where both positions came from the same pre-shift region, a large
     negative number where the wrap-around glued unrelated content together.
+    Built once per (h, w, m, s, compute dtype).
     """
-    nw = (h // m) * (w // m)
-    if s == 0:
-        return np.zeros((nw, m * m, m * m), dtype=E.compute_dtype())
-    # Region labels live in the already-shifted frame: the wrap seam sits at
-    # h-s / w-s, and only the last band of windows straddles it.
-    img = np.zeros((h, w))
-    region = 0
-    for ys in (slice(0, h - m), slice(h - m, h - s), slice(h - s, h)):
-        for xs in (slice(0, w - m), slice(w - m, w - s), slice(w - s, w)):
-            img[ys, xs] = region
-            region += 1
-    gh, gw = h // m, w // m
-    wins = img.reshape(gh, m, gw, m).transpose(0, 2, 1, 3).reshape(nw, m * m)
-    diff = wins[:, None, :] != wins[:, :, None]
-    return E.constant(np.where(diff, MASKED, 0.0))
+    key = (h, w, m, s, E.compute_dtype())
+    if key not in _SHIFT_MASKS:
+        # Region labels live in the already-shifted frame: the wrap seam sits
+        # at h-s / w-s, and only the last band of windows straddles it (none
+        # when s is 0, so that mask is all zeros).
+        img = np.zeros((h, w))
+        region = 0
+        for ys in (slice(0, h - m), slice(h - m, h - s), slice(h - s, h)):
+            for xs in (slice(0, w - m), slice(w - m, w - s), slice(w - s, w)):
+                img[ys, xs] = region
+                region += 1
+        gh, gw = h // m, w // m
+        wins = img.reshape(gh, m, gw, m).transpose(0, 2, 1, 3).reshape(gh * gw, m * m)
+        diff = wins[:, None, :] != wins[:, :, None]
+        mask = _SHIFT_MASKS[key] = E.constant(np.where(diff, MASKED, 0.0))
+        mask.flags.writeable = False
+    return _SHIFT_MASKS[key]
 
 
-def spatial_bias(table: Tensor, rel_index: np.ndarray, m: int, heads: int) -> Tensor:
+def spatial_bias(table: Tensor, m: int, heads: int) -> Tensor:
     """[heads, m^2, m^2] relative-position bias gathered from a [(2m-1)^2, heads] table."""
-    b = E.index_select(table, rel_index)                 # [m^4, heads]
+    b = E.index_select(table, relative_position_index(m).reshape(-1))   # [m^4, heads]
     return b.reshape(m * m, m * m, heads).permute(2, 0, 1)
 
 
-def windowed(x: Tensor, m: int, shift: int, mask_cache: dict, attend) -> Tensor:
+def windowed(x: Tensor, m: int, shift: int, attend) -> Tensor:
     """Run `attend(windows, mask)` over the m x m windows of a [B, h, w, C] map.
 
-    Moves channels first, pads bottom/right to window multiples, rolls by
-    -shift and partitions into [B*nw, C, m, m] windows.  `mask` is None when
-    unshifted, else the [nw, m^2, m^2] shift mask of one padded image, built
-    once per extent and compute dtype into mask_cache; `engine.attention`
-    broadcasts it over the B images.  The [B*nw, C, m, m] result is
-    reversed, rolled back, cropped to h x w and returned channels-last.
+    Pads bottom/right to window multiples, rolls by -shift and partitions
+    into [B*nw, m, m, C] windows, all in the map's channels-last layout.
+    `mask` is None when unshifted, else the cached [nw, m^2, m^2] shift mask
+    of one padded image, which `engine.attention` broadcasts over the B
+    images.  `attend` returns [B*nw, m, m, C] windows, which are reversed,
+    rolled back and cropped to the input's h x w.
     """
-    x, (h0, w0) = pad_to_window(x.permute(0, 3, 1, 2), m)
-    h, w = x.shape[2:]
+    x, (h0, w0) = pad_to_window(x, m)
+    h, w = x.shape[1:3]
     mask = None
     if shift:
         x = E.roll2d(x, -shift, -shift)
-        key = (h, w, E.compute_dtype())
-        mask = mask_cache.get(key)
-        if mask is None:
-            mask = mask_cache[key] = shift_mask(h, w, m, shift)
+        mask = shift_mask(h, w, m, shift)
     y = window_reverse(attend(window_partition(x, m), mask), m, h, w)
     if shift:
         y = E.roll2d(y, shift, shift)
-    return crop_to(y, h0, w0).permute(0, 2, 3, 1)
+    return crop_to(y, h0, w0)
 
 
 def _effective_heads(dim: int, heads: int) -> int:
@@ -159,27 +165,14 @@ def _effective_heads(dim: int, heads: int) -> int:
     return 1
 
 
-def branch_attention(q: Tensor, k: Tensor, v: Tensor, *, heads: int = 1,
-                     bias: Tensor | None = None, mask: np.ndarray | None = None,
-                     collect: dict | None = None, collect_key: str | None = None) -> Tensor:
-    """Scaled dot-product attention over [B*nw, T, D] token batches (`engine.attention`).
-
-    With `collect` and `collect_key` given, the [B*nw, heads, T, T] attention
-    weights are stored in `collect` under that key.
-    """
-    probs = [] if collect is not None and collect_key is not None else None
-    out = E.attention(q, k, v, heads=heads, bias=bias, mask=mask, probs=probs)
-    if probs:
-        collect[collect_key] = probs[0]
-    return out
-
-
 class ACAM(Module):
     """Four-branch adaptive complementary attention over a batch of feature maps.
 
     Input and output are [B, h, w, C]; extents are padded to window
     multiples internally and cropped back.  `shifted` selects the
-    cyclically shifted window arrangement with its wrap mask.
+    cyclically shifted window arrangement with its wrap mask.  A `collect`
+    dict given to forward receives each branch's [B*nw, heads, T, T]
+    attention weights under its branch name.
     """
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool,
@@ -201,9 +194,7 @@ class ACAM(Module):
         self.p8 = max(1, m // 8)
 
         self.bias_spatial = parameter(((2 * m - 1) ** 2, heads), rng=rng, scale=0.02)
-        self._rel_index = relative_position_index(m).reshape(-1)
         self.lambdas = Tensor(np.full(4, 0.25), requires_grad=True)
-        self._mask_cache: dict = {}
 
         if shared_kv:
             self.embed_k = Linear(c, self.c8, rng=rng)
@@ -240,94 +231,93 @@ class ACAM(Module):
         if x.shape[-1] != self.channels:
             raise ConfigurationError(f"expected {self.channels} channels, got {x.shape[-1]}")
         branches = self._branches_shared if self.shared_kv else self._branches_separate
-        return windowed(x, self.window, self.shift, self._mask_cache,
-                        lambda wins, mask: branches(wins, mask, collect))
+        probs = None if collect is None else []
+        y = windowed(x, self.window, self.shift, lambda wins, mask: branches(wins, mask, probs))
+        if collect is not None:
+            collect.update(zip(("spatial", "channel", "cross_h", "cross_w"), probs))
+        return y
 
     def _fuse(self, o_spatial, o_channel, o_cross_h, o_cross_w):
         lam = self.lambdas
         return (o_spatial * lam[0] + o_channel * lam[1]
                 + o_cross_h * lam[2] + o_cross_w * lam[3])
 
-    def _branches_separate(self, wins: Tensor, mask, collect):
+    def _branches_separate(self, wins: Tensor, mask, probs):
         c, m = self.channels, self.window
         nw = wins.shape[0]
-        grid_tokens = wins.reshape(nw, c, m * m)                  # channel tokens
-        sp_tokens = grid_tokens.permute(0, 2, 1)                  # spatial tokens
+        sp_tokens = wins.reshape(nw, m * m, c)                    # spatial tokens
+        grid = wins.permute(0, 3, 1, 2)                           # [nw, C, m, m]
 
         # spatial branch: relative-position bias plus shift mask
-        o1 = branch_attention(
+        o1 = E.attention(
             self.q_spatial(sp_tokens), self.k_spatial(sp_tokens), self.v_spatial(sp_tokens),
-            heads=self.heads, bias=spatial_bias(self.bias_spatial, self._rel_index, m, self.heads),
-            mask=mask, collect=collect, collect_key="spatial")
-        o1 = self.out_spatial(o1).permute(0, 2, 1).reshape(nw, c, m, m)
+            heads=self.heads, bias=spatial_bias(self.bias_spatial, m, self.heads),
+            mask=mask, probs=probs)
+        o1 = self.out_spatial(o1).reshape(nw, m, m, c)
 
         # channel branch: learnable channel-pair bias, no mask
-        o2 = branch_attention(
+        grid_tokens = grid.reshape(nw, c, m * m)
+        o2 = E.attention(
             self.q_channel(grid_tokens), self.k_channel(grid_tokens), self.v_channel(grid_tokens),
-            heads=self.heads_channel, bias=self.bias_channel, mask=None,
-            collect=collect, collect_key="channel")
-        o2 = self.out_channel(o2).reshape(nw, c, m, m)
+            heads=self.heads_channel, bias=self.bias_channel, probs=probs)
+        o2 = self.out_channel(o2).permute(0, 2, 1).reshape(nw, m, m, c)
 
         # cross C-H: (channel, row) tokens attending along width
-        ch_tokens = wins.reshape(nw, c * m, m)
-        o3 = branch_attention(
+        ch_tokens = grid.reshape(nw, c * m, m)
+        o3 = E.attention(
             self.q_cross_h(ch_tokens), self.k_cross_h(ch_tokens), self.v_cross_h(ch_tokens),
-            heads=self.heads_cross, collect=collect, collect_key="cross_h")
-        o3 = self.out_cross_h(o3).reshape(nw, c, m, m)
+            heads=self.heads_cross, probs=probs)
+        o3 = self.out_cross_h(o3).reshape(nw, c, m, m).permute(0, 2, 3, 1)
 
         # cross C-W: (channel, column) tokens attending along height
-        cw_tokens = wins.permute(0, 1, 3, 2).reshape(nw, c * m, m)
-        o4 = branch_attention(
+        cw_tokens = grid.permute(0, 1, 3, 2).reshape(nw, c * m, m)
+        o4 = E.attention(
             self.q_cross_w(cw_tokens), self.k_cross_w(cw_tokens), self.v_cross_w(cw_tokens),
-            heads=self.heads_cross, collect=collect, collect_key="cross_w")
-        o4 = self.out_cross_w(o4).reshape(nw, c, m, m).permute(0, 1, 3, 2)
+            heads=self.heads_cross, probs=probs)
+        o4 = self.out_cross_w(o4).reshape(nw, c, m, m).permute(0, 3, 2, 1)
 
         return self._fuse(o1, o2, o3, o4)
 
-    def _branches_shared(self, wins: Tensor, mask, collect):
+    def _branches_shared(self, wins: Tensor, mask, probs):
         c, m, c8 = self.channels, self.window, self.c8
         nw = wins.shape[0]
-        sp_tokens = wins.reshape(nw, c, m * m).permute(0, 2, 1)   # [nw, m^2, C]
+        sp_tokens = wins.reshape(nw, m * m, c)
         ke = self.embed_k(sp_tokens)                              # [nw, m^2, c8]
         ve = self.embed_v(sp_tokens)
-        kg = ke.permute(0, 2, 1).reshape(nw, c8, m, m)            # grid layout
-        vg = ve.permute(0, 2, 1).reshape(nw, c8, m, m)
+        kg = ke.reshape(nw, m, m, c8).permute(0, 3, 1, 2)         # grid layout [nw, c8, m, m]
+        vg = ve.reshape(nw, m, m, c8).permute(0, 3, 1, 2)
 
         # spatial: queries reuse the K embedding
-        o1 = branch_attention(ke, ke, ve, heads=self.heads,
-                              bias=spatial_bias(self.bias_spatial, self._rel_index, m, self.heads),
-                              mask=mask, collect=collect, collect_key="spatial")
-        o1 = self.out_spatial(o1).permute(0, 2, 1).reshape(nw, c, m, m)
+        o1 = E.attention(ke, ke, ve, heads=self.heads,
+                         bias=spatial_bias(self.bias_spatial, m, self.heads),
+                         mask=mask, probs=probs)
+        o1 = self.out_spatial(o1)
 
         kc = kg.reshape(nw, c8, m * m)
         vc = vg.reshape(nw, c8, m * m)
-        o2 = branch_attention(kc, kc, vc, heads=self.heads_channel,
-                              bias=self.bias_channel,
-                              collect=collect, collect_key="channel")
-        o2 = self.out_channel(o2.permute(0, 2, 1)).permute(0, 2, 1).reshape(nw, c, m, m)
+        o2 = E.attention(kc, kc, vc, heads=self.heads_channel, bias=self.bias_channel,
+                         probs=probs)
+        o2 = self.out_channel(o2.permute(0, 2, 1))
 
         kh = kg.reshape(nw, c8 * m, m)
         vh = vg.reshape(nw, c8 * m, m)
-        o3 = branch_attention(kh, kh, vh, heads=self.heads_cross,
-                              collect=collect, collect_key="cross_h")
-        o3 = o3.reshape(nw, c8, m * m).permute(0, 2, 1)
-        o3 = self.out_cross_h(o3).permute(0, 2, 1).reshape(nw, c, m, m)
+        o3 = E.attention(kh, kh, vh, heads=self.heads_cross, probs=probs)
+        o3 = self.out_cross_h(o3.reshape(nw, c8, m * m).permute(0, 2, 1))
 
         kw = kg.permute(0, 1, 3, 2).reshape(nw, c8 * m, m)
         vw = vg.permute(0, 1, 3, 2).reshape(nw, c8 * m, m)
-        o4 = branch_attention(kw, kw, vw, heads=self.heads_cross,
-                              collect=collect, collect_key="cross_w")
-        o4 = o4.reshape(nw, c8, m, m).permute(0, 1, 3, 2).reshape(nw, c8, m * m).permute(0, 2, 1)
-        o4 = self.out_cross_w(o4).permute(0, 2, 1).reshape(nw, c, m, m)
+        o4 = E.attention(kw, kw, vw, heads=self.heads_cross, probs=probs)
+        o4 = self.out_cross_w(o4.reshape(nw, c8, m, m).permute(0, 3, 2, 1).reshape(nw, m * m, c8))
 
-        return self._fuse(o1, o2, o3, o4)
+        return self._fuse(o1, o2, o3, o4).reshape(nw, m, m, c)
 
 
 class WindowAttention(Module):
     """Plain single-branch shifted-window attention (ablation stand-in).
 
     Same window partition, shift, mask and relative-position bias as ACAM,
-    but one spatial branch with full C -> C projections.
+    but one spatial branch with full C -> C projections; `collect` receives
+    its attention weights under "spatial".
     """
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool, rng=None):
@@ -344,22 +334,21 @@ class WindowAttention(Module):
         self.v = Linear(c, c, rng=rng)
         self.out = Linear(c, c, rng=rng, zero=True)
         self.bias = parameter(((2 * m - 1) ** 2, heads), rng=rng, scale=0.02)
-        self._rel_index = relative_position_index(m).reshape(-1)
-        self._mask_cache: dict = {}
 
     def forward(self, x: Tensor, collect: dict | None = None) -> Tensor:
         c, m = self.channels, self.window
+        probs = None if collect is None else []
 
         def attend(wins: Tensor, mask) -> Tensor:
-            nw = wins.shape[0]
-            tokens = wins.reshape(nw, c, m * m).permute(0, 2, 1)
-            bias = spatial_bias(self.bias, self._rel_index, m, self.heads)
-            o = branch_attention(self.q(tokens), self.k(tokens), self.v(tokens),
-                                 heads=self.heads, bias=bias, mask=mask,
-                                 collect=collect, collect_key="spatial")
-            return self.out(o).permute(0, 2, 1).reshape(nw, c, m, m)
+            tokens = wins.reshape(wins.shape[0], m * m, c)
+            o = E.attention(self.q(tokens), self.k(tokens), self.v(tokens), heads=self.heads,
+                            bias=spatial_bias(self.bias, m, self.heads), mask=mask, probs=probs)
+            return self.out(o).reshape(wins.shape)
 
-        return windowed(x, m, self.shift, self._mask_cache, attend)
+        y = windowed(x, m, self.shift, attend)
+        if collect is not None:
+            collect["spatial"] = probs[0]
+        return y
 
 
 # ---------------------------------------------------------------- cost model

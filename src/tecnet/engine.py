@@ -14,7 +14,9 @@ graph by reference counting, without waiting for the cyclic collector.
 
 Image ops take a leading batch axis: feature maps are [B, C, H, W] and
 every image of the batch is processed alike, so B images cost one op call
-each, not B.
+each, not B.  ``pad2d`` and ``roll2d`` serve the transformer branch's
+window machinery and act on axes 1 and 2 of its channels-last [B, h, w, C]
+maps.
 
 All arithmetic runs in one compute dtype, float32 unless changed with
 ``precision``: tensors, constants and cached masks and matrices are made in
@@ -461,31 +463,27 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), backward_fn)
 
 
-def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """`a` with its trailing two axes zero-padded (np.pad costs ~20 us a call)."""
+def _zero_pad(a: np.ndarray, p: int) -> np.ndarray:
+    """`a` with its trailing two axes zero-padded by p each side (np.pad costs ~20 us a call)."""
     h, w = a.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (top + h + bottom, left + w + right), dtype=a.dtype)
-    out[..., top:top + h, left:left + w] = a
+    out = np.zeros(a.shape[:-2] + (h + 2 * p, w + 2 * p), dtype=a.dtype)
+    out[..., p:p + h, p:p + w] = a
     return out
 
 
 def pad2d(x: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
-    """Zero-pad the trailing two axes."""
-    out = Tensor(_zero_pad(x.data, top, bottom, left, right))
-    h, w = x.shape[-2], x.shape[-1]
-
-    def backward_fn(g):
-        sl = (Ellipsis, slice(top, top + h), slice(left, left + w))
-        return (g[sl],)
-
-    return _record(out, (x,), backward_fn)
+    """Zero-pad axes 1 and 2, the spatial axes of a channels-last [B, h, w, C] map."""
+    b, h, w = x.shape[:3]
+    a = np.zeros((b, top + h + bottom, left + w + right) + x.shape[3:], dtype=x.data.dtype)
+    a[:, top:top + h, left:left + w] = x.data
+    return _record(Tensor(a), (x,), lambda g: (g[:, top:top + h, left:left + w],))
 
 
 def roll2d(x: Tensor, shift_y: int, shift_x: int) -> Tensor:
-    """Cyclically shift the trailing two axes."""
-    out = Tensor(np.roll(x.data, (shift_y, shift_x), axis=(-2, -1)))
+    """Cyclically shift axes 1 and 2, the spatial axes of a channels-last map."""
+    out = Tensor(np.roll(x.data, (shift_y, shift_x), axis=(1, 2)))
     return _record(out, (x,),
-                   lambda g: (np.roll(g, (-shift_y, -shift_x), axis=(-2, -1)),))
+                   lambda g: (np.roll(g, (-shift_y, -shift_x), axis=(1, 2)),))
 
 
 # ---------------------------------------------------------------- pointwise
@@ -668,7 +666,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wd + 2 * padding - k) // stride + 1
 
-    xp = _zero_pad(x.data, padding, padding, padding, padding)
+    xp = _zero_pad(x.data, padding)
     # taps as rows, the B images' output positions as columns: one product
     windows = _im2col(xp, k, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
     cols = windows.reshape(cin * k * k, b * ho * wo)
@@ -711,7 +709,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
     if cw != c:
         raise ConfigurationError(f"depthwise channel mismatch: input has {c}, kernel has {cw}")
     p = k // 2
-    xp = _zero_pad(x.data, p, p, p, p)
+    xp = _zero_pad(x.data, p)
     win = _im2col(xp, k, 1, h, wd)            # [B, C, k, k, H, W]
     y = np.einsum("ckl,bcklhw->bchw", w.data, win)
     if bias is not None:

@@ -83,27 +83,23 @@ class Module:
 class Linear(Module):
     """y = x @ W + b with W of shape [d_in, d_out], over the last axis of x."""
 
-    def __init__(self, d_in: int, d_out: int, rng=None, bias: bool = True,
-                 zero: bool = False):
+    def __init__(self, d_in: int, d_out: int, rng=None, zero: bool = False):
         self.weight = parameter((d_in, d_out), rng=rng, fan_in=d_in, zero=zero)
-        self.bias = parameter((d_out,), zero=True) if bias else None
+        self.bias = parameter((d_out,), zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return x @ self.weight + self.bias
 
 
 class Conv2d(Module):
     """Square odd-kernel 2-D convolution over [B, C, H, W]."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng=None, stride: int = 1,
-                 padding: int | None = None, bias: bool = True, zero: bool = False):
+                 padding: int | None = None, zero: bool = False):
         if k % 2 == 0:
             raise ConfigurationError(f"kernel side must be odd, got {k}")
         self.weight = parameter((c_out, c_in, k, k), rng=rng, fan_in=c_in * k * k, zero=zero)
-        self.bias = parameter((c_out,), zero=True) if bias else None
+        self.bias = parameter((c_out,), zero=True)
         self.stride = stride
         self.padding = k // 2 if padding is None else padding
 
@@ -114,9 +110,9 @@ class Conv2d(Module):
 class DepthwiseConv2d(Module):
     """Per-channel 3x3 (or other odd k) convolution, same padding."""
 
-    def __init__(self, channels: int, k: int = 3, rng=None, bias: bool = True):
+    def __init__(self, channels: int, k: int = 3, rng=None):
         self.weight = parameter((channels, k, k), rng=rng, fan_in=k * k)
-        self.bias = parameter((channels,), zero=True) if bias else None
+        self.bias = parameter((channels,), zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return E.depthwise_conv2d(x, self.weight, self.bias)

@@ -43,6 +43,9 @@ class SynthSpec:
                 f"family must be one of {FAMILIES}, got {self.family!r}")
         if not 0.0 < self.gap <= 1.0:
             raise ConfigurationError(f"gap must be in (0, 1], got {self.gap}")
+        if not 1 <= self.count <= 10000:
+            raise ConfigurationError(
+                f"count must be in 1..10000 (sample ids have four digits), got {self.count}")
         if self.size < 32:
             raise ConfigurationError(f"size must be >= 32, got {self.size}")
         if self.noise < 0 or self.grad_amp < 0:

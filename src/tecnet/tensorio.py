@@ -75,25 +75,36 @@ def save_checkpoint(path, named_arrays, config: dict) -> None:
 
     The manifest lives at path + '.json' and records the byte offset of each
     record, the parameter shapes, and a hash of the model configuration so a
-    later load can refuse mismatched configs.
+    later load can refuse mismatched configs.  Each file is written to a
+    '.tmp' file beside it and moved into place, the payload first and the
+    manifest last, so a save that fails midway leaves the previous
+    checkpoint as it was and no temporary file behind.
     """
     path = Path(path)
+    manifest_path = path.with_suffix(path.suffix + ".json")
+    tmp_path, tmp_manifest = (p.with_suffix(p.suffix + ".tmp") for p in (path, manifest_path))
     entries = []
     offset = 0
-    with open(path, "wb") as fh:
-        for name, arr in named_arrays:
-            n = write_tensor(fh, np.asarray(arr))
-            entries.append({"name": name, "shape": list(np.asarray(arr).shape), "offset": offset})
-            offset += n
-    manifest = {
-        "format": "tecnet-checkpoint-v1",
-        "config_hash": config_hash(config),
-        "config": config,
-        "tensors": entries,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(tmp_path, "wb") as fh:
+            for name, arr in named_arrays:
+                n = write_tensor(fh, np.asarray(arr))
+                entries.append({"name": name, "shape": list(np.asarray(arr).shape), "offset": offset})
+                offset += n
+        manifest = {
+            "format": "tecnet-checkpoint-v1",
+            "config_hash": config_hash(config),
+            "config": config,
+            "tensors": entries,
+        }
+        with open(tmp_manifest, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp_path, path)
+        os.replace(tmp_manifest, manifest_path)
+    finally:
+        tmp_path.unlink(missing_ok=True)
+        tmp_manifest.unlink(missing_ok=True)
 
 
 def _count(v) -> bool:

@@ -232,9 +232,9 @@ def test_criterion_03_window_machinery():
     in {8,16,28}^2 x {4,7}; masked attention mass < 1e-8 per shifted window."""
     for hw in (8, 16, 28):
         for m in (4, 7):
-            x = Tensor(RNG.standard_normal((1, 8, hw, hw)))
+            x = Tensor(RNG.standard_normal((1, 8, hw, hw)).transpose(0, 2, 3, 1))
             xp, _ = pad_to_window(x, m)
-            hp, wp = xp.shape[2], xp.shape[3]
+            hp, wp = xp.shape[1], xp.shape[2]
             back = crop_to(window_reverse(window_partition(xp, m), m, hp, wp),
                            hw, hw)
             assert np.array_equal(back.data, x.data), f"partition {hw}x{hw} M={m}"
@@ -246,7 +246,7 @@ def test_criterion_03_window_machinery():
             layer = ACAM(8, m, heads=1, shifted=True,
                          rng=np.random.default_rng(hw * m))
             collect = {}
-            layer(x.permute(0, 2, 3, 1), collect=collect)
+            layer(x, collect=collect)
             attn = collect["spatial"]
             mask = shift_mask(hp, wp, m, s)
             blocked = mask < 0

@@ -26,13 +26,13 @@ RNG = np.random.default_rng(99)
 def test_partition_reverse_roundtrip(hw, m):
     """Partition and reverse invert each other exactly, padding included;
     the windows of both images share one window axis."""
-    x = Tensor(RNG.standard_normal((2, 3, hw, hw)))
+    x = Tensor(RNG.standard_normal((2, hw, hw, 3)))
     xp, (h0, w0) = pad_to_window(x, m)
     assert (h0, w0) == (hw, hw)
-    hp, wp = xp.shape[2], xp.shape[3]
+    hp, wp = xp.shape[1], xp.shape[2]
     assert hp % m == 0 and wp % m == 0
     windows = window_partition(xp, m)
-    assert windows.shape == (2 * (hp // m) * (wp // m), 3, m, m)
+    assert windows.shape == (2 * (hp // m) * (wp // m), m, m, 3)
     back = crop_to(window_reverse(windows, m, hp, wp), hw, hw)
     assert np.array_equal(back.data, x.data)
 
@@ -47,14 +47,14 @@ def test_cyclic_shift_roundtrip(hw, m):
 
 
 def test_partition_layout_is_row_major_windows():
-    # 2 images, 1 channel, 4x4 grid, window 2: window 0 must be the first
+    # 2 images, 4x4 grid, 1 channel, window 2: window 0 must be the first
     # image's top-left block, and the second image's windows follow the first's
-    x = Tensor(np.arange(32.0).reshape(2, 1, 4, 4))
+    x = Tensor(np.arange(32.0).reshape(2, 4, 4, 1))
     w = window_partition(x, 2)
-    np.testing.assert_array_equal(w.data[0, 0], [[0, 1], [4, 5]])
-    np.testing.assert_array_equal(w.data[1, 0], [[2, 3], [6, 7]])
-    np.testing.assert_array_equal(w.data[2, 0], [[8, 9], [12, 13]])
-    np.testing.assert_array_equal(w.data[4, 0], [[16, 17], [20, 21]])
+    np.testing.assert_array_equal(w.data[0, ..., 0], [[0, 1], [4, 5]])
+    np.testing.assert_array_equal(w.data[1, ..., 0], [[2, 3], [6, 7]])
+    np.testing.assert_array_equal(w.data[2, ..., 0], [[8, 9], [12, 13]])
+    np.testing.assert_array_equal(w.data[4, ..., 0], [[16, 17], [20, 21]])
 
 
 # -------------------------------------------------------------------- masks
@@ -111,7 +111,7 @@ def test_padded_extents_roundtrip():
     x = Tensor(RNG.standard_normal((2, 6, 7, 16)))  # not window multiples
     wake = np.random.default_rng(12)
     for shifted in (False, True):
-        same = windowed(x, 4, 2 if shifted else 0, {}, lambda wins, mask: wins)
+        same = windowed(x, 4, 2 if shifted else 0, lambda wins, mask: wins)
         assert np.array_equal(same.data, x.data), f"identity attend, shifted={shifted}"
         layers = {
             "acam": _acam(m=4, shifted=shifted),

@@ -53,6 +53,17 @@ def test_gen_writes_dataset(workdir):
     assert len(names) == 8
 
 
+@pytest.mark.parametrize("count", [0, -3, 10001])
+def test_gen_rejects_count_outside_the_four_digit_ids(tmp_path, capsys, count):
+    """Zero or negative counts would write nothing, and a sample id past
+    9999 would be skipped by load_dataset: each exits 1 before writing."""
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main(["gen", "--out", str(out), "--count", str(count)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_train_writes_loadable_checkpoint(workdir):
     ckpt = workdir["run"] / "checkpoint.tect"
     assert ckpt.exists()

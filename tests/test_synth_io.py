@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from tecnet import tensorio
 from tecnet.errors import ConfigurationError, UsageError
 from tecnet.synth import (SynthSpec, generate, load_dataset, make_dataset,
                           quantize, read_pgm, synth_sample, write_pgm)
@@ -177,3 +178,27 @@ def test_checkpoint_roundtrip_and_guard(tmp_path):
     assert manifest["config"] == cfg
     with pytest.raises(UsageError):
         load_checkpoint(path, expected_config={"n": 2, "toggles": [True, False]})
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """A save that fails while writing the payload leaves the checkpoint it
+    would have overwritten loadable, bit for bit, and no temporary file."""
+    path = str(tmp_path / "c.tect")
+    old = [("w1", RNG.standard_normal((2, 3)).astype(np.float32)), ("b1", np.ones(3, np.float32))]
+    save_checkpoint(path, old, {"n": 1})
+    files = sorted(os.listdir(tmp_path))
+    written = []
+
+    def failing_write(fh, array):
+        if written:
+            raise OSError("disk full")
+        written.append(array)
+        return write_tensor(fh, array)
+
+    monkeypatch.setattr(tensorio, "write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, [("w1", np.zeros((2, 3))), ("b1", np.zeros(3))], {"n": 2})
+    assert written and sorted(os.listdir(tmp_path)) == files
+    loaded, manifest = load_checkpoint(path, expected_config={"n": 1})
+    for name, arr in old:
+        assert loaded[name].tobytes() == arr.tobytes()

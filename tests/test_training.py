@@ -182,6 +182,25 @@ def test_tape_budget_of_one_nano_train_sample():
         assert len(ops) == NANO_SAMPLE_TAPE_NODES, batch
 
 
+# Permute nodes (each one a copy) of one nano train step at B=8, per
+# attention mode.  They read 140, 221 and 122 while the window machinery
+# moved maps channels-first and back; the rest come from the LPM ghost conv,
+# ChannelNorm and decoder fusion.
+NANO_STEP_PERMUTES = {"acam": 131, "acam_shared_kv": 149, "window_attention": 86}
+ATTENTION_MODES = {"acam": {}, "acam_shared_kv": {"shared_kv": True},
+                   "window_attention": {"use_acam": False}}
+
+
+@pytest.mark.parametrize("mode", sorted(ATTENTION_MODES))
+def test_permute_nodes_of_one_nano_train_step(mode):
+    model = TecNet(nano_config(**ATTENTION_MODES[mode]), seed=0)
+    images, masks = stack(make_dataset(SynthSpec(seed=5, count=8, size=64)))
+    with Tape() as tape:
+        loss, _ = total_loss(model.forward(images), Tensor(masks), 0.5)
+    ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
+    assert ops.count("permute") == NANO_STEP_PERMUTES[mode]
+
+
 def test_op_calls_of_one_nano_forward(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import tracer
