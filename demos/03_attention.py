@@ -1,15 +1,21 @@
 """Window attention with four complementary branches, and what it costs.
 
-The attention module splits each window's features four ways and runs a
-separate attention pattern on each slice:
+Inside each window the attention module runs four branches, each over a
+different pairing of the whole window's axes:
 
- * spatial: tokens attend over positions (classic windowed attention),
- * channel: channels attend over channels,
- * cross H and cross W: mixed axes, one spatial direction at a time.
+ * spatial: the M*M positions attend over each other (classic windowed
+   attention),
+ * channel: the C channels attend over each other,
+ * cross H and cross W: C*M channel-row or channel-column tokens, one
+   spatial direction at a time.
 
-The four results are concatenated and fused with learned weights.  Because
-three of the branches operate on reduced token counts, the arithmetic cost
-drops well below shifted-window attention at the same width.
+Learnable scalars fuse the four outputs.  Each branch projects its features
+down before the attention product, but the channel and cross branches
+attend over C and C*M tokens, so their cost grows with C^2: in the default
+separate-projection mode the layer costs more than plain window attention
+(W-MSA) at nano stages 1 and 3.  The closed-form ACAM column printed at the
+end is the formula; `tecnet analyze` prints beside it what the layer
+actually multiplies.
 """
 
 import numpy as np

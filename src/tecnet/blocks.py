@@ -23,7 +23,7 @@ class LPM(Module):
 
     def __init__(self, d: int, rng=None):
         self.primary = Linear(d, 2 * d, rng=rng)
-        self.ghost = DepthwiseConv2d(2 * d, 3, rng=rng)
+        self.ghost = DepthwiseConv2d(2 * d, rng=rng)
         self.out = Linear(4 * d, d, rng=rng, zero=True)
 
     def forward(self, x: Tensor) -> Tensor:

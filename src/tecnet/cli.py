@@ -9,8 +9,10 @@ Subcommands:
   dump-features  per-stage mean-over-channels feature heatmaps as PGM
 
 Configs are JSON with a required "model" section and, for training, a
-"train" section.  Every key is required except the model toggles, which
-default on.  The TECNET_SEED environment variable overrides --seed.
+"train" section.  Each section holds exactly the fields of its dataclass
+(TecNetConfig, TrainSchedule less the CLI-only `steps`), every one required
+except the model toggles, which default on; each value is type- and
+range-checked.  The TECNET_SEED environment variable overrides --seed.
 """
 
 from __future__ import annotations
@@ -27,12 +29,9 @@ from .attention import cost_acam, cost_msa, cost_swmsa, write_mac_report
 from .errors import ConfigurationError, UsageError
 from .metrics import evaluate_pairs, write_metrics_csv
 from .model import (N_STAGES, PRESETS, TecNet, TecNetConfig, attention_rows,
-                    count_flops, count_params)
+                    count_flops, count_params, read_config)
 from .synth import FAMILIES, SynthSpec, generate, load_dataset, quantize, write_pgm
 from .training import TrainSchedule, load_model, predictions, train
-
-TRAIN_KEYS = ("total_epochs", "batch_size", "lr", "delta",
-              "plateau_patience", "plateau_factor", "seed")
 
 # Published full-scale reference points for the Tiny model; printed next to
 # the measured numbers by `analyze` for orientation, never asserted.
@@ -50,30 +49,28 @@ def load_config(path: str) -> dict:
     """Read a JSON config; parse failures point at file:line:col."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            blob = json.load(fh)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e.strerror}") from e
+    if not isinstance(blob, dict):
+        raise UsageError(f"{path}: config must be an object, got {type(blob).__name__}")
+    return blob
+
+
+def config_section(blob: dict, key: str, path: str, read):
+    """read(section) for the config's `key` section; faults name the file."""
+    if key not in blob:
+        raise UsageError(f"{path}: config has no \"{key}\" section")
+    try:
+        return read(blob[key])
+    except ConfigurationError as e:
+        raise UsageError(f"{path}: {key} section: {e}") from e
 
 
 def model_config(blob: dict, path: str) -> TecNetConfig:
-    if "model" not in blob:
-        raise UsageError(f"{path}: config has no \"model\" section")
-    return TecNetConfig.from_dict(blob["model"])
-
-
-def train_schedule(blob: dict, path: str) -> dict:
-    if "train" not in blob:
-        raise UsageError(f"{path}: config has no \"train\" section")
-    section = blob["train"]
-    missing = [k for k in TRAIN_KEYS if k not in section]
-    if missing:
-        raise UsageError(f"{path}: train section missing keys: {missing}")
-    unknown = [k for k in section if k not in TRAIN_KEYS]
-    if unknown:
-        raise UsageError(f"{path}: train section has unknown keys: {unknown}")
-    return dict(section)
+    return config_section(blob, "model", path, TecNetConfig.from_dict)
 
 
 def resolve_seed(seed: int | None) -> int | None:
@@ -101,11 +98,11 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     blob = load_config(args.config)
     cfg = model_config(blob, args.config)
-    section = train_schedule(blob, args.config)
+    schedule = config_section(blob, "train", args.config,
+                              lambda d: read_config(TrainSchedule, d, steps=args.steps))
     seed = resolve_seed(args.seed)
     if seed is not None:
-        section["seed"] = seed
-    schedule = TrainSchedule(steps=args.steps, **section)
+        schedule = replace(schedule, seed=seed)
 
     samples = load_dataset(args.data)
     if args.val_data:

@@ -54,8 +54,7 @@ class DDConv(Module):
         # the blend starts uniform.
         self.gate = Linear(c_in, n_kernels, rng=rng, zero=True)
         # offset head: zero init so taps start on the regular grid.
-        self.offset_head = Conv2d(c_in, 2 * k * k, k, rng=rng, stride=stride,
-                                  padding=k // 2, zero=True)
+        self.offset_head = Conv2d(c_in, 2 * k * k, k, rng=rng, stride=stride, zero=True)
         self._grids: dict = {}
 
     # -- pieces exposed for tests ----------------------------------------

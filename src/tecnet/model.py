@@ -33,10 +33,39 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-# TecNetConfig field annotation -> value check; the annotations are strings
-# because of `from __future__ import annotations`
+# config dataclass field annotation -> value check; the annotations are
+# strings because of `from __future__ import annotations`
 _TYPE_CHECKS = {"str": lambda v: isinstance(v, str), "int": _is_int,
-                "bool": lambda v: isinstance(v, bool)}
+                "int | None": lambda v: v is None or _is_int(v),
+                "float": lambda v: isinstance(v, float) or _is_int(v),
+                "bool": lambda v: isinstance(v, bool),
+                "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))}
+
+
+def check_types(config) -> None:
+    """Raise ConfigurationError naming the first field of a config dataclass
+    whose value does not have the field's annotated type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _TYPE_CHECKS[f.type](value):
+            raise ConfigurationError(
+                f"config field {f.name} must be of type {f.type}, got {value!r}")
+
+
+def read_config(cls, d, optional=(), **given):
+    """Build config dataclass cls from a JSON object d that names each field
+    except those in `given`, which the caller supplies; fields in `optional`
+    may be left out and take their defaults."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"config must be an object, got {type(d).__name__}")
+    names = {f.name for f in fields(cls)} - set(given)
+    missing = sorted(names - set(optional) - set(d))
+    if missing:
+        raise ConfigurationError(f"config missing required keys: {missing}")
+    unknown = sorted(set(d) - names)
+    if unknown:
+        raise ConfigurationError(f"config has unknown keys: {unknown}")
+    return cls(**d, **given)
 
 
 # ---------------------------------------------------------------- config
@@ -44,8 +73,8 @@ _TYPE_CHECKS = {"str": lambda v: isinstance(v, str), "int": _is_int,
 @dataclass
 class TecNetConfig:
     name: str
-    layer_numbers: tuple
-    heads: tuple
+    layer_numbers: tuple[int, ...]
+    heads: tuple[int, ...]
     base_width: int
     window: int
     patch: int
@@ -58,22 +87,12 @@ class TecNetConfig:
     shared_kv: bool = False
 
     def __post_init__(self):
-        for key in ("layer_numbers", "heads"):
-            value = getattr(self, key)
-            if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
-                raise ConfigurationError(
-                    f"config field {key} must be a list of ints, got {value!r}")
+        check_types(self)
         self.layer_numbers = tuple(int(x) for x in self.layer_numbers)
         self.heads = tuple(int(x) for x in self.heads)
         self.validate()
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            check = _TYPE_CHECKS.get(f.type)
-            if check is not None and not check(value):
-                raise ConfigurationError(
-                    f"config field {f.name} must be of type {f.type}, got {value!r}")
         for key in ("num_classes", "n_kernels"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(
@@ -118,34 +137,11 @@ class TecNetConfig:
         return self.input_size // self.patch // 2 ** min(i, N_STAGES - 1 - i)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["layer_numbers"] = list(self.layer_numbers)
-        d["heads"] = list(self.heads)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TecNetConfig":
-        if not isinstance(d, dict):
-            raise ConfigurationError(f"config must be an object, got {type(d).__name__}")
-        required = ["name", "layer_numbers", "heads", "base_width", "window",
-                    "patch", "input_size", "num_classes", "n_kernels"]
-        missing = [k for k in required if k not in d]
-        if missing:
-            raise ConfigurationError(f"config missing required keys: {missing}")
-        known = set(required) | {"use_ddconv", "use_acam", "use_lpm", "shared_kv"}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigurationError(f"config has unknown keys: {unknown}")
-        return cls(
-            name=d["name"], layer_numbers=d["layer_numbers"], heads=d["heads"],
-            base_width=d["base_width"], window=d["window"], patch=d["patch"],
-            input_size=d["input_size"], num_classes=d["num_classes"],
-            n_kernels=d["n_kernels"],
-            use_ddconv=d.get("use_ddconv", True),
-            use_acam=d.get("use_acam", True),
-            use_lpm=d.get("use_lpm", True),
-            shared_kv=d.get("shared_kv", False),
-        )
+        return read_config(cls, d, optional=("use_ddconv", "use_acam", "use_lpm", "shared_kv"))
 
 
 def nano_config(**overrides) -> TecNetConfig:
@@ -209,7 +205,7 @@ class CnnStem(Module):
             c_in = c_img
             for lv in range(levels):
                 c_out = d // 2 ** (levels - 1 - lv)
-                self.convs.append(Conv2d(c_in, c_out, 3, rng=rng, stride=2, padding=1))
+                self.convs.append(Conv2d(c_in, c_out, 3, rng=rng, stride=2))
                 c_in = c_out
 
     def forward(self, image: Tensor) -> Tensor:
@@ -324,7 +320,7 @@ class TecNet(Module):
             self.cnn_down = [DDConv(w(i), w(i + 1), 3, n_kernels=cfg.n_kernels,
                                     stride=2, rng=rng) for i in range(3)]
         else:
-            self.cnn_down = [Conv2d(w(i), w(i + 1), 3, rng=rng, stride=2, padding=1)
+            self.cnn_down = [Conv2d(w(i), w(i + 1), 3, rng=rng, stride=2)
                              for i in range(3)]
         self.trans_down = [PatchMerge(w(i), rng=rng) for i in range(3)]
 

@@ -92,26 +92,26 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """Square odd-kernel 2-D convolution over [B, C, H, W]."""
+    """Square odd-kernel 2-D convolution over [B, C, H, W], same padding."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng=None, stride: int = 1,
-                 padding: int | None = None, zero: bool = False):
+                 zero: bool = False):
         if k % 2 == 0:
             raise ConfigurationError(f"kernel side must be odd, got {k}")
         self.weight = parameter((c_out, c_in, k, k), rng=rng, fan_in=c_in * k * k, zero=zero)
         self.bias = parameter((c_out,), zero=True)
         self.stride = stride
-        self.padding = k // 2 if padding is None else padding
+        self.padding = k // 2
 
     def forward(self, x: Tensor) -> Tensor:
         return E.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class DepthwiseConv2d(Module):
-    """Per-channel 3x3 (or other odd k) convolution, same padding."""
+    """Per-channel 3x3 convolution, same padding."""
 
-    def __init__(self, channels: int, k: int = 3, rng=None):
-        self.weight = parameter((channels, k, k), rng=rng, fan_in=k * k)
+    def __init__(self, channels: int, rng=None):
+        self.weight = parameter((channels, 3, 3), rng=rng, fan_in=9)
         self.bias = parameter((channels,), zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -119,26 +119,24 @@ class DepthwiseConv2d(Module):
 
 
 class LayerNorm(Module):
-    """Normalize the last axis; learnable gain and bias."""
+    """Normalize the last axis (eps 1e-5); learnable gain and bias."""
 
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gain = Tensor(np.ones(d), requires_grad=True)
         self.bias = Tensor(np.zeros(d), requires_grad=True)
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return E.layernorm(x, self.gain, self.bias, eps=self.eps)
+        return E.layernorm(x, self.gain, self.bias)
 
 
 class ChannelNorm(Module):
     """LayerNorm over the channel axis of [B, C, H, W] feature maps."""
 
-    def __init__(self, channels: int, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gain = Tensor(np.ones(channels), requires_grad=True)
         self.bias = Tensor(np.zeros(channels), requires_grad=True)
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         t = x.permute(0, 2, 3, 1)                   # [B, H, W, C]
-        t = E.layernorm(t, self.gain, self.bias, eps=self.eps)
+        t = E.layernorm(t, self.gain, self.bias)
         return t.permute(0, 3, 1, 2)

@@ -10,8 +10,8 @@ fused head:
 
     total = lam * L_fused + (1 - lam) / 2 * (L_cnn + L_trans)
 
-With delta = 1 the three coefficients sum to 1 at every k, so the loss
-scale stays steady while the mix shifts.
+The three coefficients sum to 1 at every k and for every delta, so the
+loss scale stays steady while the mix shifts.
 
 A training step stacks its samples into one [B, C, H, W] batch and records
 one tape; every loss is the mean of the per-sample losses, so the objective
@@ -34,7 +34,7 @@ from . import engine
 from .engine import Tape, Tensor, backward
 from .errors import ConfigurationError, TrainingDiverged
 from .metrics import confusion_metrics
-from .model import TecNet, TecNetConfig
+from .model import TecNet, TecNetConfig, check_types
 
 DICE_EPS = 1.0
 EVAL_BATCH = 8      # samples per stacked forward in evaluation and `tecnet eval`
@@ -49,11 +49,16 @@ def ramp_coefficient(k: float, delta: float = 1.0) -> float:
     return delta * math.exp(-5.0 * (1.0 - k) ** 2)
 
 
+def branch_weight(lam: float) -> float:
+    """Loss weight of each branch head when the fused head weighs lam."""
+    return (1.0 - lam) / 2.0
+
+
 def loss_coefficients(k: float, delta: float = 1.0) -> tuple[float, float, float]:
-    """(w_fused, w_cnn, w_trans); they sum to 1 when delta == 1."""
+    """(w_fused, w_cnn, w_trans) as total_loss weighs the heads at progress
+    k; they sum to 1 for every delta."""
     lam = ramp_coefficient(k, delta)
-    side = (1.0 - lam) / 2.0
-    return lam, side, side
+    return lam, branch_weight(lam), branch_weight(lam)
 
 
 def branch_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -78,21 +83,19 @@ def total_loss(outputs: dict, target: Tensor, lam: float) -> tuple[Tensor, dict]
     l_tec = branch_loss(outputs["y_tec"], target)
     l_cnn = branch_loss(outputs["y_cnn"], target)
     l_trans = branch_loss(outputs["y_trans"], target)
-    side = (1.0 - lam) / 2.0
-    total = l_tec * lam + (l_cnn + l_trans) * side
+    total = l_tec * lam + (l_cnn + l_trans) * branch_weight(lam)
     parts = {"loss_total": total.item(), "loss_tec": l_tec.item(),
              "loss_cnn": l_cnn.item(), "loss_trans": l_trans.item()}
     return total, parts
 
 
-def soft_dice_score(probs: np.ndarray, target: np.ndarray,
-                    eps: float = DICE_EPS) -> float:
+def soft_dice_score(probs: np.ndarray, target: np.ndarray) -> float:
     """Soft Dice (0..1) between probability maps and a binary target."""
     p = np.asarray(probs, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     axes = tuple(range(1, p.ndim))
     inter = np.sum(p * t, axis=axes)
-    dice = (2.0 * inter + eps) / (np.sum(p, axis=axes) + np.sum(t, axis=axes) + eps)
+    dice = (2.0 * inter + DICE_EPS) / (np.sum(p, axis=axes) + np.sum(t, axis=axes) + DICE_EPS)
     return float(np.mean(dice))
 
 
@@ -165,7 +168,7 @@ class PlateauHalver:
 
 @dataclass
 class TrainSchedule:
-    """Hyperparameters for one training run."""
+    """Hyperparameters for one training run, type- and range-checked."""
 
     total_epochs: int = 5
     steps: int | None = None       # when set, run exactly this many steps
@@ -177,19 +180,26 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_epochs < 1 and self.steps is None:
-            raise ConfigurationError("total_epochs must be >= 1")
-        if self.steps is not None and self.steps < 1:
-            raise ConfigurationError("steps must be >= 1 when given")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        check_types(self)
+        # above 1, delta would turn the branch weights (1 - lam) / 2 negative
+        for key, ok, rule in [
+                ("total_epochs", self.total_epochs >= 1 or self.steps is not None,
+                 ">= 1 unless steps is given"),
+                ("steps", self.steps is None or self.steps >= 1, ">= 1 when given"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("lr", self.lr > 0, "> 0"),
+                ("delta", 0 < self.delta <= 1, "in (0, 1]"),
+                ("plateau_patience", self.plateau_patience >= 1, ">= 1"),
+                ("plateau_factor", 0 < self.plateau_factor <= 1, "in (0, 1]"),
+                ("seed", self.seed >= 0, ">= 0")]:
+            if not ok:
+                raise ConfigurationError(
+                    f"config field {key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
 class TrainResult:
     history: list = field(default_factory=list)
-    final_lr: float = 0.0
-    final_lambda: float = 0.0
     checkpoint_path: str | None = None
     log_path: str | None = None
     summary: dict = field(default_factory=dict)
@@ -237,9 +247,9 @@ def evaluate_loss(model: TecNet, samples, lam: float) -> float:
     return total / len(samples)
 
 
-def evaluate_dice(model: TecNet, samples, threshold: float = 0.5) -> float:
+def evaluate_dice(model: TecNet, samples) -> float:
     """Mean hard Dice (0..100) of the fused head over samples."""
-    return float(np.mean([confusion_metrics(p[0] >= threshold, s.mask[0] > 0.5)["DI"]
+    return float(np.mean([confusion_metrics(p[0] >= 0.5, s.mask[0] > 0.5)["DI"]
                           for s, p in predictions(model, samples)]))
 
 
@@ -342,8 +352,6 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
         if log_fh is not None:
             log_fh.close()
 
-    result.final_lr = optimizer.lr
-    result.final_lambda = lam
     result.summary = {
         "steps": step,
         "final_lambda": lam,

@@ -216,6 +216,29 @@ def test_config_missing_train_keys_rejected(tmp_path, capsys, workdir):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,steps", [
+    ("batch_size", "4", "1"), ("batch_size", True, "1"), ("seed", "x", "1"),
+    ("seed", -1, "1"), ("lr", "0.001", "1"), ("lr", -1.0, "1"), ("delta", "1", "1"),
+    ("total_epochs", 2.5, "1"), ("total_epochs", 2.5, None), ("plateau_factor", 2.0, "1"),
+    ("plateau_patience", None, "1"), ("steps", 1, "1")])
+def test_train_rejects_bad_train_section(workdir, capsys, tmp_path, key, value, steps):
+    """Each of these once ended in a numpy traceback or trained with a
+    wrong setting (batch 1, gradient ascent, a rising learning rate); now
+    each exits 1 naming the field before any training starts.  `steps` is
+    set by the flag alone."""
+    blob = json.loads(workdir["config"].read_text())
+    blob["train"][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blob))
+    rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+               "--out", str(tmp_path / "r")] + (["--steps", steps] if steps else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    named = "unknown keys: ['steps']" if key == "steps" else f"config field {key} "
+    assert "error:" in err and str(cfg) in err and named in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     d1, d2, d3 = (tmp_path / n for n in ("a", "b", "c"))
     main(["gen", "--out", str(d1), "--count", "1", "--seed", "1"])

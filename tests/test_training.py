@@ -450,6 +450,22 @@ def test_schedule_validation():
         TrainSchedule(total_epochs=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", -1.0), ("lr", 0.0), ("lr", "0.001"), ("delta", 0.0), ("delta", 1.5),
+    ("plateau_factor", 2.0), ("plateau_factor", 0.0), ("plateau_patience", 0),
+    ("plateau_patience", None), ("seed", -1), ("batch_size", True), ("total_epochs", 2.5)])
+def test_schedule_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigurationError, match=f"config field {field} "):
+        TrainSchedule(steps=1, **{field: value})
+
+
+def test_schedule_accepts_range_edges():
+    # ints where floats are asked for, and the closed ends of each range
+    sched = TrainSchedule(steps=1, total_epochs=0, lr=1, delta=1, plateau_factor=1.0,
+                          plateau_patience=1, seed=0)
+    assert sched.lr == 1 and sched.delta == 1
+
+
 def test_lambda_rises_during_steps_mode(tmp_path):
     res, _, _ = _tiny_run(tmp_path, steps=4, batch_size=4)
     lams = [r["lambda"] for r in res.history]
