@@ -12,7 +12,9 @@ Configs are JSON with a required "model" section and, for training, a
 "train" section.  Each section holds exactly the fields of its dataclass
 (TecNetConfig, TrainSchedule less the CLI-only `steps`), every one required
 except the model toggles, which default on; each value is type- and
-range-checked.  The TECNET_SEED environment variable overrides --seed.
+range-checked, and so are the --steps, --val-count and --threshold flags,
+before anything is written.  The TECNET_SEED environment variable overrides
+--seed.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if args.val_count < 0:
+        raise UsageError(f"--val-count must be >= 0, got {args.val_count}")
     blob = load_config(args.config)
     cfg = model_config(blob, args.config)
     schedule = config_section(blob, "train", args.config,
@@ -136,6 +142,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.threshold < 1.0:                  # false for nan too
+        raise UsageError(f"--threshold must lie strictly between 0 and 1, got {args.threshold}")
     blob = load_config(args.config)
     cfg = model_config(blob, args.config)
     model = load_model(args.checkpoint, expected_config=cfg.to_dict())

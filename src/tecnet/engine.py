@@ -517,9 +517,12 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
-def _softmax_(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax of `a` along `axis`, in place; returns `a`."""
-    a -= np.max(a, axis=axis, keepdims=True)
+def _softmax_(a: np.ndarray, axis: int = -1, top: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax of `a` along `axis`, in place; returns `a`.
+
+    `top`, when given, is that max, already known to the caller.
+    """
+    a -= np.max(a, axis=axis, keepdims=True) if top is None else top
     np.exp(a, out=a)
     a /= np.sum(a, axis=axis, keepdims=True)
     return a
@@ -550,8 +553,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     array for the nw windows of one image, broadcast over the n // nw
     images whose windows make up the leading axis.  The logits are scaled,
     biased, masked and normalised in place in one [n, heads, T, T] buffer,
-    which the single tape node keeps as the probabilities for its backward.  When `probs` is a list, a copy of those
-    probabilities is appended to it.
+    which lives only while the output is computed: the single tape node
+    keeps the per-head q, k and v, and its backward recomputes the
+    probabilities from them with the same ops in the same order, so they
+    are the forward's bit for bit.  When `probs` is a list, the forward's
+    probabilities are appended to it.
+
+    With one feature per head (ACAM's cross branches) the logits are an
+    outer product, formed by a broadcast multiply instead of a matmul; with
+    neither bias nor mask each row's max is q times k's max or min, taken
+    by q's sign.  One product rounds alike either way and rounding is
+    monotone, so both equal the general path bit for bit.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3:
@@ -566,6 +578,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         raise ConfigurationError(f"mask {mask.shape} does not tile {nw} windows of {t} tokens")
     dh, dvh = d // heads, dv // heads
     scale = 1.0 / math.sqrt(d)
+    if bias is not None:
+        bias = as_tensor(bias)
 
     def split(a, dd, axes=(0, 2, 1, 3)):
         """[nw, T, heads*dd] -> contiguous per-head layout ([nw, heads, T, dd] by default)."""
@@ -577,25 +591,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
 
     qh, vh = split(q.data, dh), split(v.data, dvh)
     kt = split(k.data, dh, (0, 2, 3, 1))                 # [nw, heads, dh, T]
-    a = np.matmul(qh, kt)                                # [nw, heads, T, T]
-    a *= scale
-    if bias is not None:
-        bias = as_tensor(bias)
-        a += bias.data
-    if mask is not None:
-        per_image = a.reshape(-1, mask.shape[0], heads, t, t)   # a view: adds into a
-        per_image += mask[:, None]
-    _softmax_(a)
+
+    def probabilities():
+        """A fresh [nw, heads, T, T] buffer of attention probabilities."""
+        a = qh * kt if dh == 1 else np.matmul(qh, kt)
+        if scale != 1.0:
+            a *= scale
+        if bias is not None:
+            a += bias.data
+        if mask is not None:
+            per_image = a.reshape(-1, mask.shape[0], heads, t, t)   # a view: adds into a
+            per_image += mask[:, None]
+        top = None
+        if dh == 1 and bias is None and mask is None:
+            top = qh * np.where(qh >= 0, kt.max(axis=-1, keepdims=True),
+                                kt.min(axis=-1, keepdims=True))
+            if scale != 1.0:
+                top *= scale
+        return _softmax_(a, top=top)
+
+    a = probabilities()
     if probs is not None:
-        probs.append(a.copy())
+        probs.append(a)
     out = Tensor(merge(np.matmul(a, vh), dvh))
 
     def backward_fn(g):
+        a = probabilities()
         gh = split(g, dvh)
         gv = np.matmul(np.swapaxes(a, -1, -2), gh)
-        ga = _softmax_grad_(np.matmul(gh, np.swapaxes(vh, -1, -2)), a)
+        vt = np.swapaxes(vh, -1, -2)
+        ga = _softmax_grad_(gh * vt if dvh == 1 else np.matmul(gh, vt), a)
         gb = None if bias is None else _unbroadcast(ga, bias.shape)
-        ga *= scale
+        if scale != 1.0:
+            ga *= scale
         gq = np.matmul(ga, np.swapaxes(kt, -1, -2))
         gk = np.matmul(np.swapaxes(ga, -1, -2), qh)
         return merge(gq, dh), merge(gk, dh), merge(gv, dvh), gb
@@ -666,21 +694,22 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wd + 2 * padding - k) // stride + 1
 
-    xp = _zero_pad(x.data, padding)
-    # taps as rows, the B images' output positions as columns: one product
-    windows = _im2col(xp, k, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
-    cols = windows.reshape(cin * k * k, b * ho * wo)
+    def columns():
+        """Taps as rows, the B images' output positions as columns: one product."""
+        windows = _im2col(_zero_pad(x.data, padding), k, stride, ho, wo)
+        return windows.transpose(1, 2, 3, 0, 4, 5).reshape(cin * k * k, b * ho * wo)
+
     w2 = w.data.reshape(cout, cin * k * k)
-    y = _batch_major((w2 @ cols).reshape(cout, b, ho, wo))
+    y = _batch_major((w2 @ columns()).reshape(cout, b, ho, wo))
     if bias is not None:
         y = y + bias.data[:, None, None]
     out = Tensor(y)
 
     def backward_fn(g):
         g2 = np.swapaxes(g, 0, 1).reshape(cout, b * ho * wo)
-        gw = (g2 @ cols.T).reshape(w.shape)
+        gw = (g2 @ columns().T).reshape(w.shape)
         gcols = (w2.T @ g2).reshape(cin, k, k, b, ho, wo)
-        gxp = np.zeros((cin, b) + xp.shape[2:], dtype=xp.dtype)
+        gxp = np.zeros((cin, b, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
         for dy in range(k):
             for dx in range(k):
                 gxp[:, :, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += gcols[:, dy, dx]
@@ -709,15 +738,15 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
     if cw != c:
         raise ConfigurationError(f"depthwise channel mismatch: input has {c}, kernel has {cw}")
     p = k // 2
-    xp = _zero_pad(x.data, p)
-    win = _im2col(xp, k, 1, h, wd)            # [B, C, k, k, H, W]
+    win = _im2col(_zero_pad(x.data, p), k, 1, h, wd)            # [B, C, k, k, H, W]
     y = np.einsum("ckl,bcklhw->bchw", w.data, win)
     if bias is not None:
         y = y + bias.data[:, None, None]
     out = Tensor(y)
 
     def backward_fn(g):
-        gw = np.einsum("bchw,bcklhw->ckl", g, win)
+        xp = _zero_pad(x.data, p)                # rebuilt, not kept: the tape holds x
+        gw = np.einsum("bchw,bcklhw->ckl", g, _im2col(xp, k, 1, h, wd))
         gxp = np.zeros_like(xp)
         for dy in range(k):
             for dx in range(k):

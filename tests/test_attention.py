@@ -159,25 +159,32 @@ def test_masked_pairs_get_no_attention():
     assert mass < 1e-8
 
 
-@pytest.mark.parametrize("heads", [1, 2])
+# (heads, d, dv) by id.  The rank1 shapes have one feature per head in q, k
+# and v, as ACAM's cross branches do: they take the attention kernel's
+# outer-product logits, closed-form row max and outer-product value gradient,
+# with scale 1 at d = 1 and 1/sqrt(2) at d = 2.
+SHAPES = {"1": (1, 4, 6), "2": (2, 4, 6), "rank1-1": (1, 1, 1), "rank1-2": (2, 2, 2)}
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
 @pytest.mark.parametrize("bias_shape", ["heads,T,T", "T,T", None])
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("shared_qk", [False, True])
-def test_fused_attention_matches_composed_chain(heads, bias_shape, masked, shared_qk):
+def test_fused_attention_matches_composed_chain(shape, bias_shape, masked, shared_qk):
     """engine.attention equals the composed op chain it replaced: the forward
     exactly, the input and bias gradients to 1e-12 relative."""
-    _compare_fused_with_chain(heads, bias_shape, masked, shared_qk, images=1)
+    _compare_fused_with_chain(*SHAPES[shape], bias_shape, masked, shared_qk, images=1)
 
 
 @pytest.mark.parametrize("heads", [1, 2])
 def test_fused_attention_broadcasts_the_mask_over_images(heads):
     """Three images' windows on one axis take the one-image [4, T, T] shift
     mask, and match the chain given the mask tiled three times."""
-    _compare_fused_with_chain(heads, "heads,T,T", True, False, images=3)
+    _compare_fused_with_chain(heads, 4, 6, "heads,T,T", True, False, images=3)
 
 
-def _compare_fused_with_chain(heads, bias_shape, masked, shared_qk, images):
-    t, d, dv = 16, 4, 6
+def _compare_fused_with_chain(heads, d, dv, bias_shape, masked, shared_qk, images):
+    t = 16
     nw = 4 * images
     rng = np.random.default_rng(17)
     q = Tensor(rng.standard_normal((nw, t, d)), requires_grad=True)

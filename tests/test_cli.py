@@ -239,6 +239,25 @@ def test_train_rejects_bad_train_section(workdir, capsys, tmp_path, key, value, 
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("eval", "--threshold", "2"), ("eval", "--threshold", "nan"),
+    ("eval", "--threshold", "-1"), ("eval", "--threshold", "0"),
+    ("train", "--val-count", "-1"), ("train", "--steps", "0")])
+def test_out_of_range_flag_rejected(workdir, capsys, tmp_path, command, flag, value):
+    """A threshold outside (0, 1) once wrote all-empty or all-full masks and
+    a negative --val-count trained unvalidated, each exiting 0; --steps 0
+    blamed the config file.  Each now exits 1 naming the flag, before any
+    output is written."""
+    common = ["--config", str(workdir["config"]), "--data", str(workdir["data"]),
+              "--out", str(tmp_path / "r")]
+    if command == "eval":
+        common += ["--checkpoint", str(workdir["run"] / "checkpoint.tect")]
+    rc = main([command] + common + [flag, value])
+    assert rc == 1
+    assert f"error: {flag} must" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     d1, d2, d3 = (tmp_path / n for n in ("a", "b", "c"))
     main(["gen", "--out", str(d1), "--count", "1", "--seed", "1"])

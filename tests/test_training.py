@@ -5,6 +5,7 @@ import gc
 import inspect
 import math
 import os
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -166,6 +167,16 @@ NANO_SAMPLE_TAPE_NODES = 1280
 # inference path fails here.
 NANO_FORWARD_OP_CALLS = 1234
 
+# MiB that tracemalloc sees held by the tape of one nano B=8 forward plus
+# loss, and at the peak of its backward (tape included).  Backward closures
+# keep only what the tape already holds plus O(T*d) operands: they read
+# 154.5 and 171.2 while each attention node kept its [n, heads, T, T]
+# probabilities and each convolution its padded input and im2col columns,
+# and 82.9 and 107.6 once backward recomputed them.  The bounds sit about 5%
+# above; a closure that keeps a T x T buffer again fails here.
+NANO_STEP_TAPE_MB = 87
+NANO_BACKWARD_PEAK_MB = 113
+
 
 def test_tape_budget_of_one_nano_train_sample():
     """One sample or a batch of 8: the step's tape has the same nodes."""
@@ -180,6 +191,30 @@ def test_tape_budget_of_one_nano_train_sample():
         assert ops.count("attention") == 4 * acam_layers     # one node per branch
         assert ops.count("softmax") == ddconv_layers          # only the kernel gates
         assert len(ops) == NANO_SAMPLE_TAPE_NODES, batch
+
+
+def test_memory_budget_of_one_nano_train_step():
+    model = TecNet(nano_config(), seed=0)
+    images, masks = stack(make_dataset(SynthSpec(seed=5, count=8, size=64)))
+
+    def forward_and_loss():
+        with Tape():
+            loss, _ = total_loss(model.forward(images), Tensor(masks), 0.5)
+        return loss
+
+    backward(forward_and_loss())            # warm-up: lazy caches fill here
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = forward_and_loss()
+        tape_mb = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert tape_mb <= NANO_STEP_TAPE_MB
+    assert peak_mb <= NANO_BACKWARD_PEAK_MB
 
 
 # Permute nodes (each one a copy) of one nano train step at B=8, per
