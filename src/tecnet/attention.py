@@ -371,16 +371,21 @@ def cost_acam(h: int, w: int, c: int, m: int) -> int:
     return (hw * c * c) // 4 + m * m * hw * c
 
 
-def attention_macs(c: int, m: int, h: int, w: int, acam: bool = True,
+MAC_REPORT_COLUMNS = ("module", "branch", "formula_macs", "actual_macs", "prob_entries")
+
+
+def attention_macs(c: int, m: int, h: int, w: int, heads: int, acam: bool = True,
                    shared_kv: bool = False) -> list[dict]:
-    """Per-branch multiply counts for one attention layer on an h x w grid.
+    """Per-branch multiply and probability counts for one attention layer on an h x w grid.
 
     The layer is an ACAM (`shared_kv` selecting its mode) or, with `acam`
-    False, a WindowAttention, of width c and window m.  Returns rows of
-    {module, branch, formula_macs, actual_macs}; the formula column carries
-    the closed-form budget the layer family advertises, the actual column
-    counts the matmul multiplies the implementation performs (padding
-    included, biases and softmax excluded).
+    False, a WindowAttention, of width c, window m and `heads` heads.
+    Returns rows of {module, branch, formula_macs, actual_macs,
+    prob_entries}; the formula column carries the closed-form budget the
+    layer family advertises, the actual column counts the matmul multiplies
+    the implementation performs (padding included, biases and softmax
+    excluded), and prob_entries counts the attention probabilities a branch
+    forms, windows x heads x T^2 (padding included), which MACs do not see.
     """
     hp = -(-h // m) * m
     wp = -(-w // m) * m
@@ -388,60 +393,61 @@ def attention_macs(c: int, m: int, h: int, w: int, acam: bool = True,
     nw = (hp // m) * (wp // m)
     t_sp = m * m
 
+    def probs(tokens, branch_heads=heads):
+        return nw * branch_heads * tokens * tokens
+
+    def rows(name, branches):
+        """Rows from (branch, formula, actual, prob_entries) tuples, then their total."""
+        total = cost_acam(hp, wp, c, m) if acam else cost_swmsa(hp, wp, c, m)
+        branches.append(("total", total, sum(b[2] for b in branches), sum(b[3] for b in branches)))
+        return [dict(zip(MAC_REPORT_COLUMNS, (name,) + b)) for b in branches]
+
     if not acam:
-        name = f"wmsa[C={c},M={m}]"
-        proj = 3 * t_sp * c * c * nw
-        attn = 2 * t_sp * t_sp * c * nw
-        outp = t_sp * c * c * nw
-        return [
-            {"module": name, "branch": "projection", "formula_macs": 3 * hw * c * c, "actual_macs": proj},
-            {"module": name, "branch": "attention_spatial", "formula_macs": 2 * m * m * hw * c, "actual_macs": attn},
-            {"module": name, "branch": "output_projection", "formula_macs": hw * c * c, "actual_macs": outp},
-            {"module": name, "branch": "total", "formula_macs": cost_swmsa(hp, wp, c, m), "actual_macs": proj + attn + outp},
-        ]
+        return rows(f"wmsa[C={c},M={m}]", [
+            ("projection", 3 * hw * c * c, 3 * t_sp * c * c * nw, 0),
+            ("attention_spatial", 2 * m * m * hw * c, 2 * t_sp * t_sp * c * nw, probs(t_sp)),
+            ("output_projection", hw * c * c, t_sp * c * c * nw, 0),
+        ])
 
     c8, m8, p8 = max(1, c // 8), max(1, m * m // 8), max(1, m // 8)
-    name = f"acam[C={c},M={m}{',shared' if shared_kv else ''}]"
     per_branch_formula = (m * m * hw * c) // 4
 
     if shared_kv:
         proj = 2 * t_sp * c * c8 * nw
-        attn_sp = 2 * t_sp * t_sp * c8 * nw
         attn_ch = 2 * c8 * c8 * t_sp * nw
-        attn_xh = 2 * (c8 * m) ** 2 * m * nw
-        attn_xw = attn_xh
+        attn_x = 2 * (c8 * m) ** 2 * m * nw
         outp = 4 * t_sp * c8 * c * nw
+        probs_ch = probs(c8, _effective_heads(t_sp, heads))
+        probs_x = probs(c8 * m, _effective_heads(m, heads))
     else:
         proj = (3 * t_sp * c * c8 + 3 * c * t_sp * m8 + 2 * 3 * (c * m) * m * p8) * nw
-        attn_sp = 2 * t_sp * t_sp * c8 * nw
         attn_ch = 2 * c * c * m8 * nw
-        attn_xh = 2 * (c * m) ** 2 * p8 * nw
-        attn_xw = attn_xh
+        attn_x = 2 * (c * m) ** 2 * p8 * nw
         outp = (t_sp * c8 * c + c * m8 * t_sp + 2 * (c * m) * p8 * m) * nw
+        probs_ch = probs(c, _effective_heads(m8, heads))
+        probs_x = probs(c * m, _effective_heads(p8, heads))
 
-    total_actual = proj + attn_sp + attn_ch + attn_xh + attn_xw + outp
-    return [
-        {"module": name, "branch": "projection", "formula_macs": (hw * c * c) // 4, "actual_macs": proj},
-        {"module": name, "branch": "attention_spatial", "formula_macs": per_branch_formula, "actual_macs": attn_sp},
-        {"module": name, "branch": "attention_channel", "formula_macs": per_branch_formula, "actual_macs": attn_ch},
-        {"module": name, "branch": "attention_cross_h", "formula_macs": per_branch_formula, "actual_macs": attn_xh},
-        {"module": name, "branch": "attention_cross_w", "formula_macs": per_branch_formula, "actual_macs": attn_xw},
-        {"module": name, "branch": "output_projection", "formula_macs": 0, "actual_macs": outp},
-        {"module": name, "branch": "total", "formula_macs": cost_acam(hp, wp, c, m), "actual_macs": total_actual},
-    ]
+    return rows(f"acam[C={c},M={m}{',shared' if shared_kv else ''}]", [
+        ("projection", (hw * c * c) // 4, proj, 0),
+        ("attention_spatial", per_branch_formula, 2 * t_sp * t_sp * c8 * nw, probs(t_sp)),
+        ("attention_channel", per_branch_formula, attn_ch, probs_ch),
+        ("attention_cross_h", per_branch_formula, attn_x, probs_x),
+        ("attention_cross_w", per_branch_formula, attn_x, probs_x),
+        ("output_projection", 0, outp, 0),
+    ])
 
 
 def count_actual_macs(layer, h: int, w: int) -> list[dict]:
     """`attention_macs` rows of an ACAM or WindowAttention layer on an h x w grid."""
     acam = isinstance(layer, ACAM)
-    return attention_macs(layer.channels, layer.window, h, w, acam=acam,
+    return attention_macs(layer.channels, layer.window, h, w, layer.heads, acam=acam,
                           shared_kv=acam and layer.shared_kv)
 
 
 def write_mac_report(path, rows) -> None:
-    """CSV with columns module,branch,formula_macs,actual_macs."""
+    """CSV with the `MAC_REPORT_COLUMNS` of `attention_macs` rows."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["module", "branch", "formula_macs", "actual_macs"])
+        writer = csv.DictWriter(fh, fieldnames=MAC_REPORT_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

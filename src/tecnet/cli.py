@@ -199,17 +199,18 @@ def cmd_analyze(args) -> int:
               "projections differ from the published configuration)")
 
     print("\nattention cost per stage (MACs: formulas for three layer kinds; "
-          "actual: the layer this config runs)")
+          "actual: the layer this config runs; probs: its probability entries)")
     print(f"{'stage':<8}{'grid':>6}{'width':>7}{'global':>16}"
-          f"{'windowed':>14}{'adaptive':>14}{'actual':>14}")
+          f"{'windowed':>14}{'adaptive':>14}{'actual':>14}{'probs':>12}")
     m = cfg.window
     for i in range(N_STAGES):
         g = cfg.stage_grid(i)
         c = cfg.stage_width(i)
         gp = -(-g // m) * m                   # windows run on the padded grid
-        actual = attention_rows(cfg, i)[-1]["actual_macs"]
+        total = attention_rows(cfg, i)[-1]
         print(f"{i:<8}{g:>6}{c:>7}{cost_msa(g, g, c):>16,}"
-              f"{cost_swmsa(gp, gp, c, m):>14,}{cost_acam(gp, gp, c, m):>14,}{actual:>14,}")
+              f"{cost_swmsa(gp, gp, c, m):>14,}{cost_acam(gp, gp, c, m):>14,}"
+              f"{total['actual_macs']:>14,}{total['prob_entries']:>12,}")
 
     if args.mac_report:
         rows = [row for i in range(N_STAGES) for row in attention_rows(cfg, i)]

@@ -400,7 +400,7 @@ class TecNet(Module):
 def attention_rows(cfg: TecNetConfig, stage: int) -> list[dict]:
     """`attention_macs` rows of one attention layer of `stage`."""
     g = cfg.stage_grid(stage)
-    return attention_macs(cfg.stage_width(stage), cfg.window, g, g,
+    return attention_macs(cfg.stage_width(stage), cfg.window, g, g, cfg.heads[stage],
                           acam=cfg.use_acam, shared_kv=cfg.shared_kv)
 
 

@@ -48,8 +48,10 @@ class SynthSpec:
                 f"count must be in 1..10000 (sample ids have four digits), got {self.count}")
         if self.size < 32:
             raise ConfigurationError(f"size must be >= 32, got {self.size}")
-        if self.noise < 0 or self.grad_amp < 0:
-            raise ConfigurationError("noise and grad_amp must be >= 0")
+        for name in ("noise", "grad_amp"):
+            if not 0.0 <= getattr(self, name) < np.inf:   # false for nan too
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Window machinery, masks, four-branch attention, and the cost model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,8 +163,8 @@ def test_masked_pairs_get_no_attention():
 
 # (heads, d, dv) by id.  The rank1 shapes have one feature per head in q, k
 # and v, as ACAM's cross branches do: they take the attention kernel's
-# outer-product logits, closed-form row max and outer-product value gradient,
-# with scale 1 at d = 1 and 1/sqrt(2) at d = 2.
+# outer-product logits, closed-form row max and rank-one backward, with
+# scale 1 at d = 1 and 1/sqrt(2) at d = 2.
 SHAPES = {"1": (1, 4, 6), "2": (2, 4, 6), "rank1-1": (1, 1, 1), "rank1-2": (2, 2, 2)}
 
 
@@ -213,6 +215,55 @@ def _compare_fused_with_chain(heads, d, dv, bias_shape, masked, shared_qk, image
     assert np.array_equal(fast, slow)
     for got, want in zip(fast_grads, slow_grads):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# [n, T] of nano's cross-branch attention calls at B=8, one feature per head
+# in q, k and v: the shapes the rank-one backward serves in training.
+NANO_CROSS_SHAPES = [(128, 64), (32, 128), (8, 256), (8, 512)]
+
+
+def _rank_one_run(fn, n, t, rng):
+    """Output and (q, k, v) gradients of sum(w * fn(q, k, v)) in one head."""
+    q, k, v = (Tensor(rng.standard_normal((n, t, 1)), requires_grad=True) for _ in range(3))
+    weight = Tensor(rng.standard_normal((n, t, 1)))
+    with Tape():
+        out = fn(q, k, v)
+        loss = (out * weight).sum()
+    backward(loss)
+    return out.data, [p.grad for p in (q, k, v)]
+
+
+@pytest.mark.parametrize("n,t", NANO_CROSS_SHAPES)
+def test_rank_one_backward_matches_the_chain_in_float32(n, t):
+    """In float32 compute, on nano's cross-branch shapes, the rank-one
+    backward's gradients match the composed chain's to 1e-5 of each
+    gradient's largest entry, and the forwards are equal."""
+    with E.precision(np.float32):
+        fast, fast_grads = _rank_one_run(E.attention, n, t, np.random.default_rng(t))
+        slow, slow_grads = _rank_one_run(attention_reference, n, t, np.random.default_rng(t))
+    assert fast.dtype == np.float32
+    assert np.array_equal(fast, slow)
+    for got, want in zip(fast_grads, slow_grads):
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+def test_rank_one_backward_holds_one_probability_sized_buffer():
+    """One rank-one backward at [8, 512, 1] peaks below two [8, 1, 512, 512]
+    buffers: it forms the exponentials once and never the T x T gradient
+    (the softmax-Jacobian backward it replaced peaked near three)."""
+    n, t = 8, 512
+    with E.precision(np.float32):
+        q, k, v = (Tensor(RNG.standard_normal((n, t, 1)), requires_grad=True) for _ in range(3))
+        with Tape():
+            loss = E.attention(q, k, v).sum()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * n * t * t * np.dtype(np.float32).itemsize
 
 
 @pytest.mark.parametrize("kind", ["acam", "acam_shared", "wmsa"])
@@ -357,3 +408,25 @@ def test_shared_and_separate_modes_differ_in_value():
     na = sum(p.size for _, p in a.named_parameters())
     nb = sum(p.size for _, p in b.named_parameters())
     assert nb < na  # sharing K/V embeddings saves parameters
+
+
+@pytest.mark.parametrize("mode", [{}, {"shared_kv": True}, {"use_acam": False}],
+                         ids=["separate", "shared_kv", "window_attention"])
+def test_prob_entries_equal_the_collected_probabilities(mode):
+    """Each branch's analytic prob_entries equals the size of the probability
+    array its attention layer produces, divided by the batch, at every nano
+    stage (the 2x2 bottleneck grid padded to one window included)."""
+    from tecnet.model import N_STAGES, TecNet, attention_rows, nano_config
+
+    cfg = nano_config(**mode)
+    model = TecNet(cfg, seed=0)
+    batch = 2
+    for i in range(N_STAGES):
+        g, c = cfg.stage_grid(i), cfg.stage_width(i)
+        rows = {r["branch"]: r["prob_entries"] for r in attention_rows(cfg, i)}
+        for block in model.trans_stages[i].blocks:
+            collect = {}
+            block.attn(Tensor(RNG.standard_normal((batch, g, g, c))), collect=collect)
+            sizes = {f"attention_{key}": a.size // batch for key, a in collect.items()}
+            assert sizes == {b: n for b, n in rows.items() if b.startswith("attention_")}, (i, mode)
+            assert sum(sizes.values()) == rows["total"]

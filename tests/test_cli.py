@@ -64,6 +64,18 @@ def test_gen_rejects_count_outside_the_four_digit_ids(tmp_path, capsys, count):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("flag", [["--noise", "nan"], ["--grad-amp", "inf"]])
+def test_gen_rejects_non_finite_image_knobs(tmp_path, capsys, flag):
+    """A nan noise level or an infinite gradient amplitude exits 1, naming
+    the field, before any image is written."""
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main(["gen", "--out", str(out), "--count", "1", *flag]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and flag[0][2:].replace("-", "_") in err
+    assert os.listdir(out) == []
+
+
 def test_train_writes_loadable_checkpoint(workdir):
     ckpt = workdir["run"] / "checkpoint.tect"
     assert ckpt.exists()
@@ -296,7 +308,7 @@ def test_analyze_mac_report(tmp_path, capsys, size):
     with open(report) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["module"].startswith("acam")
-    assert {"module", "branch", "formula_macs", "actual_macs"} == set(rows[0])
+    assert {"module", "branch", "formula_macs", "actual_macs", "prob_entries"} == set(rows[0])
     # the report describes the attention layers nano holds: 4x4 windows at
     # every stage, the 2x2 bottleneck grid included (it is padded, not shrunk)
     assert all("M=4" in r["module"] for r in rows)
@@ -312,17 +324,19 @@ def test_analyze_mac_report(tmp_path, capsys, size):
 
 @pytest.mark.parametrize("size", [None, 128], ids=["native", "128"])
 def test_analyze_attention_table_prints_actual_cost(capsys, size):
-    """The attention table's last column is the total MAC row of the layer
-    the config runs, the one count_flops adds up."""
+    """The attention table's actual and probs columns are the total row of
+    the layer the config runs: the MACs count_flops adds up and the
+    probability entries."""
     argv = ["analyze", "--preset", "nano"]
     if size is not None:
         argv += ["--input-size", str(size)]
     assert main(argv) == 0
     cfg = nano_config() if size is None else nano_config(input_size=size)
     lines = capsys.readouterr().out.split("attention cost per stage")[1].splitlines()
-    assert lines[1].split()[-1] == "actual"
-    actual = [int(line.split()[-1].replace(",", "")) for line in lines[2:2 + N_STAGES]]
-    assert actual == [attention_rows(cfg, i)[-1]["actual_macs"] for i in range(N_STAGES)]
+    assert lines[1].split()[-2:] == ["actual", "probs"]
+    cells = [[int(x.replace(",", "")) for x in line.split()[-2:]] for line in lines[2:2 + N_STAGES]]
+    totals = [attention_rows(cfg, i)[-1] for i in range(N_STAGES)]
+    assert cells == [[r["actual_macs"], r["prob_entries"]] for r in totals]
 
 
 @pytest.mark.parametrize("size", ["72", "0"])

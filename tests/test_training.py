@@ -172,10 +172,12 @@ NANO_FORWARD_OP_CALLS = 1234
 # keep only what the tape already holds plus O(T*d) operands: they read
 # 154.5 and 171.2 while each attention node kept its [n, heads, T, T]
 # probabilities and each convolution its padded input and im2col columns,
-# and 82.9 and 107.6 once backward recomputed them.  The bounds sit about 5%
-# above; a closure that keeps a T x T buffer again fails here.
+# and 82.9 and 107.6 once backward recomputed them.  The peak fell to 91.7
+# when the one-feature-per-head attention backward stopped forming the
+# softmax Jacobian's T x T buffers.  The bounds sit about 5% above; a
+# closure that keeps a T x T buffer again fails here.
 NANO_STEP_TAPE_MB = 87
-NANO_BACKWARD_PEAK_MB = 113
+NANO_BACKWARD_PEAK_MB = 96
 
 
 def test_tape_budget_of_one_nano_train_sample():
