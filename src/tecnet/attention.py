@@ -15,15 +15,15 @@ on the window's own token layout, the others on its [C, M, M] view:
 * cross C-H: (C*M) tokens over the width axis;
 * cross C-W: (C*M) tokens over the height axis.
 
-Every branch projects its feature axis down to max(1, d // 8) before the
-attention product, and the four outputs are fused by learnable scalars
-initialised to 1/4 each.  The projection shrinks the products' feature
-dimension, not their token count: the channel branch attends over C tokens
-and the cross branches over C*M, so their products grow with C^2.  In the
-default separate-projection mode the layer therefore costs more than plain
-window attention at some widths (nano stages 1 and 3); `attention_macs`
-counts what each mode really multiplies, and `tecnet analyze` prints it
-beside the formulas.
+Every branch projects its feature axis down to an eighth (`branch_dims`)
+before the attention product, and the four outputs are fused by learnable
+scalars initialised to 1/4 each.  The projection shrinks the products'
+feature dimension, not their token count: the channel branch attends over C
+tokens and the cross branches over C*M, so their products grow with C^2.
+In the default separate-projection mode the layer therefore costs more than
+plain window attention at some widths (nano stages 1 and 3);
+`model.attention_rows` counts what each mode really multiplies, and
+`tecnet analyze` prints it beside the formulas.
 
 In shared-projection mode the K and V embeddings are computed once from the
 spatial token layout and every branch re-reads them in its own arrangement
@@ -32,8 +32,6 @@ plain window attention.
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
@@ -165,6 +163,20 @@ def _effective_heads(dim: int, heads: int) -> int:
     return 1
 
 
+def branch_dims(c: int, m: int, heads: int, shared_kv: bool) -> tuple[int, int, int, int, int]:
+    """(c8, m8, p8, heads_channel, heads_cross) of an ACAM of width c and window m.
+
+    c8, m8 and p8 are the projected widths of the C, M*M and M feature axes,
+    an eighth each and at least 1.  The channel and cross branches split into
+    `heads` only where the feature dim they attend with supports it: the
+    projected m8 and p8 in separate mode, the embedding's M*M and M in shared
+    mode.
+    """
+    c8, m8, p8 = (max(1, d // 8) for d in (c, m * m, m))
+    dims = (m * m, m) if shared_kv else (m8, p8)
+    return (c8, m8, p8) + tuple(_effective_heads(d, heads) for d in dims)
+
+
 class ACAM(Module):
     """Four-branch adaptive complementary attention over a batch of feature maps.
 
@@ -189,9 +201,8 @@ class ACAM(Module):
         self.shifted = shifted
         self.shift = m // 2 if shifted else 0
         self.shared_kv = shared_kv
-        self.c8 = max(1, c // 8)
-        self.m8 = max(1, (m * m) // 8)
-        self.p8 = max(1, m // 8)
+        self.c8, self.m8, self.p8, self.heads_channel, self.heads_cross = branch_dims(
+            c, m, heads, shared_kv)
 
         self.bias_spatial = parameter(((2 * m - 1) ** 2, heads), rng=rng, scale=0.02)
         self.lambdas = Tensor(np.full(4, 0.25), requires_grad=True)
@@ -204,8 +215,6 @@ class ACAM(Module):
             self.out_cross_h = Linear(self.c8, c, rng=rng, zero=True)
             self.out_cross_w = Linear(self.c8, c, rng=rng, zero=True)
             self.bias_channel = parameter((self.c8, self.c8), rng=rng, scale=0.02)
-            self.heads_channel = _effective_heads(m * m, heads)
-            self.heads_cross = _effective_heads(m, heads)
         else:
             self.q_spatial = Linear(c, self.c8, rng=rng)
             self.k_spatial = Linear(c, self.c8, rng=rng)
@@ -224,8 +233,6 @@ class ACAM(Module):
             self.k_cross_w = Linear(m, self.p8, rng=rng)
             self.v_cross_w = Linear(m, self.p8, rng=rng)
             self.out_cross_w = Linear(self.p8, m, rng=rng, zero=True)
-            self.heads_channel = _effective_heads(self.m8, heads)
-            self.heads_cross = _effective_heads(self.p8, heads)
 
     def forward(self, x: Tensor, collect: dict | None = None) -> Tensor:
         if x.shape[-1] != self.channels:
@@ -369,85 +376,3 @@ def cost_acam(h: int, w: int, c: int, m: int) -> int:
     """Four-branch attention MACs: quarter projections, windowed products."""
     hw = h * w
     return (hw * c * c) // 4 + m * m * hw * c
-
-
-MAC_REPORT_COLUMNS = ("module", "branch", "formula_macs", "actual_macs", "prob_entries")
-
-
-def attention_macs(c: int, m: int, h: int, w: int, heads: int, acam: bool = True,
-                   shared_kv: bool = False) -> list[dict]:
-    """Per-branch multiply and probability counts for one attention layer on an h x w grid.
-
-    The layer is an ACAM (`shared_kv` selecting its mode) or, with `acam`
-    False, a WindowAttention, of width c, window m and `heads` heads.
-    Returns rows of {module, branch, formula_macs, actual_macs,
-    prob_entries}; the formula column carries the closed-form budget the
-    layer family advertises, the actual column counts the matmul multiplies
-    the implementation performs (padding included, biases and softmax
-    excluded), and prob_entries counts the attention probabilities a branch
-    forms, windows x heads x T^2 (padding included), which MACs do not see.
-    """
-    hp = -(-h // m) * m
-    wp = -(-w // m) * m
-    hw = hp * wp
-    nw = (hp // m) * (wp // m)
-    t_sp = m * m
-
-    def probs(tokens, branch_heads=heads):
-        return nw * branch_heads * tokens * tokens
-
-    def rows(name, branches):
-        """Rows from (branch, formula, actual, prob_entries) tuples, then their total."""
-        total = cost_acam(hp, wp, c, m) if acam else cost_swmsa(hp, wp, c, m)
-        branches.append(("total", total, sum(b[2] for b in branches), sum(b[3] for b in branches)))
-        return [dict(zip(MAC_REPORT_COLUMNS, (name,) + b)) for b in branches]
-
-    if not acam:
-        return rows(f"wmsa[C={c},M={m}]", [
-            ("projection", 3 * hw * c * c, 3 * t_sp * c * c * nw, 0),
-            ("attention_spatial", 2 * m * m * hw * c, 2 * t_sp * t_sp * c * nw, probs(t_sp)),
-            ("output_projection", hw * c * c, t_sp * c * c * nw, 0),
-        ])
-
-    c8, m8, p8 = max(1, c // 8), max(1, m * m // 8), max(1, m // 8)
-    per_branch_formula = (m * m * hw * c) // 4
-
-    if shared_kv:
-        proj = 2 * t_sp * c * c8 * nw
-        attn_ch = 2 * c8 * c8 * t_sp * nw
-        attn_x = 2 * (c8 * m) ** 2 * m * nw
-        outp = 4 * t_sp * c8 * c * nw
-        probs_ch = probs(c8, _effective_heads(t_sp, heads))
-        probs_x = probs(c8 * m, _effective_heads(m, heads))
-    else:
-        proj = (3 * t_sp * c * c8 + 3 * c * t_sp * m8 + 2 * 3 * (c * m) * m * p8) * nw
-        attn_ch = 2 * c * c * m8 * nw
-        attn_x = 2 * (c * m) ** 2 * p8 * nw
-        outp = (t_sp * c8 * c + c * m8 * t_sp + 2 * (c * m) * p8 * m) * nw
-        probs_ch = probs(c, _effective_heads(m8, heads))
-        probs_x = probs(c * m, _effective_heads(p8, heads))
-
-    return rows(f"acam[C={c},M={m}{',shared' if shared_kv else ''}]", [
-        ("projection", (hw * c * c) // 4, proj, 0),
-        ("attention_spatial", per_branch_formula, 2 * t_sp * t_sp * c8 * nw, probs(t_sp)),
-        ("attention_channel", per_branch_formula, attn_ch, probs_ch),
-        ("attention_cross_h", per_branch_formula, attn_x, probs_x),
-        ("attention_cross_w", per_branch_formula, attn_x, probs_x),
-        ("output_projection", 0, outp, 0),
-    ])
-
-
-def count_actual_macs(layer, h: int, w: int) -> list[dict]:
-    """`attention_macs` rows of an ACAM or WindowAttention layer on an h x w grid."""
-    acam = isinstance(layer, ACAM)
-    return attention_macs(layer.channels, layer.window, h, w, layer.heads, acam=acam,
-                          shared_kv=acam and layer.shared_kv)
-
-
-def write_mac_report(path, rows) -> None:
-    """CSV with the `MAC_REPORT_COLUMNS` of `attention_macs` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MAC_REPORT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

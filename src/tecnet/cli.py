@@ -12,14 +12,15 @@ Configs are JSON with a required "model" section and, for training, a
 "train" section.  Each section holds exactly the fields of its dataclass
 (TecNetConfig, TrainSchedule less the CLI-only `steps`), every one required
 except the model toggles, which default on; each value is type- and
-range-checked, and so are the --steps, --val-count and --threshold flags,
-before anything is written.  The TECNET_SEED environment variable overrides
---seed.
+range-checked, and so are the --steps, --val-count, --log-every and
+--threshold flags and the datasets' image size, before anything is
+written.  The TECNET_SEED environment variable overrides --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -27,11 +28,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attention import cost_acam, cost_msa, cost_swmsa, write_mac_report
+from .attention import cost_acam, cost_msa, cost_swmsa
 from .errors import ConfigurationError, UsageError
 from .metrics import evaluate_pairs, write_metrics_csv
-from .model import (N_STAGES, PRESETS, TecNet, TecNetConfig, attention_rows,
-                    count_flops, count_params, read_config)
+from .model import (MAC_REPORT_COLUMNS, N_STAGES, PRESETS, TecNet, TecNetConfig,
+                    attention_rows, count_flops, count_params, read_config)
 from .synth import FAMILIES, SynthSpec, generate, load_dataset, quantize, write_pgm
 from .training import TrainSchedule, load_model, predictions, train
 
@@ -75,6 +76,16 @@ def model_config(blob: dict, path: str) -> TecNetConfig:
     return config_section(blob, "model", path, TecNetConfig.from_dict)
 
 
+def load_sized_dataset(data_dir: str, cfg: TecNetConfig):
+    """load_dataset(data_dir), whose images must be the config's input size."""
+    samples = load_dataset(data_dir)
+    size = samples[0].image.shape[1:]
+    if size != (cfg.input_size, cfg.input_size):
+        raise UsageError(f"{data_dir}: images are {size[0]}x{size[1]}, the config's "
+                         f"input_size is {cfg.input_size}")
+    return samples
+
+
 def resolve_seed(seed: int | None) -> int | None:
     env = os.environ.get("TECNET_SEED")
     if env is not None:
@@ -102,6 +113,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.val_count < 0:
         raise UsageError(f"--val-count must be >= 0, got {args.val_count}")
+    if args.log_every < 1:
+        raise UsageError(f"--log-every must be >= 1, got {args.log_every}")
     blob = load_config(args.config)
     cfg = model_config(blob, args.config)
     schedule = config_section(blob, "train", args.config,
@@ -110,9 +123,9 @@ def cmd_train(args) -> int:
     if seed is not None:
         schedule = replace(schedule, seed=seed)
 
-    samples = load_dataset(args.data)
+    samples = load_sized_dataset(args.data, cfg)
     if args.val_data:
-        val = load_dataset(args.val_data)
+        val = load_sized_dataset(args.val_data, cfg)
     elif args.val_count > 0:
         if args.val_count >= len(samples):
             raise UsageError(
@@ -127,7 +140,7 @@ def cmd_train(args) -> int:
           f"{len(samples)} train / {len(val) if val else 0} val samples")
 
     def progress(row):
-        if row["step"] % max(1, args.log_every) == 0:
+        if row["step"] % args.log_every == 0:
             print(f"step {row['step']:>5}  epoch {row['epoch']:>3}  "
                   f"lambda {row['lambda']:.4f}  lr {row['lr']:.2e}  "
                   f"loss {row['loss_total']:.5f}  grad_norm {row['grad_norm']:.3e}  "
@@ -147,7 +160,7 @@ def cmd_eval(args) -> int:
     blob = load_config(args.config)
     cfg = model_config(blob, args.config)
     model = load_model(args.checkpoint, expected_config=cfg.to_dict())
-    samples = load_dataset(args.data)
+    samples = load_sized_dataset(args.data, cfg)
     os.makedirs(args.out, exist_ok=True)
 
     pairs = []
@@ -213,8 +226,10 @@ def cmd_analyze(args) -> int:
               f"{total['actual_macs']:>14,}{total['prob_entries']:>12,}")
 
     if args.mac_report:
-        rows = [row for i in range(N_STAGES) for row in attention_rows(cfg, i)]
-        write_mac_report(args.mac_report, rows)
+        with open(args.mac_report, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=MAC_REPORT_COLUMNS)
+            writer.writeheader()
+            writer.writerows(row for i in range(N_STAGES) for row in attention_rows(cfg, i))
         print(f"\nper-branch MAC report: {args.mac_report}")
     return 0
 
@@ -285,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--input-size", type=int, default=None)
     p.add_argument("--mac-report", default=None,
-                   help="write per-branch formula-vs-actual MAC CSV here")
+                   help="write the per-branch params/MACs/probability-entries CSV here")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("dump-features",
@@ -305,8 +320,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, ConfigurationError) as e:
         return _fail(str(e))
-    except FileNotFoundError as e:
-        return _fail(f"{e.filename}: no such file or directory")
+    except OSError as e:
+        return _fail(f"{e.filename}: {e.strerror}" if e.filename else str(e))
 
 
 def run() -> None:

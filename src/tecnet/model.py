@@ -21,7 +21,7 @@ import numpy as np
 from . import engine as E
 from .engine import Tensor, as_tensor
 from .errors import ConfigurationError, UsageError
-from .attention import attention_macs
+from .attention import branch_dims, cost_acam, cost_swmsa
 from .blocks import TransformerBlock
 from .ddconv import DDConv
 from .nn import ChannelNorm, Conv2d, Linear, Module
@@ -174,19 +174,18 @@ PRESETS = {"nano": nano_config, "tiny": tiny_config, "base": base_config}
 # ---------------------------------------------------------------- submodules
 
 class PatchEmbed(Module):
-    """Non-overlapping p x p linear projection of [B, C, H, W] images to [B, g, g, D] maps."""
+    """Non-overlapping p x p linear projection of [B, 1, H, W] images to [B, g, g, D] maps."""
 
-    def __init__(self, c_img: int, patch: int, d: int, rng=None):
-        self.c_img = c_img
+    def __init__(self, patch: int, d: int, rng=None):
         self.patch = patch
-        self.proj = Linear(c_img * patch * patch, d, rng=rng)
+        self.proj = Linear(patch * patch, d, rng=rng)
 
     def forward(self, image: Tensor) -> Tensor:
         b, c, h, w = image.shape
         p = self.patch
-        if c != self.c_img or h % p or w % p:
+        if c != 1 or h % p or w % p:
             raise ConfigurationError(
-                f"patch embed needs [B, {self.c_img}, k*{p}, k*{p}] input, got {image.shape}")
+                f"patch embed needs [B, 1, k*{p}, k*{p}] input, got {image.shape}")
         gh, gw = h // p, w // p
         t = image.reshape(b, c, gh, p, gw, p)
         t = t.permute(0, 2, 4, 1, 3, 5)               # [B, gh, gw, c, p, p]
@@ -196,13 +195,13 @@ class PatchEmbed(Module):
 class CnnStem(Module):
     """Stride-2 conv chain downsampling the image by the patch factor."""
 
-    def __init__(self, c_img: int, patch: int, d: int, rng=None):
+    def __init__(self, patch: int, d: int, rng=None):
         levels = patch.bit_length() - 1               # patch is a power of two
         self.convs = []
         if levels == 0:
-            self.convs.append(Conv2d(c_img, d, 1, rng=rng))
+            self.convs.append(Conv2d(1, d, 1, rng=rng))
         else:
-            c_in = c_img
+            c_in = 1
             for lv in range(levels):
                 c_out = d // 2 ** (levels - 1 - lv)
                 self.convs.append(Conv2d(c_in, c_out, 3, rng=rng, stride=2))
@@ -296,16 +295,15 @@ def cross_branch_fuse(mix: Conv2d, a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------- the model
 
 class TecNet(Module):
-    def __init__(self, cfg: TecNetConfig, seed: int = 0, c_img: int = 1):
+    def __init__(self, cfg: TecNetConfig, seed: int = 0):
         cfg.validate()
         self.cfg = cfg
-        self.c_img = c_img
         rng = np.random.default_rng(seed)
         d = cfg.base_width
         w = cfg.stage_width
 
-        self.patch_embed = PatchEmbed(c_img, cfg.patch, d, rng=rng)
-        self.cnn_stem = CnnStem(c_img, cfg.patch, d, rng=rng)
+        self.patch_embed = PatchEmbed(cfg.patch, d, rng=rng)
+        self.cnn_stem = CnnStem(cfg.patch, d, rng=rng)
 
         self.cnn_stages = [CnnStage(w(i), cfg.use_ddconv, cfg.n_kernels, rng=rng)
                            for i in range(N_STAGES)]
@@ -341,14 +339,14 @@ class TecNet(Module):
     # -- forward ----------------------------------------------------------
 
     def forward(self, images, collect: dict | None = None) -> dict:
-        """Logits [B, num_classes, H, W] of the three heads for images [B, c_img, H, W].
+        """Logits [B, num_classes, H, W] of the three heads for images [B, 1, H, W].
 
         With `collect` given, each stage's two output maps are stored in it
         as [B, C, h, w] arrays.
         """
         cfg = self.cfg
         images = as_tensor(images)
-        want = (self.c_img, cfg.input_size, cfg.input_size)
+        want = (1, cfg.input_size, cfg.input_size)
         if images.ndim != 4 or images.shape[1:] != want:
             raise UsageError(f"expected input [B, {', '.join(map(str, want))}], got {images.shape}")
 
@@ -397,13 +395,6 @@ class TecNet(Module):
 
 # ---------------------------------------------------------------- accounting
 
-def attention_rows(cfg: TecNetConfig, stage: int) -> list[dict]:
-    """`attention_macs` rows of one attention layer of `stage`."""
-    g = cfg.stage_grid(stage)
-    return attention_macs(cfg.stage_width(stage), cfg.window, g, g, cfg.heads[stage],
-                          acam=cfg.use_acam, shared_kv=cfg.shared_kv)
-
-
 def _linear(d_in, d_out, n=1):
     """(params, MACs) of a biased Linear applied at n positions."""
     return d_in * d_out + d_out, n * d_in * d_out
@@ -415,7 +406,7 @@ def _conv(c_in, c_out, k, n=1):
 
 
 def _sum(*costs, times=1):
-    """Element-wise sum of (params, MACs) pairs, scaled by `times`."""
+    """Element-wise sum of (params, MACs, ...) tuples, scaled by `times`."""
     return tuple(times * sum(part) for part in zip(*costs))
 
 
@@ -429,33 +420,64 @@ def _ddconv(c_in, c_out, k, n_kernels, n):
     return _sum(own, _linear(c_in, n_kernels), _conv(c_in, 2 * k * k, k, n))
 
 
-def _attention(cfg: TecNetConfig, stage: int):
-    """(params, MACs) of one attention layer of `stage`.
+MAC_REPORT_COLUMNS = ("module", "branch", "params", "formula_macs", "actual_macs",
+                      "prob_entries")
 
-    MACs are the "total" row of `attention_rows`; parameters stay arithmetic
-    so enumeration can check them.
+
+def attention_rows(cfg: TecNetConfig, stage: int) -> list[dict]:
+    """Cost rows of one attention layer of `stage`: one per branch, then their total.
+
+    The layer is the ACAM (in the config's `shared_kv` mode) or, with
+    `use_acam` off, the WindowAttention the config builds.  Each row holds
+    the `MAC_REPORT_COLUMNS`: `params` are the branch's parameters (the
+    output projection's row carries the four fusion weights), `formula_macs`
+    the closed-form budget the layer family advertises (`cost_swmsa`,
+    `cost_acam`), `actual_macs` the matmul multiplies the implementation
+    performs (padding included, biases and softmax excluded), and
+    `prob_entries` the attention probabilities a branch forms, windows x
+    heads x T^2 (padding included), which MACs do not see.
     """
     c, m, heads = cfg.stage_width(stage), cfg.window, cfg.heads[stage]
-    macs = attention_rows(cfg, stage)[-1]["actual_macs"]
+    g = -(-cfg.stage_grid(stage) // m) * m      # windows run on the padded grid
+    nw, t, hw = (g // m) ** 2, m * m, g * g
 
-    def lin(d_in, d_out):
-        return _linear(d_in, d_out)[0]
+    def lin(d_in, d_out, tokens, times=1):
+        """(params, MACs, probs) of `times` Linears over `tokens` tokens per window."""
+        return _sum(_linear(d_in, d_out, tokens * nw) + (0,), times=times)
 
-    n = (2 * m - 1) ** 2 * heads                # spatial bias table
+    def attend(tokens, d, branch_heads, params=0):
+        """(params, MACs, probs) of a branch's two products over T = tokens, d features."""
+        return params, 2 * nw * tokens * tokens * d, nw * branch_heads * tokens * tokens
+
+    table = (2 * m - 1) ** 2 * heads            # spatial relative-position bias
     if not cfg.use_acam:
-        return n + 4 * lin(c, c), macs
-    c8, m8, p8 = max(1, c // 8), max(1, m * m // 8), max(1, m // 8)
-    n += 4                                      # branch-fusion lambdas
-    if cfg.shared_kv:
-        n += 2 * lin(c, c8)                     # shared K/V embeddings
-        n += 4 * lin(c8, c)                     # per-branch output maps
-        n += c8 * c8                            # channel-pair bias
+        name, total = f"wmsa[C={c},M={m}]", cost_swmsa(g, g, c, m)
+        rows = [("projection", 3 * hw * c * c, lin(c, c, t, 3)),
+                ("attention_spatial", 2 * t * hw * c, attend(t, c, heads, table)),
+                ("output_projection", hw * c * c, lin(c, c, t))]
     else:
-        n += 3 * lin(c, c8) + lin(c8, c)
-        n += 3 * lin(m * m, m8) + lin(m8, m * m)
-        n += c * c
-        n += 2 * (3 * lin(m, p8) + lin(p8, m))
-    return n, macs
+        c8, m8, p8, heads_channel, heads_cross = branch_dims(c, m, heads, cfg.shared_kv)
+        if cfg.shared_kv:                       # K/V embeddings read by every branch
+            proj, out = lin(c, c8, t, 2), lin(c8, c, t, 4)
+            channel = attend(c8, t, heads_channel, c8 * c8)
+            cross = attend(c8 * m, m, heads_cross)
+        else:                                   # Q/K/V and output maps per branch
+            proj = _sum(lin(c, c8, t, 3), lin(t, m8, c, 3), lin(m, p8, c * m, 6))
+            out = _sum(lin(c8, c, t), lin(m8, t, c), lin(p8, m, c * m, 2))
+            channel = attend(c, m8, heads_channel, c * c)
+            cross = attend(c * m, p8, heads_cross)
+        name = f"acam[C={c},M={m}{',shared' if cfg.shared_kv else ''}]"
+        total = cost_acam(g, g, c, m)
+        per_branch = (t * hw * c) // 4
+        rows = [("projection", (hw * c * c) // 4, proj),
+                ("attention_spatial", per_branch, attend(t, c8, heads, table)),
+                ("attention_channel", per_branch, channel),
+                ("attention_cross_h", per_branch, cross),
+                ("attention_cross_w", per_branch, cross),
+                ("output_projection", 0, _sum(out, (4, 0, 0)))]   # + fusion weights
+    rows.append(("total", total, _sum(*(cost for _, _, cost in rows))))
+    return [dict(zip(MAC_REPORT_COLUMNS, (name, branch, params, formula, macs, probs)))
+            for branch, formula, (params, macs, probs) in rows]
 
 
 def _block(cfg: TecNetConfig, stage: int):
@@ -466,13 +488,14 @@ def _block(cfg: TecNetConfig, stage: int):
     else:
         mlp = _sum(_linear(c, 4 * c, n), _linear(4 * c, c, n))
     norms = (4 * c, 0)                          # two layernorms, gain and bias
-    return _sum(norms, _attention(cfg, stage), mlp)
+    attn = attention_rows(cfg, stage)[-1]
+    return _sum(norms, (attn["params"], attn["actual_macs"]), mlp)
 
 
-def _accounting(cfg: TecNetConfig, c_img: int = 1) -> dict:
+def _accounting(cfg: TecNetConfig) -> dict:
     """{module key: (params, MACs)} of TecNet(cfg) for one forward pass.
 
-    MACs count matmul/conv multiplies (attention per `attention_macs`,
+    MACs count matmul/conv multiplies (attention per `attention_rows`,
     bilinear taps at 4 multiplies per sample); pointwise activations, norms
     and softmax are excluded.
     """
@@ -486,12 +509,12 @@ def _accounting(cfg: TecNetConfig, c_img: int = 1) -> dict:
             return _ddconv(c_in, c_out, 3, nk, n_out)
         return _conv(c_in, c_out, 3, n_out)
 
-    acct = {"patch_embed": _linear(c_img * cfg.patch ** 2, d, n(0))}
+    acct = {"patch_embed": _linear(cfg.patch ** 2, d, n(0))}
     levels = cfg.patch.bit_length() - 1
     if levels == 0:
-        acct["cnn_stem"] = _conv(c_img, d, 1, cfg.input_size ** 2)
+        acct["cnn_stem"] = _conv(1, d, 1, cfg.input_size ** 2)
     else:
-        stem, c_in, s = [], c_img, cfg.input_size
+        stem, c_in, s = [], 1, cfg.input_size
         for lv in range(levels):
             c_out, s = d // 2 ** (levels - 1 - lv), s // 2
             stem.append(_conv(c_in, c_out, 3, s * s))
@@ -523,12 +546,12 @@ def _accounting(cfg: TecNetConfig, c_img: int = 1) -> dict:
     return acct
 
 
-def count_params(cfg: TecNetConfig, c_img: int = 1) -> dict:
+def count_params(cfg: TecNetConfig) -> dict:
     """Analytic per-module parameter counts; must match enumeration exactly."""
-    return {key: params for key, (params, _) in _accounting(cfg, c_img).items()}
+    return {key: params for key, (params, _) in _accounting(cfg).items()}
 
 
-def count_flops(cfg: TecNetConfig, input_size: int | None = None, c_img: int = 1) -> dict:
+def count_flops(cfg: TecNetConfig, input_size: int | None = None) -> dict:
     """Per-module multiply-accumulate counts for one forward pass.
 
     `input_size` (default: the config's) must be a size the model can run;
@@ -536,4 +559,4 @@ def count_flops(cfg: TecNetConfig, input_size: int | None = None, c_img: int = 1
     """
     if input_size is not None:
         cfg = replace(cfg, input_size=input_size)
-    return {key: macs for key, (_, macs) in _accounting(cfg, c_img).items()}
+    return {key: macs for key, (_, macs) in _accounting(cfg).items()}

@@ -9,12 +9,12 @@ from oracles import attention_reference
 from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
-                              cost_swmsa, count_actual_macs, crop_to,
-                              pad_to_window, relative_position_index,
-                              shift_mask, window_partition, window_reverse,
-                              windowed)
+                              cost_swmsa, crop_to, pad_to_window,
+                              relative_position_index, shift_mask,
+                              window_partition, window_reverse, windowed)
 from tecnet.errors import ConfigurationError
 from tecnet.gradcheck import check_gradients, max_rel_err
+from tecnet.model import N_STAGES, TecNet, attention_rows, nano_config
 
 # finite differences and exact oracles: every tensor here is float64
 pytestmark = pytest.mark.usefixtures("float64")
@@ -372,9 +372,13 @@ def test_cost_orderings():
                         assert cost_swmsa(h, w, c, m) < cost_msa(h, w, c)
 
 
+def _stage0_rows(**mode):
+    """attention_rows of a 16-wide, 4x4-window, one-head layer on an 8x8 grid."""
+    return attention_rows(nano_config(input_size=32, **mode), 0)
+
+
 def test_actual_macs_report_shape_and_spatial_exactness():
-    layer = _acam(c=16, m=4)
-    rows = count_actual_macs(layer, 8, 8)
+    rows = _stage0_rows()
     branches = {r["branch"] for r in rows}
     assert {"projection", "attention_spatial", "attention_channel",
             "attention_cross_h", "attention_cross_w", "output_projection",
@@ -382,18 +386,18 @@ def test_actual_macs_report_shape_and_spatial_exactness():
     by = {r["branch"]: r for r in rows}
     # the spatial branch realizes its advertised budget exactly
     assert by["attention_spatial"]["actual_macs"] == by["attention_spatial"]["formula_macs"]
-    # totals column is self-consistent
-    partial = sum(r["actual_macs"] for r in rows if r["branch"] != "total")
-    assert by["total"]["actual_macs"] == partial
+    # the total row sums the branches' columns
+    for col in ("params", "actual_macs", "prob_entries"):
+        assert by["total"][col] == sum(r[col] for r in rows if r["branch"] != "total"), col
 
 
 def test_shared_kv_projection_budget():
     """Shared projections hit the quarter-cost budget; separate ones exceed it."""
-    shared = {r["branch"]: r for r in count_actual_macs(_acam(shared_kv=True), 8, 8)}
+    shared = {r["branch"]: r for r in _stage0_rows(shared_kv=True)}
     assert shared["projection"]["actual_macs"] == shared["projection"]["formula_macs"]
     assert shared["projection"]["formula_macs"] == (8 * 8 * 16 * 16) // 4
 
-    separate = {r["branch"]: r for r in count_actual_macs(_acam(), 8, 8)}
+    separate = {r["branch"]: r for r in _stage0_rows()}
     assert separate["projection"]["actual_macs"] > separate["projection"]["formula_macs"]
 
 
@@ -410,14 +414,16 @@ def test_shared_and_separate_modes_differ_in_value():
     assert nb < na  # sharing K/V embeddings saves parameters
 
 
-@pytest.mark.parametrize("mode", [{}, {"shared_kv": True}, {"use_acam": False}],
-                         ids=["separate", "shared_kv", "window_attention"])
+ATTENTION_MODES = pytest.mark.parametrize(
+    "mode", [{}, {"shared_kv": True}, {"use_acam": False}],
+    ids=["separate", "shared_kv", "window_attention"])
+
+
+@ATTENTION_MODES
 def test_prob_entries_equal_the_collected_probabilities(mode):
     """Each branch's analytic prob_entries equals the size of the probability
     array its attention layer produces, divided by the batch, at every nano
     stage (the 2x2 bottleneck grid padded to one window included)."""
-    from tecnet.model import N_STAGES, TecNet, attention_rows, nano_config
-
     cfg = nano_config(**mode)
     model = TecNet(cfg, seed=0)
     batch = 2
@@ -430,3 +436,32 @@ def test_prob_entries_equal_the_collected_probabilities(mode):
             sizes = {f"attention_{key}": a.size // batch for key, a in collect.items()}
             assert sizes == {b: n for b, n in rows.items() if b.startswith("attention_")}, (i, mode)
             assert sum(sizes.values()) == rows["total"]
+
+
+def _cost_row(name: str) -> str:
+    """The attention_rows branch that counts a parameter of an attention layer."""
+    head = name.split(".")[0]
+    if head in ("bias", "bias_spatial"):
+        return "attention_spatial"
+    if head == "bias_channel":
+        return "attention_channel"
+    if head.startswith("out") or head == "lambdas":
+        return "output_projection"
+    return "projection"          # the q, k, v maps and the shared K/V embeddings
+
+
+@ATTENTION_MODES
+def test_params_rows_equal_the_enumerated_parameters(mode):
+    """Each branch's params row holds exactly the parameters of the attention
+    layer the config builds, at every nano stage, and the total row all of them."""
+    cfg = nano_config(**mode)
+    model = TecNet(cfg, seed=0)
+    for i in range(N_STAGES):
+        rows = {r["branch"]: r["params"] for r in attention_rows(cfg, i)}
+        total = rows.pop("total")
+        for block in model.trans_stages[i].blocks:
+            enumerated = dict.fromkeys(rows, 0)
+            for name, p in block.attn.named_parameters():
+                enumerated[_cost_row(name)] += p.size
+            assert enumerated == rows, (i, mode)
+            assert sum(enumerated.values()) == total

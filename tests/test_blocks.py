@@ -21,9 +21,9 @@ def _affine(layer, v: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------- layout
 
 def test_patch_embed_puts_patch_ij_at_ij():
-    embed = PatchEmbed(2, 4, 8, rng=np.random.default_rng(0))
+    embed = PatchEmbed(4, 8, rng=np.random.default_rng(0))
     embed.proj.bias.data[:] = RNG.standard_normal(8)
-    image = RNG.standard_normal((2, 2, 12, 8))
+    image = RNG.standard_normal((2, 1, 12, 8))
     out = embed(Tensor(image)).data
     assert out.shape == (2, 3, 2, 8)
     for b in range(2):

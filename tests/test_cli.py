@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from tecnet.attention import ACAM, WindowAttention, count_actual_macs
+from tecnet.attention import ACAM, WindowAttention
 from tecnet.cli import main
 from tecnet.model import (N_STAGES, TecNet, attention_rows, count_flops,
                           count_params, nano_config)
@@ -192,6 +192,49 @@ def test_train_rejects_mixed_size_dataset(workdir, capsys, tmp_path, mismatch):
     assert "error:" in err and "_0001.pgm" in err
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("gen", "--out"), ("train", "--data"), ("train", "--out"), ("eval", "--out")])
+def test_path_errors_exit_1_naming_the_path(workdir, capsys, tmp_path, command, flag):
+    """A file where a directory is wanted once ended in a NotADirectoryError
+    or FileExistsError traceback; every OSError now exits 1 with the path."""
+    path = tmp_path / "file"
+    path.write_text("not a directory")
+    argv = {"gen": ["--out", str(tmp_path / "g"), "--count", "1"],
+            "train": ["--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                      "--out", str(tmp_path / "r"), "--steps", "1"],
+            "eval": ["--checkpoint", str(workdir["run"] / "checkpoint.tect"),
+                     "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                     "--out", str(tmp_path / "e")]}[command]
+    argv[argv.index(flag) + 1] = str(path)
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert path.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--data"), ("train", "--val-data"), ("eval", "--data")])
+def test_dataset_of_another_size_rejected(workdir, capsys, tmp_path, command, flag):
+    """32 px data under a 64 px config once failed at the first step with a
+    loss log written, after every training step (--val-data) or after
+    creating --out (eval); it now exits 1, naming the directory and both
+    sizes, before anything is written."""
+    small = tmp_path / "small"
+    assert main(["gen", "--out", str(small), "--count", "2", "--size", "32"]) == 0
+    out = tmp_path / "o"
+    argv = ["--config", str(workdir["config"]), "--data", str(workdir["data"]),
+            "--out", str(out)]
+    if command == "train":
+        argv += ["--steps", "1", "--val-data", str(workdir["data"])]
+    else:
+        argv += ["--checkpoint", str(workdir["run"] / "checkpoint.tect")]
+    argv[argv.index(flag) + 1] = str(small)
+    capsys.readouterr()
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {small}: images are 32x32, the config's input_size is 64\n")
+    assert not out.exists()
+
+
 def test_accounting_builds_no_attention_layers(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("accounting built an attention layer")
@@ -254,12 +297,13 @@ def test_train_rejects_bad_train_section(workdir, capsys, tmp_path, key, value, 
 @pytest.mark.parametrize("command,flag,value", [
     ("eval", "--threshold", "2"), ("eval", "--threshold", "nan"),
     ("eval", "--threshold", "-1"), ("eval", "--threshold", "0"),
-    ("train", "--val-count", "-1"), ("train", "--steps", "0")])
+    ("train", "--val-count", "-1"), ("train", "--steps", "0"),
+    ("train", "--log-every", "-3"), ("train", "--log-every", "0")])
 def test_out_of_range_flag_rejected(workdir, capsys, tmp_path, command, flag, value):
-    """A threshold outside (0, 1) once wrote all-empty or all-full masks and
-    a negative --val-count trained unvalidated, each exiting 0; --steps 0
-    blamed the config file.  Each now exits 1 naming the flag, before any
-    output is written."""
+    """A threshold outside (0, 1) once wrote all-empty or all-full masks, a
+    negative --val-count trained unvalidated and a --log-every below 1 was
+    taken as 1, each exiting 0; --steps 0 blamed the config file.  Each now
+    exits 1 naming the flag, before any output is written."""
     common = ["--config", str(workdir["config"]), "--data", str(workdir["data"]),
               "--out", str(tmp_path / "r")]
     if command == "eval":
@@ -308,18 +352,17 @@ def test_analyze_mac_report(tmp_path, capsys, size):
     with open(report) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["module"].startswith("acam")
-    assert {"module", "branch", "formula_macs", "actual_macs", "prob_entries"} == set(rows[0])
+    assert list(rows[0]) == ["module", "branch", "params", "formula_macs", "actual_macs",
+                             "prob_entries"]
+    assert rows == [{k: str(v) for k, v in r.items()}
+                    for i in range(N_STAGES) for r in attention_rows(cfg, i)]
     # the report describes the attention layers nano holds: 4x4 windows at
     # every stage, the 2x2 bottleneck grid included (it is padded, not shrunk)
     assert all("M=4" in r["module"] for r in rows)
-    totals = [int(r["actual_macs"]) for r in rows if r["branch"] == "total"]
+    totals = [int(r["params"]) for r in rows if r["branch"] == "total"]
     model = TecNet(cfg)
-    want = []
-    for i in range(N_STAGES):
-        g = cfg.stage_grid(i)
-        layer_rows = count_actual_macs(model.trans_stages[i].blocks[0].attn, g, g)
-        want.append(next(r["actual_macs"] for r in layer_rows if r["branch"] == "total"))
-    assert totals == want
+    assert totals == [sum(p.size for _, p in model.trans_stages[i].blocks[0].attn.named_parameters())
+                      for i in range(N_STAGES)]
 
 
 @pytest.mark.parametrize("size", [None, 128], ids=["native", "128"])

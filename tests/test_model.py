@@ -221,3 +221,57 @@ def test_shared_kv_saves_parameters():
     a = count_params(nano_config())["total"]
     b = count_params(nano_config(shared_kv=True))["total"]
     assert b < a
+
+
+# (preset, toggles on: D use_ddconv, A use_acam, L use_lpm, S shared_kv) ->
+# count_params total, count_flops total at the preset's input size and at twice it
+ACCOUNTING_TOTALS = {
+    ("nano", "DAL"): (2_989_491, 32_017_088, 117_177_536),
+    ("nano", "DALS"): (2_963_163, 28_797_632, 107_322_560),
+    ("nano", "DA"): (3_051_507, 32_892_608, 120_679_616),
+    ("nano", "DAS"): (3_025_179, 29_673_152, 110_824_640),
+    ("nano", "DL"): (3_077_271, 31_648_448, 116_219_072),
+    ("nano", "D"): (3_139_287, 32_523_968, 119_721_152),
+    ("nano", "AL"): (1_098_013, 23_438_336, 89_894_912),
+    ("nano", "ALS"): (1_071_685, 20_218_880, 80_039_936),
+    ("nano", "A"): (1_160_029, 24_313_856, 93_396_992),
+    ("nano", "AS"): (1_133_701, 21_094_400, 83_542_016),
+    ("nano", "L"): (1_185_793, 23_069_696, 88_936_448),
+    ("nano", "-"): (1_247_809, 23_945_216, 92_438_528),
+    ("tiny", "DAL"): (117_053_663, 14_322_180_864, 57_035_851_392),
+    ("tiny", "DALS"): (114_744_501, 11_991_036_672, 47_711_274_624),
+    ("tiny", "DA"): (123_189_215, 15_543_715_584, 61_921_990_272),
+    ("tiny", "DAS"): (120_880_053, 13_212_571_392, 52_597_413_504),
+    ("tiny", "DL"): (124_877_309, 13_998_233_472, 55_740_061_824),
+    ("tiny", "D"): (131_012_861, 15_219_768_192, 60_626_200_704),
+    ("tiny", "AL"): (53_037_225, 13_779_645_312, 55_118_581_248),
+    ("tiny", "ALS"): (50_728_063, 11_448_501_120, 45_794_004_480),
+    ("tiny", "A"): (59_172_777, 15_001_180_032, 60_004_720_128),
+    ("tiny", "AS"): (56_863_615, 12_670_035_840, 50_680_143_360),
+    ("tiny", "L"): (60_860_871, 13_455_697_920, 53_822_791_680),
+    ("tiny", "-"): (66_996_423, 14_677_232_640, 58_708_930_560),
+    ("base", "DAL"): (143_966_739, 21_887_641_344, 87_297_693_312),
+    ("base", "DALS"): (139_053_505, 17_052_841_728, 67_958_494_848),
+    ("base", "DA"): (157_014_291, 24_463_928_064, 97_602_840_192),
+    ("base", "DAS"): (152_101_057, 19_629_128_448, 78_263_641_728),
+    ("base", "DL"): (160_630_185, 21_144_098_688, 84_323_522_688),
+    ("base", "D"): (173_677_737, 23_720_385_408, 94_628_669_568),
+    ("base", "AL"): (79_950_301, 21_345_105_792, 85_380_423_168),
+    ("base", "ALS"): (75_037_067, 16_510_306_176, 66_041_224_704),
+    ("base", "A"): (92_997_853, 23_921_392_512, 95_685_570_048),
+    ("base", "AS"): (88_084_619, 19_086_592_896, 76_346_371_584),
+    ("base", "L"): (96_613_747, 20_601_563_136, 82_406_252_544),
+    ("base", "-"): (109_661_299, 23_177_849_856, 92_711_399_424),
+}
+
+
+@pytest.mark.parametrize("preset,toggles", list(ACCOUNTING_TOTALS))
+def test_accounting_totals_are_pinned(preset, toggles):
+    """The analytic totals of every preset, toggle combination and ACAM mode
+    stay as recorded, so a refactor of the accounting cannot move them."""
+    flags = dict(zip(("use_ddconv", "use_acam", "use_lpm", "shared_kv"),
+                     (ch in toggles for ch in "DALS")))
+    cfg = PRESETS[preset](**flags)
+    got = (count_params(cfg)["total"], count_flops(cfg)["total"],
+           count_flops(cfg, 2 * cfg.input_size)["total"])
+    assert got == ACCOUNTING_TOTALS[preset, toggles]
