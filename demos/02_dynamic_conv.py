@@ -45,7 +45,7 @@ def main():
           float(np.mean(np.abs(after - before))).__round__(4))
 
     # The offset field is a learned function of the input.
-    field = layer.predict_offsets(x)
+    field = layer.offset_head(x)
     print("offset field shape (B, 2*k*k maps, H, W):", field.shape)
 
 

@@ -24,6 +24,7 @@ from tecnet import Tensor
 from tecnet.attention import (ACAM, cost_acam, cost_msa, cost_swmsa,
                               pad_to_window, shift_mask, window_partition,
                               window_reverse, crop_to)
+from tecnet.nn import capture
 
 
 def main():
@@ -48,21 +49,22 @@ def main():
     print("max |output| of a fresh layer:", float(np.max(np.abs(y.data))))
 
     # -- the four attention maps ------------------------------------------
-    collect = {}
-    layer(x, collect=collect)
-    for name in ("spatial", "channel", "cross_h", "cross_w"):
-        a = collect[name]
+    # capture() records every attention's probabilities, in the layer's
+    # branch order, without the layer taking part.
+    with capture() as (_, probs):
+        layer(x)
+    for name, a in zip(("spatial", "channel", "cross_h", "cross_w"), probs):
         print(f"  {name:8s} {str(a.shape):22s} rows sum to "
               f"{float(a.sum(axis=-1).mean()):.6f}")
 
     # -- shifted windows mask the wrap-around seam -------------------------
     shifted = ACAM(16, window=4, heads=2, shifted=True, rng=rng)
-    collect = {}
-    shifted(x, collect=collect)
+    with capture() as (_, probs):
+        shifted(x)
+    spatial = probs[0]
     mask = shift_mask(16, 12, 4, 2)             # one image's windows, shared by the batch
     nw = mask.shape[0]
-    leak = max(float(collect["spatial"][i][:, mask[i % nw] < 0].sum())
-               for i in range(collect["spatial"].shape[0]))
+    leak = max(float(spatial[i][:, mask[i % nw] < 0].sum()) for i in range(spatial.shape[0]))
     print("largest attention mass across the seam:", f"{leak:.2e}")
 
     # -- cost model, MACs per layer ----------------------------------------

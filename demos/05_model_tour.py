@@ -12,6 +12,7 @@ import numpy as np
 
 from tecnet.model import (TecNet, count_flops, count_params, nano_config,
                           tiny_config)
+from tecnet.nn import capture
 
 
 def main():
@@ -25,15 +26,16 @@ def main():
     rng = np.random.default_rng(0)
     images = rng.random((2, 1, cfg.input_size, cfg.input_size))   # [B, C, H, W]
 
-    collect = {}
-    out = model.forward(images, collect=collect)
+    # capture() records every module's output; the stages are modules too.
+    with capture() as (seen, _):
+        out = model(images)
     print("\nheads:", {k: v.shape for k, v in out.items()})
 
-    print("\nstage | cnn features | transformer features")
+    print("\nstage | cnn features [B, C, h, w] | transformer features [B, h, w, C]")
     for i in range(7):
-        c = collect[f"cnn_stage{i}"]
-        t = collect[f"trans_stage{i}"]
-        print(f"  {i}   | {str(c.shape):13s}| {t.shape}")
+        c = seen[model.cnn_stages[i]]
+        t = seen[model.trans_stages[i]]
+        print(f"  {i}   | {str(c.shape):25s}| {t.shape}")
 
     # -- bookkeeping: exact parameter and MAC counts ------------------------
     params = count_params(cfg)

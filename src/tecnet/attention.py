@@ -182,9 +182,9 @@ class ACAM(Module):
 
     Input and output are [B, h, w, C]; extents are padded to window
     multiples internally and cropped back.  `shifted` selects the
-    cyclically shifted window arrangement with its wrap mask.  A `collect`
-    dict given to forward receives each branch's [B*nw, heads, T, T]
-    attention weights under its branch name.
+    cyclically shifted window arrangement with its wrap mask.  A forward
+    attends once per branch, in the order spatial, channel, cross_h,
+    cross_w, which is the order `nn.capture()` lists the weights in.
     """
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool,
@@ -234,22 +234,18 @@ class ACAM(Module):
             self.v_cross_w = Linear(m, self.p8, rng=rng)
             self.out_cross_w = Linear(self.p8, m, rng=rng, zero=True)
 
-    def forward(self, x: Tensor, collect: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.channels:
             raise ConfigurationError(f"expected {self.channels} channels, got {x.shape[-1]}")
         branches = self._branches_shared if self.shared_kv else self._branches_separate
-        probs = None if collect is None else []
-        y = windowed(x, self.window, self.shift, lambda wins, mask: branches(wins, mask, probs))
-        if collect is not None:
-            collect.update(zip(("spatial", "channel", "cross_h", "cross_w"), probs))
-        return y
+        return windowed(x, self.window, self.shift, branches)
 
     def _fuse(self, o_spatial, o_channel, o_cross_h, o_cross_w):
         lam = self.lambdas
         return (o_spatial * lam[0] + o_channel * lam[1]
                 + o_cross_h * lam[2] + o_cross_w * lam[3])
 
-    def _branches_separate(self, wins: Tensor, mask, probs):
+    def _branches_separate(self, wins: Tensor, mask):
         c, m = self.channels, self.window
         nw = wins.shape[0]
         sp_tokens = wins.reshape(nw, m * m, c)                    # spatial tokens
@@ -258,34 +254,33 @@ class ACAM(Module):
         # spatial branch: relative-position bias plus shift mask
         o1 = E.attention(
             self.q_spatial(sp_tokens), self.k_spatial(sp_tokens), self.v_spatial(sp_tokens),
-            heads=self.heads, bias=spatial_bias(self.bias_spatial, m, self.heads),
-            mask=mask, probs=probs)
+            heads=self.heads, bias=spatial_bias(self.bias_spatial, m, self.heads), mask=mask)
         o1 = self.out_spatial(o1).reshape(nw, m, m, c)
 
         # channel branch: learnable channel-pair bias, no mask
         grid_tokens = grid.reshape(nw, c, m * m)
         o2 = E.attention(
             self.q_channel(grid_tokens), self.k_channel(grid_tokens), self.v_channel(grid_tokens),
-            heads=self.heads_channel, bias=self.bias_channel, probs=probs)
+            heads=self.heads_channel, bias=self.bias_channel)
         o2 = self.out_channel(o2).permute(0, 2, 1).reshape(nw, m, m, c)
 
         # cross C-H: (channel, row) tokens attending along width
         ch_tokens = grid.reshape(nw, c * m, m)
         o3 = E.attention(
             self.q_cross_h(ch_tokens), self.k_cross_h(ch_tokens), self.v_cross_h(ch_tokens),
-            heads=self.heads_cross, probs=probs)
+            heads=self.heads_cross)
         o3 = self.out_cross_h(o3).reshape(nw, c, m, m).permute(0, 2, 3, 1)
 
         # cross C-W: (channel, column) tokens attending along height
         cw_tokens = grid.permute(0, 1, 3, 2).reshape(nw, c * m, m)
         o4 = E.attention(
             self.q_cross_w(cw_tokens), self.k_cross_w(cw_tokens), self.v_cross_w(cw_tokens),
-            heads=self.heads_cross, probs=probs)
+            heads=self.heads_cross)
         o4 = self.out_cross_w(o4).reshape(nw, c, m, m).permute(0, 3, 2, 1)
 
         return self._fuse(o1, o2, o3, o4)
 
-    def _branches_shared(self, wins: Tensor, mask, probs):
+    def _branches_shared(self, wins: Tensor, mask):
         c, m, c8 = self.channels, self.window, self.c8
         nw = wins.shape[0]
         sp_tokens = wins.reshape(nw, m * m, c)
@@ -296,24 +291,22 @@ class ACAM(Module):
 
         # spatial: queries reuse the K embedding
         o1 = E.attention(ke, ke, ve, heads=self.heads,
-                         bias=spatial_bias(self.bias_spatial, m, self.heads),
-                         mask=mask, probs=probs)
+                         bias=spatial_bias(self.bias_spatial, m, self.heads), mask=mask)
         o1 = self.out_spatial(o1)
 
         kc = kg.reshape(nw, c8, m * m)
         vc = vg.reshape(nw, c8, m * m)
-        o2 = E.attention(kc, kc, vc, heads=self.heads_channel, bias=self.bias_channel,
-                         probs=probs)
+        o2 = E.attention(kc, kc, vc, heads=self.heads_channel, bias=self.bias_channel)
         o2 = self.out_channel(o2.permute(0, 2, 1))
 
         kh = kg.reshape(nw, c8 * m, m)
         vh = vg.reshape(nw, c8 * m, m)
-        o3 = E.attention(kh, kh, vh, heads=self.heads_cross, probs=probs)
+        o3 = E.attention(kh, kh, vh, heads=self.heads_cross)
         o3 = self.out_cross_h(o3.reshape(nw, c8, m * m).permute(0, 2, 1))
 
         kw = kg.permute(0, 1, 3, 2).reshape(nw, c8 * m, m)
         vw = vg.permute(0, 1, 3, 2).reshape(nw, c8 * m, m)
-        o4 = E.attention(kw, kw, vw, heads=self.heads_cross, probs=probs)
+        o4 = E.attention(kw, kw, vw, heads=self.heads_cross)
         o4 = self.out_cross_w(o4.reshape(nw, c8, m, m).permute(0, 3, 2, 1).reshape(nw, m * m, c8))
 
         return self._fuse(o1, o2, o3, o4).reshape(nw, m, m, c)
@@ -323,8 +316,8 @@ class WindowAttention(Module):
     """Plain single-branch shifted-window attention (ablation stand-in).
 
     Same window partition, shift, mask and relative-position bias as ACAM,
-    but one spatial branch with full C -> C projections; `collect` receives
-    its attention weights under "spatial".
+    but one spatial branch with full C -> C projections, so `nn.capture()`
+    lists one attention weight array per forward.
     """
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool, rng=None):
@@ -342,20 +335,16 @@ class WindowAttention(Module):
         self.out = Linear(c, c, rng=rng, zero=True)
         self.bias = parameter(((2 * m - 1) ** 2, heads), rng=rng, scale=0.02)
 
-    def forward(self, x: Tensor, collect: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         c, m = self.channels, self.window
-        probs = None if collect is None else []
 
         def attend(wins: Tensor, mask) -> Tensor:
             tokens = wins.reshape(wins.shape[0], m * m, c)
             o = E.attention(self.q(tokens), self.k(tokens), self.v(tokens), heads=self.heads,
-                            bias=spatial_bias(self.bias, m, self.heads), mask=mask, probs=probs)
+                            bias=spatial_bias(self.bias, m, self.heads), mask=mask)
             return self.out(o).reshape(wins.shape)
 
-        y = windowed(x, m, self.shift, attend)
-        if collect is not None:
-            collect["spatial"] = probs[0]
-        return y
+        return windowed(x, m, self.shift, attend)
 
 
 # ---------------------------------------------------------------- cost model

@@ -33,6 +33,7 @@ from .errors import ConfigurationError, UsageError
 from .metrics import evaluate_pairs, write_metrics_csv
 from .model import (MAC_REPORT_COLUMNS, N_STAGES, PRESETS, TecNet, TecNetConfig,
                     attention_rows, count_flops, count_params, read_config)
+from .nn import capture
 from .synth import FAMILIES, SynthSpec, generate, load_dataset, quantize, write_pgm
 from .training import TrainSchedule, load_model, predictions, train
 
@@ -150,7 +151,10 @@ def cmd_train(args) -> int:
                    out_dir=args.out, progress=progress)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"loss log:   {result.log_path}")
-    print(f"val dice:   {result.summary.get('val_dice'):.4f}")
+    if val:
+        print(f"val dice:   {result.summary['val_dice']:.4f}")
+    else:
+        print(f"train dice: {result.summary['train_dice']:.4f}")
     return 0
 
 
@@ -179,14 +183,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _config_for_analyze(args) -> TecNetConfig:
-    if args.config:
-        return model_config(load_config(args.config), args.config)
-    return PRESETS[args.preset]()
-
-
 def cmd_analyze(args) -> int:
-    cfg = _config_for_analyze(args)
+    cfg = (model_config(load_config(args.config), args.config) if args.config
+           else PRESETS[args.preset]())
     if args.input_size is not None:
         cfg = replace(cfg, input_size=args.input_size)
     input_size = cfg.input_size
@@ -240,16 +239,18 @@ def cmd_dump_features(args) -> int:
     if not 0 <= args.index < len(samples):
         raise UsageError(f"--index {args.index} out of range "
                          f"(dataset has {len(samples)} samples)")
-    sample = samples[args.index]
-    collect: dict = {}
-    model.forward(sample.image[None], collect=collect)
+    with capture() as (seen, _):
+        model(samples[args.index].image[None])
+    maps = {f"cnn_stage{i}": seen[s].data[0] for i, s in enumerate(model.cnn_stages)}
+    maps.update({f"trans_stage{i}": seen[s].data[0].transpose(2, 0, 1)   # [C, h, w] too
+                 for i, s in enumerate(model.trans_stages)})
     os.makedirs(args.out, exist_ok=True)
-    for tag in sorted(collect):
-        heat = collect[tag][0].mean(axis=0)
+    for tag, fmap in maps.items():
+        heat = np.ascontiguousarray(fmap).mean(axis=0)
         lo, hi = heat.min(), heat.max()
         norm = (heat - lo) / (hi - lo) if hi > lo else np.zeros_like(heat)
         write_pgm(os.path.join(args.out, f"{tag}.pgm"), quantize(norm))
-    print(f"wrote {len(collect)} stage heatmaps to {args.out}")
+    print(f"wrote {len(maps)} stage heatmaps to {args.out}")
     return 0
 
 

@@ -59,10 +59,6 @@ class DDConv(Module):
 
     # -- pieces exposed for tests ----------------------------------------
 
-    def predict_offsets(self, x: Tensor) -> Tensor:
-        """[B, 2*k*k, H', W'] tap displacement fields for input [B, C, H, W]."""
-        return self.offset_head(x)
-
     def kernel_gate(self, x: Tensor) -> Tensor:
         """[B, n] softmax blend weights, one row per image."""
         pooled = E.global_avg_pool(x)
@@ -99,7 +95,7 @@ class DDConv(Module):
         if c != self.c_in:
             raise ConfigurationError(f"expected {self.c_in} input channels, got {c}")
         k = self.k
-        offsets = self.predict_offsets(x)                    # [B, 2k^2, H', W']
+        offsets = self.offset_head(x)                        # [B, 2k^2, H', W']
         ho, wo = offsets.shape[2], offsets.shape[3]
         off = offsets.reshape(b, k * k, 2, ho, wo)
         base_y, base_x = self._tap_grid(h, w)

@@ -94,9 +94,9 @@ def constant(x) -> np.ndarray:
 class Tensor:
     """A dense array of the compute dtype plus the bookkeeping for backprop.
 
-    ``requires_grad`` marks leaf tensors (parameters).  Leaves get a
-    pre-allocated ``grad`` buffer so that parameters untouched by a given
-    loss report an exact zero gradient rather than None.
+    ``requires_grad`` marks leaf tensors (parameters).  A leaf's ``grad``
+    is None until a backward first reaches it, which allocates the buffer;
+    later backwards add into it, and ``zero_grad`` clears it in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
@@ -105,7 +105,7 @@ class Tensor:
         arr = np.asarray(data, dtype=_dtype)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self.node = None
 
     # -- inspection ------------------------------------------------------
@@ -263,8 +263,8 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss.
 
-    Gradients accumulate into ``.grad`` of every reachable leaf; leaves the
-    loss does not depend on keep their zero buffer untouched.  Works after
+    Gradients accumulate into ``.grad`` of every reachable leaf, allocated
+    on first use; leaves the loss does not depend on keep theirs.  Works after
     the recording tape's `with` block has exited, since every node keeps a
     reference to its tape.  Nodes keep their outputs and inputs after the
     sweep, for inspection, until the loss is dropped.
@@ -290,8 +290,7 @@ def backward(loss: Tensor) -> None:
                 else:
                     grads[key] = gi
             elif t.requires_grad:
-                if t.grad is None:
-                    # a buffer cleared the torch way (`p.grad = None`)
+                if t.grad is None:     # first reached, or cleared with `p.grad = None`
                     t.grad = np.zeros_like(t.data)
                 t.grad += gi
 
@@ -539,9 +538,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (x,), lambda g: (_softmax_grad_(g.copy(), y, axis),))
 
 
+attention_probe = None   # inside `nn.capture()`, takes each forward's probabilities
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
-              bias: Tensor | None = None, mask: np.ndarray | None = None,
-              probs: list | None = None) -> Tensor:
+              bias: Tensor | None = None, mask: np.ndarray | None = None) -> Tensor:
     """softmax(q k^T / sqrt(D) + bias + mask) v over [n, T, D] token batches.
 
     Heads split the feature axes of q, k and v evenly; the scale is
@@ -553,8 +554,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     one [n, heads, T, T] buffer, which lives only while the output is
     computed: the single tape node keeps the per-head q, k and v, and its
     backward recomputes that buffer from them with the same ops in the same
-    order.  When `probs` is a list, the forward's probabilities are
-    appended to it.
+    order.  Inside `nn.capture()` the forward's probabilities go to
+    `attention_probe`.
 
     With one feature per head (ACAM's cross branches) the logits are an
     outer product, formed by a broadcast multiply instead of a matmul; with
@@ -624,8 +625,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         return a
 
     a = probabilities()
-    if probs is not None:
-        probs.append(a)
+    if attention_probe is not None:
+        attention_probe(a)
     oh = np.matmul(a, vh)
     out = Tensor(merge(oh, dvh))
 

@@ -338,22 +338,17 @@ class TecNet(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, images, collect: dict | None = None) -> dict:
+    def forward(self, images) -> dict:
         """Logits [B, num_classes, H, W] of the three heads for images [B, 1, H, W].
 
-        With `collect` given, each stage's two output maps are stored in it
-        as [B, C, h, w] arrays.
+        Under `nn.capture()`, stage i's maps are the outputs of
+        `cnn_stages[i]` ([B, C, h, w]) and `trans_stages[i]` ([B, h, w, C]).
         """
         cfg = self.cfg
         images = as_tensor(images)
         want = (1, cfg.input_size, cfg.input_size)
         if images.ndim != 4 or images.shape[1:] != want:
             raise UsageError(f"expected input [B, {', '.join(map(str, want))}], got {images.shape}")
-
-        def note(i: int, c: Tensor, t: Tensor) -> None:
-            if collect is not None:   # both maps as [B, C, h, w]
-                collect[f"cnn_stage{i}"] = c.data.copy()
-                collect[f"trans_stage{i}"] = t.data.transpose(0, 3, 1, 2).copy()
 
         c = self.cnn_stem(images)                      # [B, D, g0, g0]
         t = self.patch_embed(images)                   # [B, g0, g0, D]
@@ -362,7 +357,6 @@ class TecNet(Module):
         for i in range(3):
             c = self.cnn_stages[i](c)
             t = self.trans_stages[i](t)
-            note(i, c, t)
             skips_c.append(c)
             skips_t.append(t)
             c = self.cnn_down[i](c)
@@ -370,7 +364,6 @@ class TecNet(Module):
 
         c = self.cnn_stages[3](c)
         t = self.trans_stages[3](t)
-        note(3, c, t)
 
         for j, i in enumerate(range(4, 7)):
             c = self.cnn_up[j](E.upsample_nearest(c, 2))
@@ -384,7 +377,6 @@ class TecNet(Module):
             t_fused = cross_branch_fuse(self.trans_fuse[j], tg, c)
             c = self.cnn_stages[i](c_fused)
             t = self.trans_stages[i](t_fused.permute(0, 2, 3, 1))
-            note(i, c, t)
 
         tg = t.permute(0, 3, 1, 2)
         y_cnn = E.upsample_bilinear(self.head_cnn(c), cfg.patch)

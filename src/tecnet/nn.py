@@ -7,6 +7,8 @@ order, which keeps parameter enumeration deterministic for checkpointing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import engine as E
@@ -34,6 +36,25 @@ def parameter(shape, rng: np.random.Generator | None = None,
         bound = 1.0 / np.sqrt(max(1, fan_in))
         data = rng.uniform(-bound, bound, size=shape)
     return Tensor(data, requires_grad=True)
+
+
+_outputs: dict | None = None      # the active capture's outputs, else None
+
+
+@contextmanager
+def capture():
+    """Yield (outputs, probs) recording the enclosed forwards, uncopied:
+    each called module's last output, keyed by the module, and every
+    `engine.attention` forward's [n, heads, T, T] probabilities in call order.
+    """
+    global _outputs
+    outputs, probs = {}, []
+    saved = _outputs, E.attention_probe
+    _outputs, E.attention_probe = outputs, probs.append
+    try:
+        yield outputs, probs
+    finally:
+        _outputs, E.attention_probe = saved
 
 
 class Module:
@@ -77,7 +98,10 @@ class Module:
         return [(name, p.data) for name, p in self.named_parameters()]
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        out = self.forward(*args, **kwargs)
+        if _outputs is not None:
+            _outputs[self] = out
+        return out
 
 
 class Linear(Module):
@@ -129,12 +153,8 @@ class LayerNorm(Module):
         return E.layernorm(x, self.gain, self.bias)
 
 
-class ChannelNorm(Module):
+class ChannelNorm(LayerNorm):
     """LayerNorm over the channel axis of [B, C, H, W] feature maps."""
-
-    def __init__(self, channels: int):
-        self.gain = Tensor(np.ones(channels), requires_grad=True)
-        self.bias = Tensor(np.zeros(channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         t = x.permute(0, 2, 3, 1)                   # [B, H, W, C]

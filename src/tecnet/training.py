@@ -279,7 +279,8 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
     validation runs once per epoch, feeding the plateau rule with the ramp
     weight frozen at its current value.  In steps mode (schedule.steps set)
     k is step/steps and the loop cycles through batches until the step
-    budget is spent.  Raises TrainingDiverged on a non-finite loss.
+    budget is spent.  Raises TrainingDiverged on a non-finite loss.  The
+    summary's final Dice is `val_dice`, or `train_dice` with no val_samples.
     """
     if not samples:
         raise ConfigurationError("training set is empty")
@@ -366,8 +367,8 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
                         model.cfg.to_dict())
         # float32 records hold float32 parameters exactly, so the live
         # model scores as a later eval of the saved checkpoint will
-        eval_set = val_samples if val_samples else samples
-        result.summary["val_dice"] = evaluate_dice(model, eval_set)
+        key = "val_dice" if val_samples else "train_dice"
+        result.summary[key] = evaluate_dice(model, val_samples or samples)
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(result.summary, fh, indent=2, sort_keys=True)
     return result

@@ -23,6 +23,7 @@ from tecnet.gradcheck import check_gradients, max_rel_err
 from tecnet.metrics import confusion_metrics, surface_metrics, volume_metrics
 from tecnet.model import (TecNet, TransStage, base_config, count_flops,
                           count_params, nano_config, tiny_config)
+from tecnet.nn import capture
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (TrainSchedule, loss_coefficients, predict_probs,
                              ramp_coefficient, soft_dice_score, total_loss,
@@ -246,9 +247,9 @@ def test_criterion_03_window_machinery():
 
             layer = ACAM(8, m, heads=1, shifted=True,
                          rng=np.random.default_rng(hw * m))
-            collect = {}
-            layer(x, collect=collect)
-            attn = collect["spatial"]
+            with capture() as (_, probs):
+                layer(x)
+            attn = probs[0]
             mask = shift_mask(hp, wp, m, s)
             blocked = mask < 0
             for widx in range(attn.shape[0]):

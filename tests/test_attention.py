@@ -15,10 +15,12 @@ from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
 from tecnet.errors import ConfigurationError
 from tecnet.gradcheck import check_gradients, max_rel_err
 from tecnet.model import N_STAGES, TecNet, attention_rows, nano_config
+from tecnet.nn import capture
 
 # finite differences and exact oracles: every tensor here is float64
 pytestmark = pytest.mark.usefixtures("float64")
 RNG = np.random.default_rng(99)
+BRANCHES = ("spatial", "channel", "cross_h", "cross_w")   # ACAM's attention call order
 
 
 # ------------------------------------------------------------- partitioning
@@ -134,9 +136,10 @@ def test_padded_extents_roundtrip():
 def test_four_branches_collected():
     layer = _acam(heads=2)
     x = Tensor(RNG.standard_normal((1, 8, 8, 16)))
-    collect = {}
-    layer(x, collect=collect)
-    assert set(collect) >= {"spatial", "channel", "cross_h", "cross_w"}
+    with capture() as (_, probs):
+        layer(x)
+    collect = dict(zip(BRANCHES, probs))
+    assert len(probs) == len(BRANCHES)
     nw = 4
     assert collect["spatial"].shape[0] == nw
     assert collect["spatial"].shape[1] == 2  # head count
@@ -150,9 +153,9 @@ def test_masked_pairs_get_no_attention():
     c, m = 16, 4
     layer = _acam(c=c, m=m, shifted=True)
     x = Tensor(RNG.standard_normal((2, 8, 8, c)))
-    collect = {}
-    layer(x, collect=collect)
-    attn = collect["spatial"]  # [B*nw, heads, M*M, M*M]
+    with capture() as (_, probs):
+        layer(x)
+    attn = probs[0]  # spatial, [B*nw, heads, M*M, M*M]
     mask = shift_mask(8, 8, m, m // 2)
     blocked = mask < 0
     nw = mask.shape[0]
@@ -333,10 +336,10 @@ def test_plain_window_attention_runs_and_masks():
     layer = WindowAttention(8, 4, heads=2, shifted=True,
                             rng=np.random.default_rng(7))
     x = Tensor(RNG.standard_normal((1, 8, 8, 8)))
-    collect = {}
-    out = layer(x, collect=collect)
+    with capture() as (_, probs):
+        out = layer(x)
     assert out.shape == (1, 8, 8, 8)
-    attn = collect["spatial"]
+    attn = probs[0]
     mask = shift_mask(8, 8, 4, 2)
     blocked = mask < 0
     mass = sum(attn[w][:, blocked[w]].sum() for w in range(attn.shape[0]))
@@ -431,9 +434,9 @@ def test_prob_entries_equal_the_collected_probabilities(mode):
         g, c = cfg.stage_grid(i), cfg.stage_width(i)
         rows = {r["branch"]: r["prob_entries"] for r in attention_rows(cfg, i)}
         for block in model.trans_stages[i].blocks:
-            collect = {}
-            block.attn(Tensor(RNG.standard_normal((batch, g, g, c))), collect=collect)
-            sizes = {f"attention_{key}": a.size // batch for key, a in collect.items()}
+            with capture() as (_, probs):
+                block.attn(Tensor(RNG.standard_normal((batch, g, g, c))))
+            sizes = {f"attention_{key}": a.size // batch for key, a in zip(BRANCHES, probs)}
             assert sizes == {b: n for b, n in rows.items() if b.startswith("attention_")}, (i, mode)
             assert sum(sizes.values()) == rows["total"]
 

@@ -90,6 +90,23 @@ def test_train_writes_loadable_checkpoint(workdir):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("val_flags, key", [([], "train_dice"),
+                                            (["--val-count", "1"], "val_dice")])
+def test_train_labels_its_dice_by_the_set_it_scores(workdir, capsys, tmp_path, val_flags, key):
+    """Without a validation set the final Dice scores the training set and
+    says so, in summary.json and on stdout; with one it is the validation Dice."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                 "--out", str(out), "--steps", "1", *val_flags]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert {"train_dice", "val_dice"} & set(summary) == {key}
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(("train dice:", "val dice:"))]
+    label, value = line.split(":")
+    assert label == key.replace("_", " ")
+    assert float(value) == pytest.approx(summary[key], abs=5e-5)
+
+
 def test_eval_writes_masks_and_metrics(workdir):
     out = workdir["root"] / "eval"
     rc = main(["eval", "--checkpoint", str(workdir["run"] / "checkpoint.tect"),

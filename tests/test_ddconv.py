@@ -73,7 +73,7 @@ def test_offset_field_shape_matches_taps():
     k = 3
     layer = DDConv(2, 2, k=k, n_kernels=2, rng=np.random.default_rng(6))
     x = Tensor(RNG.standard_normal((3, 2, 8, 8)))
-    off = layer.predict_offsets(x).data
+    off = layer.offset_head(x).data
     assert off.shape == (3, 2 * k * k, 8, 8)
 
 

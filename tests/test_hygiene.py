@@ -88,3 +88,17 @@ def test_benchmark_tracer_wraps_the_engine(monkeypatch):
     with tracer.Tracer() as tr:
         train(TecNet(nano_config(), seed=0), data, TrainSchedule(steps=1, batch_size=1))
     assert tr.counters["tapes"] == 1 and tr.op_calls["matmul"] > 0
+
+
+def test_forward_methods_take_no_optional_parameters():
+    """No `forward` in src/tecnet has a parameter with a default, so no
+    optional side channel rides along a forward call; `nn.capture()` is the
+    one way to see inside one."""
+    found = []
+    for path in (ROOT / "src" / "tecnet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "forward":
+                args = node.args
+                if args.defaults or any(d is not None for d in args.kw_defaults):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"forward with an optional parameter: {found}"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tecnet import engine as E
+from tecnet import nn
 from tecnet.errors import ConfigurationError, UsageError
 from tecnet.model import (N_STAGES, PRESETS, TecNet, TecNetConfig, count_flops,
                           count_params, nano_config)
@@ -130,16 +132,53 @@ def test_forward_is_deterministic():
 
 def test_feature_collection_covers_all_stages():
     model = TecNet(nano_config(), seed=0)
-    collect = {}
-    model.forward(RNG.random((2, 1, 64, 64)), collect=collect)
-    # the stage maps and nothing else: attention weights stay in the layers
-    assert set(collect) == {f"{branch}_stage{i}" for branch in ("cnn", "trans")
-                            for i in range(N_STAGES)}
+    with nn.capture() as (seen, _):
+        model(RNG.random((2, 1, 64, 64)))
     for i in range(N_STAGES):
         g = nano_config().stage_grid(i)
         c = nano_config().stage_width(i)
-        assert collect[f"cnn_stage{i}"].shape == (2, c, g, g)
-        assert collect[f"trans_stage{i}"].shape == (2, c, g, g)
+        assert seen[model.cnn_stages[i]].shape == (2, c, g, g)
+        assert seen[model.trans_stages[i]].shape == (2, g, g, c)
+    assert set(seen[model]) == {"y_cnn", "y_trans", "y_tec"}
+
+
+def test_capture_leaves_the_forward_unchanged():
+    """A captured forward returns the same bits as a plain one, records every
+    module it calls and one probability array per attention call, and
+    leaves both hooks cleared."""
+    cfg = nano_config()
+    model = TecNet(cfg, seed=0)
+    x = RNG.random((2, 1, 64, 64))
+    plain = model(x)
+    with nn.capture() as (seen, probs):
+        captured = model(x)
+    for key in plain:
+        assert np.array_equal(plain[key].data, captured[key].data), key
+    assert len(seen) == sum(1 for _ in _modules(model))
+    assert len(probs) == 4 * sum(cfg.layer_numbers)      # four ACAM branches per block
+    assert nn._outputs is None and E.attention_probe is None
+
+
+def _modules(module):
+    """`module` and every module below it."""
+    yield module
+    for value in vars(module).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, nn.Module):
+                yield from _modules(item)
+
+
+def test_capture_clears_its_hooks_when_the_forward_raises():
+    model = TecNet(nano_config(), seed=0)
+    x = RNG.random((1, 1, 64, 64))
+    with pytest.raises(UsageError):
+        with nn.capture() as (seen, probs):
+            model(x)
+            model(RNG.random((1, 1, 32, 32)))            # not the config's input size
+    assert nn._outputs is None and E.attention_probe is None
+    recorded = len(seen), len(probs)
+    model(x)
+    assert (len(seen), len(probs)) == recorded
 
 
 def test_multiclass_heads():

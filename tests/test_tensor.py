@@ -116,6 +116,17 @@ def test_broadcast_backward_unbroadcasts():
     np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])  # summed over rows
 
 
+def test_leaf_gradient_is_none_until_a_backward_reaches_it():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0], requires_grad=True)
+    assert a.grad is None and b.grad is None
+    with Tape():
+        loss = (a * a).sum()
+    backward(loss)
+    np.testing.assert_allclose(a.grad, [2.0, 4.0])
+    assert b.grad is None                    # the loss does not depend on b
+
+
 def test_scalar_operand_broadcast():
     a = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():

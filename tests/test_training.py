@@ -20,10 +20,10 @@ from tecnet.metrics import confusion_metrics
 from tecnet.model import TecNet, nano_config
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (LOG_FIELDS, Adam, PlateauHalver, TrainSchedule,
-                             branch_loss, evaluate_dice, evaluate_loss,
-                             load_model, loss_coefficients, predict_probs,
-                             ramp_coefficient, soft_dice_score, stack,
-                             total_loss, train)
+                             _learn, branch_loss, evaluate_dice, evaluate_loss,
+                             load_model, loss_coefficients, predict_batch,
+                             predict_probs, ramp_coefficient, soft_dice_score,
+                             stack, total_loss, train)
 
 RNG = np.random.default_rng(31415)
 
@@ -451,6 +451,21 @@ def test_checkpoint_reload_is_bit_identical_to_live_model(tmp_path):
     for (n1, a1), (n2, a2) in zip(model.state_arrays(), reloaded.state_arrays(), strict=True):
         assert n1 == n2 and a1.dtype == a2.dtype
         assert np.array_equal(a1, a2), n1
+
+
+def test_parameters_carry_no_gradient_until_a_backward_reaches_them(tmp_path):
+    """Loading and predicting allocate no gradient buffer; one learning step
+    gives every parameter one."""
+    from tecnet.tensorio import save_checkpoint
+    path = str(tmp_path / "fresh.tect")
+    live = TecNet(nano_config(), seed=1)
+    save_checkpoint(path, live.state_arrays(), live.cfg.to_dict())
+    model = load_model(path)
+    images, masks = stack(make_dataset(SynthSpec(seed=5, count=2, size=64)))
+    predict_batch(model, images)
+    assert all(p.grad is None for p in model.parameters())
+    _learn(model, images, masks, 0.5)
+    assert all(p.grad is not None and p.grad.shape == p.shape for p in model.parameters())
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
