@@ -78,12 +78,16 @@ def model_config(blob: dict, path: str) -> TecNetConfig:
 
 
 def load_sized_dataset(data_dir: str, cfg: TecNetConfig):
-    """load_dataset(data_dir), whose images must be the config's input size."""
+    """load_dataset(data_dir), whose images must be the config's input size
+    and whose masks must have one channel per class."""
     samples = load_dataset(data_dir)
     size = samples[0].image.shape[1:]
     if size != (cfg.input_size, cfg.input_size):
         raise UsageError(f"{data_dir}: images are {size[0]}x{size[1]}, the config's "
                          f"input_size is {cfg.input_size}")
+    if len(samples[0].mask) != cfg.num_classes:
+        raise UsageError(f"{data_dir}: masks have {len(samples[0].mask)} class channel(s), "
+                         f"the config's num_classes is {cfg.num_classes}")
     return samples
 
 
@@ -151,10 +155,8 @@ def cmd_train(args) -> int:
                    out_dir=args.out, progress=progress)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"loss log:   {result.log_path}")
-    if val:
-        print(f"val dice:   {result.summary['val_dice']:.4f}")
-    else:
-        print(f"train dice: {result.summary['train_dice']:.4f}")
+    dice = next(key for key in result.summary if key.endswith("_dice"))
+    print(f"{dice.replace('_', ' ') + ':':<12}{result.summary[dice]:.4f}")
     return 0
 
 
@@ -235,7 +237,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_dump_features(args) -> int:
     model = load_model(args.checkpoint)
-    samples = load_dataset(args.data)
+    samples = load_sized_dataset(args.data, model.cfg)
     if not 0 <= args.index < len(samples):
         raise UsageError(f"--index {args.index} out of range "
                          f"(dataset has {len(samples)} samples)")

@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import engine
 from .engine import Tape, Tensor, backward
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .metrics import confusion_metrics
 from .model import TecNet, TecNetConfig, check_types
 
@@ -66,7 +67,10 @@ def branch_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     For a batch [B, ncls, H, W] this is the mean of the B per-sample losses:
     every sample has as many pixels and as many (sample, class) Dice terms.
+    A target of another shape raises UsageError instead of broadcasting.
     """
+    if pred.shape != target.shape:
+        raise UsageError(f"logits are {pred.shape}, the target {target.shape}")
     p = engine.sigmoid(pred)
     diff = p - target
     mse = engine.mean_all(diff * diff)
@@ -290,36 +294,24 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
                             schedule.plateau_factor)
 
     batch = min(schedule.batch_size, len(samples))
-    steps_per_epoch = max(1, len(samples) // batch)
-    if schedule.steps is not None:
-        total_steps = schedule.steps
-        total_epochs = max(1, math.ceil(total_steps / steps_per_epoch))
-    else:
-        total_epochs = schedule.total_epochs
-        total_steps = total_epochs * steps_per_epoch
+    steps_per_epoch = len(samples) // batch
+    total_steps = schedule.steps or schedule.total_epochs * steps_per_epoch
+    total_epochs = math.ceil(total_steps / steps_per_epoch)
 
     result = TrainResult()
-    log_fh = None
-    log_writer = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         result.log_path = os.path.join(out_dir, "loss_log.csv")
-        log_fh = open(result.log_path, "w", newline="")
-        log_writer = csv.DictWriter(log_fh, fieldnames=LOG_FIELDS)
-        log_writer.writeheader()
-
-    try:
-        step = 0
-        lam = ramp_coefficient(0.0, schedule.delta)
+    step = 0
+    with open(result.log_path, "w", newline="") if result.log_path else nullcontext() as log_fh:
+        if log_fh is not None:
+            log_writer = csv.DictWriter(log_fh, fieldnames=LOG_FIELDS)
+            log_writer.writeheader()
         for epoch in range(total_epochs):
             order = rng.permutation(len(samples))
-            for b in range(steps_per_epoch):
-                if step >= total_steps:
-                    break
-                if schedule.steps is not None:
-                    k = step / total_steps
-                else:
-                    k = epoch / total_epochs
+            for b in range(min(steps_per_epoch, total_steps - step)):
+                # epochs mode holds k at epoch / total_epochs for the whole epoch
+                k = (step if schedule.steps else epoch * steps_per_epoch) / total_steps
                 lam = ramp_coefficient(k, schedule.delta)
 
                 t0 = perf_counter()
@@ -338,7 +330,7 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
                        **parts, "wall_ms": wall_ms,
                        "samples_per_s": len(chunk) / wall_ms * 1e3, "grad_norm": norm}
                 result.history.append(row)
-                if log_writer is not None:
+                if log_fh is not None:
                     log_writer.writerow({k_: (f"{v:.8f}" if isinstance(v, float) else v)
                                          for k_, v in row.items()})
                     log_fh.flush()
@@ -349,15 +341,12 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
                 if not math.isfinite(val):
                     raise TrainingDiverged(f"non-finite validation loss: {val}")
                 plateau.observe(val)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
 
     result.summary = {
         "steps": step,
         "final_lambda": lam,
         "final_lr": optimizer.lr,
-        "final_train_loss": result.history[-1]["loss_total"] if result.history else None,
+        "final_train_loss": result.history[-1]["loss_total"],
     }
 
     if out_dir is not None:

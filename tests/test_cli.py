@@ -3,16 +3,22 @@
 import csv
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tecnet.attention import ACAM, WindowAttention
-from tecnet.cli import main
-from tecnet.model import (N_STAGES, TecNet, attention_rows, count_flops,
-                          count_params, nano_config)
+from tecnet.cli import build_parser, main
+from tecnet.model import (N_STAGES, PRESETS, TecNet, attention_rows, count_flops,
+                          count_params, nano_config, read_config)
 from tecnet.synth import read_pgm, write_pgm
-from tecnet.tensorio import load_checkpoint
+from tecnet.tensorio import load_checkpoint, save_checkpoint
+from tecnet.training import TrainSchedule
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +111,70 @@ def test_train_labels_its_dice_by_the_set_it_scores(workdir, capsys, tmp_path, v
     label, value = line.split(":")
     assert label == key.replace("_", " ")
     assert float(value) == pytest.approx(summary[key], abs=5e-5)
+
+
+def test_train_seed_flag_overrides_the_config(workdir, tmp_path, monkeypatch):
+    """--seed 5 trains as a config whose seed is 5 does, not as the
+    config's seed 0."""
+    monkeypatch.delenv("TECNET_SEED", raising=False)
+    blob = json.loads(workdir["config"].read_text())
+    blob["train"]["seed"] = 5
+    seeded = tmp_path / "seed5.json"
+    seeded.write_text(json.dumps(blob))
+    common = ["--data", str(workdir["data"]), "--steps", "1"]
+    assert main(["train", "--config", str(workdir["config"]), "--seed", "5",
+                 "--out", str(tmp_path / "flag"), *common]) == 0
+    assert main(["train", "--config", str(seeded), "--out", str(tmp_path / "cfg"), *common]) == 0
+    ckpt = lambda run: (run / "checkpoint.tect").read_bytes()
+    assert ckpt(tmp_path / "flag") == ckpt(tmp_path / "cfg")
+    assert ckpt(tmp_path / "flag") != ckpt(workdir["run"])
+
+
+def test_train_prints_a_progress_line_every_log_every_steps(workdir, capsys, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                 "--out", str(out), "--steps", "2", "--log-every", "1"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("step ")]
+    with open(out / "loss_log.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [line[1] for line in lines] == [row["step"] for row in rows] == ["1", "2"]
+    assert [float(line[line.index("loss") + 1]) for line in lines] == pytest.approx(
+        [float(row["loss_total"]) for row in rows], abs=5e-6)
+
+
+@pytest.mark.parametrize("count", ["4", "5"])
+def test_train_rejects_a_val_count_that_leaves_no_training_set(workdir, capsys, tmp_path, count):
+    assert main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                 "--out", str(tmp_path / "r"), "--steps", "1", "--val-count", count]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --val-count {count} leaves no training samples\n")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_masks_of_another_class_count_rejected(workdir, capsys, tmp_path, command):
+    """A two-class config on one-channel masks once trained with the mask
+    broadcast over both classes and scored class 0 only; now train and eval
+    exit 1, naming the directory, before anything is written."""
+    blob = json.loads(workdir["config"].read_text())
+    blob["model"]["num_classes"] = 2
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "o"
+    argv = ["--config", str(cfg), "--data", str(workdir["data"]), "--out", str(out)]
+    if command == "train":
+        argv += ["--steps", "1"]
+    else:
+        ckpt = tmp_path / "two.tect"
+        model = TecNet(nano_config(num_classes=2), seed=0)
+        save_checkpoint(str(ckpt), model.state_arrays(), model.cfg.to_dict())
+        argv += ["--checkpoint", str(ckpt)]
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir['data']}: masks have 1 class channel(s), "
+        f"the config's num_classes is 2\n")
+    assert not out.exists()
 
 
 def test_eval_writes_masks_and_metrics(workdir):
@@ -353,6 +423,17 @@ def test_analyze_preset_deterministic(capsys):
     assert "2,989,491" in first
 
 
+def test_analyze_tiny_prints_the_published_reference(capsys):
+    """The published Tiny figures are printed at their 224 px input only."""
+    assert main(["analyze", "--preset", "tiny"]) == 0
+    out = capsys.readouterr().out
+    params = count_params(PRESETS["tiny"]())["total"]
+    assert "published reference at 224x224: 11.58 M params, 4.53 GFLOPs" in out
+    assert f"this implementation:          {params / 1e6:.2f} M params" in out
+    assert main(["analyze", "--preset", "tiny", "--input-size", "256"]) == 0
+    assert "published reference" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("size", [None, 128], ids=["native", "128"])
 def test_analyze_mac_report(tmp_path, capsys, size):
     report = tmp_path / "macs.csv"
@@ -441,6 +522,20 @@ def test_dump_features_writes_stage_maps(workdir):
     assert m.shape == (16, 16)
 
 
+def test_dump_features_rejects_a_dataset_of_another_size(workdir, capsys, tmp_path):
+    """32 px data against a 64 px checkpoint once failed in the forward with
+    a message that named no path."""
+    small = tmp_path / "small"
+    assert main(["gen", "--out", str(small), "--count", "1", "--size", "32"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "f"
+    assert main(["dump-features", "--checkpoint", str(workdir["run"] / "checkpoint.tect"),
+                 "--data", str(small), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {small}: images are 32x32, the config's input_size is 64\n")
+    assert not out.exists()
+
+
 def test_dump_features_index_out_of_range(workdir, capsys):
     rc = main(["dump-features",
                "--checkpoint", str(workdir["run"] / "checkpoint.tect"),
@@ -453,3 +548,27 @@ def test_missing_file_reports_cleanly(capsys):
     rc = main(["analyze", "--config", "/nonexistent/cfg.json"])
     assert rc != 0
     assert "cfg.json" in capsys.readouterr().err
+
+
+# ------------------------------------------------ files the README points at
+
+@pytest.mark.parametrize("name", ["nano", "tiny", "base"])
+def test_shipped_config_matches_its_preset(name):
+    """configs/<name>.json holds the preset's model section and a train
+    section that reads as a TrainSchedule."""
+    blob = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    assert blob["model"] == json.loads(json.dumps(PRESETS[name]().to_dict()))
+    assert isinstance(read_config(TrainSchedule, blob["train"], steps=None), TrainSchedule)
+
+
+def test_readme_quick_start_commands_parse():
+    """Every tecnet line of the README's quick start parses with the CLI's
+    own parser."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n.*?```\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["tecnet", cmd] for cmd in ("gen", "train", "eval", "analyze", "dump-features")]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -198,6 +198,18 @@ def test_count_params_matches_enumeration_exactly():
         assert count_params(cfg)["total"] == enumerated
 
 
+@pytest.mark.parametrize("patch", [1, 2, 8])
+def test_cnn_stem_at_other_patch_sizes(patch):
+    """patch 1 builds a one-conv stem, larger patches a chain of stride-2
+    convs; either way the count is the enumeration and the heads come out
+    at the input size."""
+    cfg = nano_config(patch=patch)
+    model = TecNet(cfg, seed=0)
+    assert count_params(cfg)["total"] == sum(p.size for _, p in model.named_parameters())
+    out = model.forward(RNG.random((1, 1, 64, 64)))
+    assert {k: v.shape for k, v in out.items()} == {k: (1, 1, 64, 64) for k in out}
+
+
 def test_count_params_breakdown_sums_to_total():
     table = count_params(nano_config())
     parts = sum(v for k, v in table.items() if k != "total")

@@ -15,7 +15,7 @@ import pytest
 from oracles import per_sample_step
 from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
-from tecnet.errors import ConfigurationError, TrainingDiverged
+from tecnet.errors import ConfigurationError, TrainingDiverged, UsageError
 from tecnet.metrics import confusion_metrics
 from tecnet.model import TecNet, nano_config
 from tecnet.synth import SynthSpec, make_dataset
@@ -73,6 +73,17 @@ def test_branch_loss_zero_for_perfect_confident_prediction():
     target = Tensor((RNG.random((1, 6, 6)) > 0.5).astype(float))
     logits = Tensor(np.where(target.data > 0.5, 50.0, -50.0))
     assert branch_loss(logits, target).item() < 1e-3
+
+
+def test_branch_loss_rejects_a_target_of_another_shape():
+    """Two-class logits against a one-channel mask once broadcast the mask
+    over both classes and trained silently; now the loss names both shapes."""
+    with pytest.raises(UsageError, match=r"\(2, 2, 8, 8\).*\(2, 1, 8, 8\)"):
+        branch_loss(Tensor(np.zeros((2, 2, 8, 8))), Tensor(np.zeros((2, 1, 8, 8))))
+    data = make_dataset(SynthSpec(seed=5, count=2, size=64))
+    with pytest.raises(UsageError, match=r"\(2, 2, 64, 64\).*\(2, 1, 64, 64\)"):
+        train(TecNet(nano_config(num_classes=2), seed=0), data,
+              TrainSchedule(steps=1, batch_size=2))
 
 
 def test_total_loss_blend(float64):
