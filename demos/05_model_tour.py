@@ -47,7 +47,7 @@ def main():
 
     tiny = tiny_config()
     tp = count_params(tiny)["total"]
-    tm = count_flops(tiny, input_size=224)["total"]
+    tm = count_flops(tiny)["total"]
     print(f"\ntiny preset at 224x224: {tp / 1e6:.2f} M params, "
           f"{2 * tm / 1e9:.2f} GFLOPs")
 

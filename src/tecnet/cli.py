@@ -78,16 +78,12 @@ def model_config(blob: dict, path: str) -> TecNetConfig:
 
 
 def load_sized_dataset(data_dir: str, cfg: TecNetConfig):
-    """load_dataset(data_dir), whose images must be the config's input size
-    and whose masks must have one channel per class."""
+    """load_dataset(data_dir), whose images must be the config's input size."""
     samples = load_dataset(data_dir)
     size = samples[0].image.shape[1:]
     if size != (cfg.input_size, cfg.input_size):
         raise UsageError(f"{data_dir}: images are {size[0]}x{size[1]}, the config's "
                          f"input_size is {cfg.input_size}")
-    if len(samples[0].mask) != cfg.num_classes:
-        raise UsageError(f"{data_dir}: masks have {len(samples[0].mask)} class channel(s), "
-                         f"the config's num_classes is {cfg.num_classes}")
     return samples
 
 

@@ -14,7 +14,7 @@ Everything runs on a batch: images are [B, C, H, W], CNN-branch maps
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,6 +70,11 @@ def read_config(cls, d, optional=(), **given):
 
 # ---------------------------------------------------------------- config
 
+# field that left TecNetConfig -> (the one value an older config or manifest
+# may still give it, why); TecNetConfig.from_dict checks such a key, then drops it
+RETIRED_FIELDS = {"num_classes": (1, "the model segments one class")}
+
+
 @dataclass
 class TecNetConfig:
     name: str
@@ -79,7 +84,6 @@ class TecNetConfig:
     window: int
     patch: int
     input_size: int
-    num_classes: int = 1
     n_kernels: int = 4
     use_ddconv: bool = True
     use_acam: bool = True
@@ -93,10 +97,10 @@ class TecNetConfig:
         self.validate()
 
     def validate(self) -> None:
-        for key in ("num_classes", "n_kernels"):
+        for key in ("window", "base_width", "n_kernels"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(
-                    f"config field {key} must be at least 1, got {getattr(self, key)}")
+                    f"config field {key} must be positive, got {getattr(self, key)}")
         if len(self.layer_numbers) != N_STAGES or len(self.heads) != N_STAGES:
             raise ConfigurationError(
                 f"layer_numbers and heads must have {N_STAGES} entries, got "
@@ -109,9 +113,6 @@ class TecNetConfig:
                 raise ConfigurationError(f"heads not symmetric at stage {i}")
         if any(n < 1 for n in self.layer_numbers) or any(h < 1 for h in self.heads):
             raise ConfigurationError("layer_numbers and heads must be positive")
-        if self.window < 1 or self.base_width < 1:
-            raise ConfigurationError(
-                f"window and base_width must be positive, got {self.window} and {self.base_width}")
         if self.patch < 1 or self.input_size % self.patch:
             raise ConfigurationError(
                 f"patch {self.patch} must divide input size {self.input_size}")
@@ -141,32 +142,29 @@ class TecNetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TecNetConfig":
+        if isinstance(d, dict):                 # read_config rejects the rest
+            for key, (kept, why) in RETIRED_FIELDS.items():
+                if key in d and (type(d[key]) is not type(kept) or d[key] != kept):
+                    raise ConfigurationError(f"config field {key} is retired ({why}); "
+                                             f"it may only be {kept!r}, got {d[key]!r}")
+            d = {k: v for k, v in d.items() if k not in RETIRED_FIELDS}
         return read_config(cls, d, optional=("use_ddconv", "use_acam", "use_lpm", "shared_kv"))
 
 
-def nano_config(**overrides) -> TecNetConfig:
-    base = dict(name="nano", layer_numbers=(1, 1, 2, 1, 2, 1, 1),
-                heads=(1, 2, 4, 8, 4, 2, 1), base_width=16, window=4,
-                patch=4, input_size=64, num_classes=1, n_kernels=4)
-    base.update(overrides)
-    return TecNetConfig(**base)
+def _preset(**fields_):
+    """A factory of TecNetConfig(**fields_) whose keywords override any field."""
+    return lambda **overrides: TecNetConfig(**{**fields_, **overrides})
 
 
-def tiny_config(**overrides) -> TecNetConfig:
-    base = dict(name="tiny", layer_numbers=(2, 2, 6, 2, 6, 2, 2),
-                heads=(3, 6, 12, 24, 12, 6, 3), base_width=96, window=7,
-                patch=4, input_size=224, num_classes=1, n_kernels=4)
-    base.update(overrides)
-    return TecNetConfig(**base)
-
-
-def base_config(**overrides) -> TecNetConfig:
-    base = dict(name="base", layer_numbers=(2, 2, 18, 2, 18, 2, 2),
-                heads=(4, 8, 16, 32, 16, 8, 4), base_width=96, window=7,
-                patch=4, input_size=224, num_classes=1, n_kernels=4)
-    base.update(overrides)
-    return TecNetConfig(**base)
-
+nano_config = _preset(name="nano", layer_numbers=(1, 1, 2, 1, 2, 1, 1),
+                      heads=(1, 2, 4, 8, 4, 2, 1), base_width=16, window=4, patch=4,
+                      input_size=64)
+tiny_config = _preset(name="tiny", layer_numbers=(2, 2, 6, 2, 6, 2, 2),
+                      heads=(3, 6, 12, 24, 12, 6, 3), base_width=96, window=7, patch=4,
+                      input_size=224)
+base_config = _preset(name="base", layer_numbers=(2, 2, 18, 2, 18, 2, 2),
+                      heads=(4, 8, 16, 32, 16, 8, 4), base_width=96, window=7, patch=4,
+                      input_size=224)
 
 PRESETS = {"nano": nano_config, "tiny": tiny_config, "base": base_config}
 
@@ -332,14 +330,14 @@ class TecNet(Module):
         self.cnn_fuse = [Conv2d(2 * w(i), w(i), 1, rng=rng) for i in range(4, 7)]
         self.trans_fuse = [Conv2d(2 * w(i), w(i), 1, rng=rng) for i in range(4, 7)]
 
-        self.head_cnn = Conv2d(d, cfg.num_classes, 1, rng=rng)
-        self.head_trans = Conv2d(d, cfg.num_classes, 1, rng=rng)
-        self.head_tec = Conv2d(2 * d, cfg.num_classes, 1, rng=rng)
+        self.head_cnn = Conv2d(d, 1, 1, rng=rng)
+        self.head_trans = Conv2d(d, 1, 1, rng=rng)
+        self.head_tec = Conv2d(2 * d, 1, 1, rng=rng)
 
     # -- forward ----------------------------------------------------------
 
     def forward(self, images) -> dict:
-        """Logits [B, num_classes, H, W] of the three heads for images [B, 1, H, W].
+        """Logits [B, 1, H, W] of the three heads for images [B, 1, H, W].
 
         Under `nn.capture()`, stage i's maps are the outputs of
         `cnn_stages[i]` ([B, C, h, w]) and `trans_stages[i]` ([B, h, w, C]).
@@ -532,8 +530,8 @@ def _accounting(cfg: TecNetConfig) -> dict:
         acct[f"fuse{j}.cnn"] = _conv(2 * w(i), w(i), 1, n(i))
         acct[f"fuse{j}.trans"] = _conv(2 * w(i), w(i), 1, n(i))
 
-    head = _conv(d, cfg.num_classes, 1, n(6))
-    acct["heads"] = _sum(head, head, _conv(2 * d, cfg.num_classes, 1, n(6)))
+    head = _conv(d, 1, 1, n(6))
+    acct["heads"] = _sum(head, head, _conv(2 * d, 1, 1, n(6)))
     acct["total"] = _sum(*acct.values())
     return acct
 
@@ -543,12 +541,7 @@ def count_params(cfg: TecNetConfig) -> dict:
     return {key: params for key, (params, _) in _accounting(cfg).items()}
 
 
-def count_flops(cfg: TecNetConfig, input_size: int | None = None) -> dict:
-    """Per-module multiply-accumulate counts for one forward pass.
-
-    `input_size` (default: the config's) must be a size the model can run;
-    any other raises ConfigurationError.
-    """
-    if input_size is not None:
-        cfg = replace(cfg, input_size=input_size)
+def count_flops(cfg: TecNetConfig) -> dict:
+    """Per-module multiply-accumulate counts for one forward pass at the
+    config's input size."""
     return {key: macs for key, (_, macs) in _accounting(cfg).items()}

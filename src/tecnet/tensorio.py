@@ -11,7 +11,8 @@ Records hold the engine's default float32 compute dtype as is, so a
 save/load round trip of float32 parameters is exact (wider arrays are
 rounded once, on write).  A checkpoint is a single .tect file holding the
 records of all parameters back to back, plus a JSON manifest naming each
-record and its byte offset.
+record and its byte offset and holding the model config, which loading
+returns unchecked (`training.load_model` compares it field by field).
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def save_checkpoint(path, named_arrays, config: dict) -> None:
     """Write parameters (name, array) pairs plus a JSON manifest sidecar.
 
     The manifest lives at path + '.json' and records the byte offset of each
-    record, the parameter shapes, and a hash of the model configuration so a
-    later load can refuse mismatched configs.  Each file is written to a
-    '.tmp' file beside it and moved into place, the payload first and the
-    manifest last, so a save that fails midway leaves the previous
-    checkpoint as it was and no temporary file behind.
+    record, the parameter shapes, and the model configuration with its
+    `config_hash` (a key of format v1 that no load reads).  Each file is
+    written to a '.tmp' file beside it and moved into place, the payload
+    first and the manifest last, so a save that fails midway leaves the
+    previous checkpoint as it was and no temporary file behind.
     """
     path = Path(path)
     manifest_path = path.with_suffix(path.suffix + ".json")
@@ -151,12 +152,8 @@ def _check_manifest(manifest, manifest_path, payload_bytes: int) -> None:
                       f"past the end of the {payload_bytes}-byte payload")
 
 
-def load_checkpoint(path, expected_config: dict | None = None):
-    """Read a checkpoint; returns (ordered dict name -> array, manifest).
-
-    If expected_config is given, its hash must match the one stored in the
-    manifest, otherwise a UsageError is raised.
-    """
+def load_checkpoint(path):
+    """Read a checkpoint; returns (ordered dict name -> array, manifest)."""
     path = Path(path)
     manifest_path = path.with_suffix(path.suffix + ".json")
     with open(manifest_path) as fh:
@@ -165,12 +162,6 @@ def load_checkpoint(path, expected_config: dict | None = None):
         except json.JSONDecodeError as e:
             raise UsageError(f"{manifest_path}: corrupt checkpoint manifest: {e}") from e
     _check_manifest(manifest, manifest_path, os.path.getsize(path))
-    if expected_config is not None:
-        want = config_hash(expected_config)
-        got = manifest.get("config_hash")
-        if want != got:
-            raise UsageError(
-                f"checkpoint config hash {got} does not match the requested model config {want}")
     arrays = {}
     with open(path, "rb") as fh:
         for entry in manifest["tensors"]:

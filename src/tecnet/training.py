@@ -36,6 +36,7 @@ from .engine import Tape, Tensor, backward
 from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .metrics import confusion_metrics
 from .model import TecNet, TecNetConfig, check_types
+from .tensorio import load_checkpoint, save_checkpoint
 
 DICE_EPS = 1.0
 EVAL_BATCH = 8      # samples per stacked forward in evaluation and `tecnet eval`
@@ -65,8 +66,8 @@ def loss_coefficients(k: float, delta: float = 1.0) -> tuple[float, float, float
 def branch_loss(pred: Tensor, target: Tensor) -> Tensor:
     """MSE on probabilities plus soft Dice loss over [..., H, W] logit maps.
 
-    For a batch [B, ncls, H, W] this is the mean of the B per-sample losses:
-    every sample has as many pixels and as many (sample, class) Dice terms.
+    For a batch [B, 1, H, W] this is the mean of the B per-sample losses:
+    every sample has as many pixels and one Dice term.
     A target of another shape raises UsageError instead of broadcasting.
     """
     if pred.shape != target.shape:
@@ -212,7 +213,7 @@ class TrainResult:
 # ---------------------------------------------------------------- loop
 
 def stack(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Images [B, C, H, W] and masks [B, ncls, H, W] of same-size samples."""
+    """Images [B, C, H, W] and masks [B, 1, H, W] of same-size samples."""
     return np.stack([s.image for s in samples]), np.stack([s.mask for s in samples])
 
 
@@ -223,18 +224,18 @@ def _chunks(samples):
 
 
 def predict_batch(model: TecNet, images: np.ndarray) -> dict:
-    """Sigmoid probability maps [B, ncls, H, W] for all three heads, no tape."""
+    """Sigmoid probability maps [B, 1, H, W] for all three heads, no tape."""
     outputs = model.forward(images)
     return {k: engine.sigmoid(v).data for k, v in outputs.items()}
 
 
 def predict_probs(model: TecNet, image: np.ndarray) -> dict:
-    """Sigmoid probability maps [ncls, H, W] of one [C, H, W] image, no tape."""
+    """Sigmoid probability maps [1, H, W] of one [C, H, W] image, no tape."""
     return {k: v[0] for k, v in predict_batch(model, np.asarray(image)[None]).items()}
 
 
 def predictions(model: TecNet, samples):
-    """(sample, fused-head probabilities [ncls, H, W]) for each sample, from
+    """(sample, fused-head probabilities [1, H, W]) for each sample, from
     stacked forwards of EVAL_BATCH images, no tape."""
     for chunk in _chunks(samples):
         probs = predict_batch(model, np.stack([s.image for s in chunk]))["y_tec"]
@@ -350,7 +351,6 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
     }
 
     if out_dir is not None:
-        from .tensorio import save_checkpoint
         result.checkpoint_path = os.path.join(out_dir, "checkpoint.tect")
         save_checkpoint(result.checkpoint_path, model.state_arrays(),
                         model.cfg.to_dict())
@@ -364,10 +364,20 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
 
 
 def load_model(checkpoint_path: str, expected_config: dict | None = None) -> TecNet:
-    """Rebuild a model from a checkpoint (optionally pinning the config)."""
-    from .tensorio import load_checkpoint
-    arrays, manifest = load_checkpoint(checkpoint_path, expected_config)
-    cfg = TecNetConfig.from_dict(manifest["config"])
+    """Rebuild a model from a checkpoint.  With `expected_config`, the
+    manifest's config must equal it field by field, as TecNetConfigs."""
+    arrays, manifest = load_checkpoint(checkpoint_path)
+    try:
+        cfg = TecNetConfig.from_dict(manifest["config"])
+    except ConfigurationError as e:
+        raise UsageError(f"{checkpoint_path}.json: {e}") from e
+    if expected_config is not None:
+        got, want = cfg.to_dict(), TecNetConfig.from_dict(expected_config).to_dict()
+        diff = [f"{k} {got[k]!r} in the checkpoint, {want[k]!r} in the config"
+                for k in got if got[k] != want[k]]
+        if diff:
+            raise UsageError(f"{checkpoint_path}: config differs from the checkpoint's: "
+                             + "; ".join(diff))
     model = TecNet(cfg, seed=0)
     model.load_state(arrays)
     return model

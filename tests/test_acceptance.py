@@ -391,7 +391,7 @@ def test_criterion_09_parameter_accounting():
         gc.collect()
 
     tiny = tiny_config()
-    macs = count_flops(tiny, input_size=224)["total"]
+    macs = count_flops(tiny)["total"]
     print(f"\nparameter accounting: {report} all exact")
     print(f"tiny at 224x224: {report['tiny'] / 1e6:.2f} M params, "
           f"{2 * macs / 1e9:.2f} GFLOPs (2 x {macs:,} MACs); "

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,29 +153,67 @@ def test_train_rejects_a_val_count_that_leaves_no_training_set(workdir, capsys, 
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+RETIRED_CLASSES = ("config field num_classes is retired (the model segments one class); "
+                   "it may only be 1, got 2")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
 def test_masks_of_another_class_count_rejected(workdir, capsys, tmp_path, command):
-    """A two-class config on one-channel masks once trained with the mask
-    broadcast over both classes and scored class 0 only; now train and eval
-    exit 1, naming the directory, before anything is written."""
+    """A two-class config once trained with one-channel masks broadcast over
+    both classes; the field is retired, so a config naming two classes exits
+    1, naming the file and the field, before anything is written."""
     blob = json.loads(workdir["config"].read_text())
     blob["model"]["num_classes"] = 2
     cfg = tmp_path / "two.json"
     cfg.write_text(json.dumps(blob))
     out = tmp_path / "o"
-    argv = ["--config", str(cfg), "--data", str(workdir["data"]), "--out", str(out)]
+    if command == "analyze":
+        argv = ["--config", str(cfg), "--mac-report", str(out)]
+    else:
+        argv = ["--config", str(cfg), "--data", str(workdir["data"]), "--out", str(out)]
     if command == "train":
         argv += ["--steps", "1"]
-    else:
-        ckpt = tmp_path / "two.tect"
-        model = TecNet(nano_config(num_classes=2), seed=0)
-        save_checkpoint(str(ckpt), model.state_arrays(), model.cfg.to_dict())
-        argv += ["--checkpoint", str(ckpt)]
+    if command == "eval":
+        argv += ["--checkpoint", str(workdir["run"] / "checkpoint.tect")]
     assert main([command] + argv) == 1
-    assert capsys.readouterr().err == (
-        f"error: {workdir['data']}: masks have 1 class channel(s), "
-        f"the config's num_classes is 2\n")
+    assert capsys.readouterr().err == f"error: {cfg}: model section: {RETIRED_CLASSES}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-features"])
+def test_manifest_naming_two_classes_rejected(workdir, capsys, tmp_path, command):
+    ckpt = tmp_path / "two.tect"
+    model = TecNet(nano_config(), seed=0)
+    save_checkpoint(str(ckpt), model.state_arrays(), {**model.cfg.to_dict(), "num_classes": 2})
+    out = tmp_path / "o"
+    argv = ["--checkpoint", str(ckpt), "--data", str(workdir["data"]), "--out", str(out)]
+    if command == "eval":
+        argv += ["--config", str(workdir["config"])]
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}.json: {RETIRED_CLASSES}\n"
+    assert not out.exists()
+
+
+def test_checkpoint_and_config_naming_one_class_still_evaluate(workdir, tmp_path):
+    """A config file and a manifest that name the retired num_classes as 1,
+    as every earlier run wrote them, score exactly as ones without it."""
+    ckpt = workdir["run"] / "checkpoint.tect"
+    arrays, manifest = load_checkpoint(str(ckpt))
+    old_ckpt = tmp_path / "old.tect"
+    save_checkpoint(str(old_ckpt), arrays.items(), {**manifest["config"], "num_classes": 1})
+    blob = json.loads(workdir["config"].read_text())
+    blob["model"]["num_classes"] = 1
+    old_cfg = tmp_path / "old.json"
+    old_cfg.write_text(json.dumps(blob))
+    outs = []
+    for c, k in ((workdir["config"], ckpt), (old_cfg, old_ckpt)):
+        outs.append(tmp_path / f"eval_{len(outs)}")
+        assert main(["eval", "--checkpoint", str(k), "--config", str(c),
+                     "--data", str(workdir["data"]), "--out", str(outs[-1])]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "metrics.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_eval_writes_masks_and_metrics(workdir):
@@ -200,7 +239,26 @@ def test_eval_rejects_mismatched_config(workdir, capsys, tmp_path):
                "--config", str(other),
                "--data", str(workdir["data"]), "--out", str(tmp_path / "o")])
     assert rc != 0
-    assert "hash" in capsys.readouterr().err
+    assert "base_width 16 in the checkpoint, 32 in the config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes,named", [
+    ({"window": 2}, "window 4 in the checkpoint, 2 in the config"),
+    ({"window": 2, "use_lpm": False},
+     "window 4 in the checkpoint, 2 in the config; "
+     "use_lpm True in the checkpoint, False in the config")], ids=["window", "two_fields"])
+def test_eval_names_each_config_field_that_differs(workdir, capsys, tmp_path, changes, named):
+    """A mismatch once printed two sha256 digests and named neither the
+    checkpoint nor a field."""
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"model": nano_config(**changes).to_dict()}))
+    ckpt = workdir["run"] / "checkpoint.tect"
+    out = tmp_path / "o"
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", str(other),
+                 "--data", str(workdir["data"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: config differs from the checkpoint's: {named}\n")
+    assert not out.exists()
 
 
 def _damage_manifest(kind: str, manifest: dict, payload_bytes: int):
@@ -330,7 +388,7 @@ def test_accounting_builds_no_attention_layers(monkeypatch, tmp_path):
     monkeypatch.setattr(WindowAttention, "__init__", refuse)
     for cfg in (nano_config(), nano_config(shared_kv=True), nano_config(use_acam=False)):
         assert count_params(cfg)["total"] > 0
-        assert count_flops(cfg, 2 * cfg.input_size)["total"] > 0
+        assert count_flops(replace(cfg, input_size=2 * cfg.input_size))["total"] > 0
     assert main(["analyze", "--preset", "nano", "--mac-report", str(tmp_path / "m.csv")]) == 0
     with open(tmp_path / "m.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 7 * N_STAGES
@@ -499,7 +557,7 @@ def test_analyze_rejects_non_positive_config(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("field,value", [
     ("window", "4"), ("window", True), ("base_width", 16.0), ("n_kernels", 2.5),
     ("layer_numbers", [1, 1, "2", 1, "2", 1, 1]), ("use_acam", 1), ("shared_kv", "no"),
-    ("num_classes", 0), ("num_classes", -1)])
+    ("num_classes", 0), ("num_classes", -1), ("num_classes", 2)])
 def test_analyze_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {**nano_config().to_dict(), field: value}}))
@@ -533,6 +591,21 @@ def test_dump_features_rejects_a_dataset_of_another_size(workdir, capsys, tmp_pa
                  "--data", str(small), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {small}: images are 32x32, the config's input_size is 64\n")
+    assert not out.exists()
+
+
+def test_dump_features_names_a_manifest_whose_config_is_bad(workdir, capsys, tmp_path):
+    """A manifest config without `window` once printed only the missing key."""
+    ckpt = tmp_path / "c.tect"
+    arrays, manifest = load_checkpoint(str(workdir["run"] / "checkpoint.tect"))
+    config = dict(manifest["config"])
+    del config["window"]
+    save_checkpoint(str(ckpt), arrays.items(), config)
+    out = tmp_path / "f"
+    assert main(["dump-features", "--checkpoint", str(ckpt), "--data", str(workdir["data"]),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}.json: config missing required keys: ['window']\n")
     assert not out.exists()
 
 

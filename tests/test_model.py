@@ -1,5 +1,7 @@
 """Config validation, model construction, forward contract, accounting."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,19 @@ def test_config_rejects_missing_and_unknown_keys():
     d["windowz"] = 4
     with pytest.raises(ConfigurationError):
         TecNetConfig.from_dict(d)
+
+
+def test_retired_num_classes_reads_only_as_one():
+    """Configs and manifests written while num_classes was a field name it
+    as 1; that reads as the config without it, and any other value names
+    the field."""
+    d = nano_config().to_dict()
+    assert TecNetConfig.from_dict({**d, "num_classes": 1}) == nano_config()
+    for value in (0, 2, True, 1.0, "1", None):
+        with pytest.raises(ConfigurationError,
+                           match=r"^config field num_classes .*segments one class"):
+            TecNetConfig.from_dict({**d, "num_classes": value})
+    assert len(fields(TecNetConfig)) == 12
 
 
 def test_config_rejects_asymmetric_stages():
@@ -181,13 +196,6 @@ def test_capture_clears_its_hooks_when_the_forward_raises():
     assert (len(seen), len(probs)) == recorded
 
 
-def test_multiclass_heads():
-    cfg = nano_config(num_classes=3)
-    model = TecNet(cfg, seed=0)
-    out = model.forward(RNG.random((1, 1, 64, 64)))
-    assert out["y_tec"].shape == (1, 3, 64, 64)
-
-
 # --------------------------------------------------------------- accounting
 
 def test_count_params_matches_enumeration_exactly():
@@ -219,11 +227,11 @@ def test_count_params_breakdown_sums_to_total():
 def test_count_flops_positive_and_scales_with_input():
     cfg = nano_config()
     small = count_flops(cfg)["total"]
-    big = count_flops(cfg, input_size=128)["total"]
+    big = count_flops(replace(cfg, input_size=128))["total"]
     assert small > 0
     assert big > small
     with pytest.raises(ConfigurationError):
-        count_flops(cfg, input_size=72)    # stage-0 grid 18 cannot halve three times
+        count_flops(replace(cfg, input_size=72))    # stage-0 grid 18 cannot halve three times
 
 
 def _param_prefixes() -> dict:
@@ -324,5 +332,5 @@ def test_accounting_totals_are_pinned(preset, toggles):
                      (ch in toggles for ch in "DALS")))
     cfg = PRESETS[preset](**flags)
     got = (count_params(cfg)["total"], count_flops(cfg)["total"],
-           count_flops(cfg, 2 * cfg.input_size)["total"])
+           count_flops(replace(cfg, input_size=2 * cfg.input_size))["total"])
     assert got == ACCOUNTING_TOTALS[preset, toggles]

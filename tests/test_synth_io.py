@@ -168,16 +168,17 @@ def test_config_hash_is_order_insensitive():
     assert config_hash(a) != config_hash({**a, "x": 2})
 
 
-def test_checkpoint_roundtrip_and_guard(tmp_path):
+def test_checkpoint_roundtrip_keeps_the_config_and_its_hash(tmp_path):
+    """Format v1 keeps its keys: the manifest holds the config and its hash,
+    which loading leaves to the caller to compare."""
     arrays = [("w1", RNG.standard_normal((2, 3))), ("b1", np.zeros(3))]
     cfg = {"n": 1, "toggles": [True, False]}
     path = str(tmp_path / "c.tect")
     save_checkpoint(path, arrays, cfg)
-    loaded, manifest = load_checkpoint(path, expected_config=cfg)
+    loaded, manifest = load_checkpoint(path)
     assert list(loaded) == ["w1", "b1"]
-    assert manifest["config"] == cfg
-    with pytest.raises(UsageError):
-        load_checkpoint(path, expected_config={"n": 2, "toggles": [True, False]})
+    assert manifest["format"] == "tecnet-checkpoint-v1"
+    assert manifest["config"] == cfg and manifest["config_hash"] == config_hash(cfg)
 
 
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -199,6 +200,7 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, [("w1", np.zeros((2, 3))), ("b1", np.zeros(3))], {"n": 2})
     assert written and sorted(os.listdir(tmp_path)) == files
-    loaded, manifest = load_checkpoint(path, expected_config={"n": 1})
+    loaded, manifest = load_checkpoint(path)
+    assert manifest["config"] == {"n": 1}
     for name, arr in old:
         assert loaded[name].tobytes() == arr.tobytes()

@@ -3,6 +3,7 @@
 import csv
 import gc
 import inspect
+import json
 import math
 import os
 import tracemalloc
@@ -76,14 +77,10 @@ def test_branch_loss_zero_for_perfect_confident_prediction():
 
 
 def test_branch_loss_rejects_a_target_of_another_shape():
-    """Two-class logits against a one-channel mask once broadcast the mask
-    over both classes and trained silently; now the loss names both shapes."""
+    """Two-channel logits against a one-channel mask once broadcast the mask
+    over both channels and trained silently; now the loss names both shapes."""
     with pytest.raises(UsageError, match=r"\(2, 2, 8, 8\).*\(2, 1, 8, 8\)"):
         branch_loss(Tensor(np.zeros((2, 2, 8, 8))), Tensor(np.zeros((2, 1, 8, 8))))
-    data = make_dataset(SynthSpec(seed=5, count=2, size=64))
-    with pytest.raises(UsageError, match=r"\(2, 2, 64, 64\).*\(2, 1, 64, 64\)"):
-        train(TecNet(nano_config(num_classes=2), seed=0), data,
-              TrainSchedule(steps=1, batch_size=2))
 
 
 def test_total_loss_blend(float64):
@@ -477,6 +474,36 @@ def test_parameters_carry_no_gradient_until_a_backward_reaches_them(tmp_path):
     assert all(p.grad is None for p in model.parameters())
     _learn(model, images, masks, 0.5)
     assert all(p.grad is not None and p.grad.shape == p.shape for p in model.parameters())
+
+
+def test_checkpoint_naming_the_retired_class_count_loads(tmp_path):
+    """A manifest written before num_classes was retired names it as 1 and
+    hashes it; it loads, and the model predicts byte-identically."""
+    from tecnet.tensorio import config_hash, save_checkpoint
+    live = TecNet(nano_config(), seed=1)
+    old = {**live.cfg.to_dict(), "num_classes": 1}
+    path = str(tmp_path / "old.tect")
+    save_checkpoint(path, live.state_arrays(), old)
+    with open(path + ".json") as fh:
+        assert json.load(fh)["config_hash"] == config_hash(old)
+    model = load_model(path, expected_config=old)
+    assert model.cfg == live.cfg
+    images = RNG.random((2, 1, 64, 64)).astype(np.float32)
+    want, got = predict_batch(live, images), predict_batch(model, images)
+    assert all(got[key].tobytes() == want[key].tobytes() for key in want)
+
+
+def test_load_model_checks_the_expected_config_field_by_field(tmp_path):
+    from tecnet.tensorio import save_checkpoint
+    live = TecNet(nano_config(), seed=1)
+    path = str(tmp_path / "c.tect")
+    save_checkpoint(path, live.state_arrays(), live.cfg.to_dict())
+    # key order and lists for tuples do not matter; values do
+    again = json.loads(json.dumps(dict(reversed(live.cfg.to_dict().items()))))
+    assert load_model(path, expected_config=again).cfg == live.cfg
+    with pytest.raises(UsageError, match=r"c\.tect: .*heads \(1, 2, 4, 8, 4, 2, 1\) in the "
+                                         r"checkpoint, \(2, 2, 4, 8, 4, 2, 2\) in the config$"):
+        load_model(path, expected_config=nano_config(heads=(2, 2, 4, 8, 4, 2, 2)).to_dict())
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
