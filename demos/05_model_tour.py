@@ -10,14 +10,14 @@ branch plus the fused prediction.
 
 import numpy as np
 
-from tecnet.model import (TecNet, count_flops, count_params, nano_config,
+from tecnet.model import (PATCH, TecNet, count_flops, count_params, nano_config,
                           tiny_config)
 from tecnet.nn import capture
 
 
 def main():
     cfg = nano_config()
-    print(f"preset '{cfg.name}': input {cfg.input_size}, patch {cfg.patch}")
+    print(f"preset '{cfg.name}': input {cfg.input_size}, patch {PATCH}")
     print("stage widths:", [cfg.stage_width(i) for i in range(7)])
     print("stage grids: ", [cfg.stage_grid(i) for i in range(7)])
     print("stage heads: ", list(cfg.heads))

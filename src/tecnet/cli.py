@@ -116,6 +116,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"--val-count must be >= 0, got {args.val_count}")
     if args.log_every < 1:
         raise UsageError(f"--log-every must be >= 1, got {args.log_every}")
+    if args.val_data and args.val_count:
+        raise UsageError("--val-data and --val-count both choose the validation set; give one")
     blob = load_config(args.config)
     cfg = model_config(blob, args.config)
     schedule = config_section(blob, "train", args.config,

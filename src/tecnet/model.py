@@ -27,6 +27,7 @@ from .ddconv import DDConv
 from .nn import ChannelNorm, Conv2d, Linear, Module
 
 N_STAGES = 7
+PATCH = 4           # both branches embed the image as PATCH x PATCH patches
 
 
 def _is_int(v) -> bool:
@@ -72,7 +73,8 @@ def read_config(cls, d, optional=(), **given):
 
 # field that left TecNetConfig -> (the one value an older config or manifest
 # may still give it, why); TecNetConfig.from_dict checks such a key, then drops it
-RETIRED_FIELDS = {"num_classes": (1, "the model segments one class")}
+RETIRED_FIELDS = {"num_classes": (1, "the model segments one class"),
+                  "patch": (PATCH, "the model embeds 4x4 patches")}
 
 
 @dataclass
@@ -82,7 +84,6 @@ class TecNetConfig:
     heads: tuple[int, ...]
     base_width: int
     window: int
-    patch: int
     input_size: int
     n_kernels: int = 4
     use_ddconv: bool = True
@@ -113,15 +114,10 @@ class TecNetConfig:
                 raise ConfigurationError(f"heads not symmetric at stage {i}")
         if any(n < 1 for n in self.layer_numbers) or any(h < 1 for h in self.heads):
             raise ConfigurationError("layer_numbers and heads must be positive")
-        if self.patch < 1 or self.input_size % self.patch:
-            raise ConfigurationError(
-                f"patch {self.patch} must divide input size {self.input_size}")
-        if self.patch & (self.patch - 1):
-            raise ConfigurationError(f"patch must be a power of two, got {self.patch}")
-        g0 = self.input_size // self.patch
-        if g0 < 8 or g0 % 8:
-            raise ConfigurationError(
-                f"stage-0 grid {g0} must be a positive multiple of 8 for three halvings")
+        if self.input_size < 1 or self.input_size % (8 * PATCH):
+            raise ConfigurationError(         # a stage-0 grid that halves three times
+                f"config field input_size must be a positive multiple of {8 * PATCH}, "
+                f"got {self.input_size}")
         for i in range(N_STAGES):
             c = self.stage_width(i)
             if self.use_acam and c % (8 * self.heads[i]):
@@ -135,7 +131,7 @@ class TecNetConfig:
         return self.base_width * 2 ** min(i, N_STAGES - 1 - i)
 
     def stage_grid(self, i: int) -> int:
-        return self.input_size // self.patch // 2 ** min(i, N_STAGES - 1 - i)
+        return self.input_size // PATCH // 2 ** min(i, N_STAGES - 1 - i)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -157,14 +153,11 @@ def _preset(**fields_):
 
 
 nano_config = _preset(name="nano", layer_numbers=(1, 1, 2, 1, 2, 1, 1),
-                      heads=(1, 2, 4, 8, 4, 2, 1), base_width=16, window=4, patch=4,
-                      input_size=64)
+                      heads=(1, 2, 4, 8, 4, 2, 1), base_width=16, window=4, input_size=64)
 tiny_config = _preset(name="tiny", layer_numbers=(2, 2, 6, 2, 6, 2, 2),
-                      heads=(3, 6, 12, 24, 12, 6, 3), base_width=96, window=7, patch=4,
-                      input_size=224)
+                      heads=(3, 6, 12, 24, 12, 6, 3), base_width=96, window=7, input_size=224)
 base_config = _preset(name="base", layer_numbers=(2, 2, 18, 2, 18, 2, 2),
-                      heads=(4, 8, 16, 32, 16, 8, 4), base_width=96, window=7, patch=4,
-                      input_size=224)
+                      heads=(4, 8, 16, 32, 16, 8, 4), base_width=96, window=7, input_size=224)
 
 PRESETS = {"nano": nano_config, "tiny": tiny_config, "base": base_config}
 
@@ -172,15 +165,14 @@ PRESETS = {"nano": nano_config, "tiny": tiny_config, "base": base_config}
 # ---------------------------------------------------------------- submodules
 
 class PatchEmbed(Module):
-    """Non-overlapping p x p linear projection of [B, 1, H, W] images to [B, g, g, D] maps."""
+    """Non-overlapping PATCH x PATCH projection of [B, 1, H, W] images to [B, g, g, D] maps."""
 
-    def __init__(self, patch: int, d: int, rng=None):
-        self.patch = patch
-        self.proj = Linear(patch * patch, d, rng=rng)
+    def __init__(self, d: int, rng=None):
+        self.proj = Linear(PATCH * PATCH, d, rng=rng)
 
     def forward(self, image: Tensor) -> Tensor:
         b, c, h, w = image.shape
-        p = self.patch
+        p = PATCH
         if c != 1 or h % p or w % p:
             raise ConfigurationError(
                 f"patch embed needs [B, 1, k*{p}, k*{p}] input, got {image.shape}")
@@ -191,27 +183,14 @@ class PatchEmbed(Module):
 
 
 class CnnStem(Module):
-    """Stride-2 conv chain downsampling the image by the patch factor."""
+    """Two stride-2 3x3 convs with a GELU between: [B, 1, H, W] -> [B, D, H/4, W/4]."""
 
-    def __init__(self, patch: int, d: int, rng=None):
-        levels = patch.bit_length() - 1               # patch is a power of two
-        self.convs = []
-        if levels == 0:
-            self.convs.append(Conv2d(1, d, 1, rng=rng))
-        else:
-            c_in = 1
-            for lv in range(levels):
-                c_out = d // 2 ** (levels - 1 - lv)
-                self.convs.append(Conv2d(c_in, c_out, 3, rng=rng, stride=2))
-                c_in = c_out
+    def __init__(self, d: int, rng=None):
+        self.convs = [Conv2d(1, d // 2, 3, rng=rng, stride=2),
+                      Conv2d(d // 2, d, 3, rng=rng, stride=2)]
 
     def forward(self, image: Tensor) -> Tensor:
-        x = image
-        for i, conv in enumerate(self.convs):
-            x = conv(x)
-            if i + 1 < len(self.convs):
-                x = E.gelu(x)
-        return x
+        return self.convs[1](E.gelu(self.convs[0](image)))
 
 
 class CnnStage(Module):
@@ -300,8 +279,8 @@ class TecNet(Module):
         d = cfg.base_width
         w = cfg.stage_width
 
-        self.patch_embed = PatchEmbed(cfg.patch, d, rng=rng)
-        self.cnn_stem = CnnStem(cfg.patch, d, rng=rng)
+        self.patch_embed = PatchEmbed(d, rng=rng)
+        self.cnn_stem = CnnStem(d, rng=rng)
 
         self.cnn_stages = [CnnStage(w(i), cfg.use_ddconv, cfg.n_kernels, rng=rng)
                            for i in range(N_STAGES)]
@@ -377,9 +356,9 @@ class TecNet(Module):
             t = self.trans_stages[i](t_fused.permute(0, 2, 3, 1))
 
         tg = t.permute(0, 3, 1, 2)
-        y_cnn = E.upsample_bilinear(self.head_cnn(c), cfg.patch)
-        y_trans = E.upsample_bilinear(self.head_trans(tg), cfg.patch)
-        y_tec = E.upsample_bilinear(self.head_tec(E.concat([c, tg], axis=1)), cfg.patch)
+        y_cnn = E.upsample_bilinear(self.head_cnn(c), PATCH)
+        y_trans = E.upsample_bilinear(self.head_trans(tg), PATCH)
+        y_tec = E.upsample_bilinear(self.head_tec(E.concat([c, tg], axis=1)), PATCH)
         return {"y_cnn": y_cnn, "y_trans": y_trans, "y_tec": y_tec}
 
 
@@ -499,17 +478,9 @@ def _accounting(cfg: TecNetConfig) -> dict:
             return _ddconv(c_in, c_out, 3, nk, n_out)
         return _conv(c_in, c_out, 3, n_out)
 
-    acct = {"patch_embed": _linear(cfg.patch ** 2, d, n(0))}
-    levels = cfg.patch.bit_length() - 1
-    if levels == 0:
-        acct["cnn_stem"] = _conv(1, d, 1, cfg.input_size ** 2)
-    else:
-        stem, c_in, s = [], 1, cfg.input_size
-        for lv in range(levels):
-            c_out, s = d // 2 ** (levels - 1 - lv), s // 2
-            stem.append(_conv(c_in, c_out, 3, s * s))
-            c_in = c_out
-        acct["cnn_stem"] = _sum(*stem)
+    acct = {"patch_embed": _linear(PATCH ** 2, d, n(0)),
+            "cnn_stem": _sum(_conv(1, d // 2, 3, (cfg.input_size // 2) ** 2),
+                             _conv(d // 2, d, 3, n(0)))}
 
     for i in range(N_STAGES):
         norm = (2 * w(i), 0)                    # channel norm, gain and bias

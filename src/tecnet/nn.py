@@ -84,8 +84,9 @@ class Module:
         missing = set(params) - set(arrays)
         extra = set(arrays) - set(params)
         if missing or extra:
-            raise ConfigurationError(
-                f"state mismatch: missing {sorted(missing)[:4]}..., extra {sorted(extra)[:4]}...")
+            def few(names):                         # at most four names, '...' if cut
+                return f"{sorted(names)[:4]}{'...' if len(names) > 4 else ''}"
+            raise ConfigurationError(f"state mismatch: missing {few(missing)}, extra {few(extra)}")
         for name, p in params.items():
             arr = np.asarray(arrays[name])
             if arr.shape != p.shape:

@@ -41,28 +41,26 @@ def write_tensor(fh, array: np.ndarray) -> int:
     return len(header) + len(payload)
 
 
-def _read(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
+def _read(fh, n: int, end: int) -> bytes:
+    """The next n bytes of a file that ends at byte `end`, checked before
+    allocating: a damaged header can claim petabytes."""
+    if end - fh.tell() < n:
         raise UsageError("truncated tensor record")
-    return raw
+    return fh.read(n)
 
 
 def read_tensor(fh) -> np.ndarray:
-    """Read one tensor record from an open binary file."""
+    """Read one tensor record from an open binary file, as a read-only
+    array over the bytes read."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise UsageError(f"bad tensor record magic: {magic!r}")
-    (ndim,) = struct.unpack("<I", _read(fh, 4))
-    dims = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
-    # check the length before allocating: a damaged header can claim petabytes
     start = fh.tell()
-    if fh.seek(0, os.SEEK_END) - start < 4 * math.prod(dims):
-        raise UsageError("truncated tensor record")
+    end = fh.seek(0, os.SEEK_END)
     fh.seek(start)
-    data = np.empty(dims, dtype="<f4")
-    fh.readinto(data)
-    return data
+    (ndim,) = struct.unpack("<I", _read(fh, 4, end))
+    dims = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, end))
+    return np.frombuffer(_read(fh, 4 * math.prod(dims), end), dtype="<f4").reshape(dims)
 
 
 def config_hash(config: dict) -> str:

@@ -379,5 +379,8 @@ def load_model(checkpoint_path: str, expected_config: dict | None = None) -> Tec
             raise UsageError(f"{checkpoint_path}: config differs from the checkpoint's: "
                              + "; ".join(diff))
     model = TecNet(cfg, seed=0)
-    model.load_state(arrays)
+    try:
+        model.load_state(arrays)
+    except ConfigurationError as e:
+        raise UsageError(f"{checkpoint_path}: {e}") from e
     return model

@@ -21,7 +21,7 @@ def _affine(layer, v: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------- layout
 
 def test_patch_embed_puts_patch_ij_at_ij():
-    embed = PatchEmbed(4, 8, rng=np.random.default_rng(0))
+    embed = PatchEmbed(8, rng=np.random.default_rng(0))
     embed.proj.bias.data[:] = RNG.standard_normal(8)
     image = RNG.standard_normal((2, 1, 12, 8))
     out = embed(Tensor(image)).data

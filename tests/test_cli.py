@@ -4,15 +4,19 @@ import csv
 import json
 import os
 import re
+import resource
 import shlex
+import struct
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tecnet.attention import ACAM, WindowAttention
+from tecnet.attention import ACAM, WindowAttention, cost_acam, cost_msa, cost_swmsa
 from tecnet.cli import build_parser, main
+from tecnet.errors import UsageError
 from tecnet.model import (N_STAGES, PRESETS, TecNet, attention_rows, count_flops,
                           count_params, nano_config, read_config)
 from tecnet.synth import read_pgm, write_pgm
@@ -153,6 +157,17 @@ def test_train_rejects_a_val_count_that_leaves_no_training_set(workdir, capsys, 
     assert not (tmp_path / "r").exists()
 
 
+def test_train_rejects_val_data_with_val_count(workdir, capsys, tmp_path):
+    """--val-count was once ignored without a word when --val-data was given."""
+    out = tmp_path / "r"
+    assert main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                 "--out", str(out), "--steps", "1", "--val-data", str(workdir["data"]),
+                 "--val-count", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--val-data" in err and "--val-count" in err
+    assert not out.exists()
+
+
 RETIRED_CLASSES = ("config field num_classes is retired (the model segments one class); "
                    "it may only be 1, got 2")
 
@@ -195,14 +210,16 @@ def test_manifest_naming_two_classes_rejected(workdir, capsys, tmp_path, command
 
 
 def test_checkpoint_and_config_naming_one_class_still_evaluate(workdir, tmp_path):
-    """A config file and a manifest that name the retired num_classes as 1,
-    as every earlier run wrote them, score exactly as ones without it."""
+    """A config file and a manifest that name the retired num_classes as 1
+    and patch as 4, as earlier runs wrote them, score exactly as ones
+    without them."""
+    retired = {"num_classes": 1, "patch": 4}
     ckpt = workdir["run"] / "checkpoint.tect"
     arrays, manifest = load_checkpoint(str(ckpt))
     old_ckpt = tmp_path / "old.tect"
-    save_checkpoint(str(old_ckpt), arrays.items(), {**manifest["config"], "num_classes": 1})
+    save_checkpoint(str(old_ckpt), arrays.items(), {**manifest["config"], **retired})
     blob = json.loads(workdir["config"].read_text())
-    blob["model"]["num_classes"] = 1
+    blob["model"].update(retired)
     old_cfg = tmp_path / "old.json"
     old_cfg.write_text(json.dumps(blob))
     outs = []
@@ -321,6 +338,58 @@ def test_eval_rejects_corrupt_checkpoint(workdir, capsys, tmp_path, damage):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and str(ckpt) in err and DAMAGE_REASONS.get(damage, "") in err
+
+
+@contextmanager
+def _address_space_cap(headroom: int = 1 << 30):
+    """Cap this process's address space at its current size plus `headroom`
+    bytes, so that an allocation of what a damaged header claims fails."""
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + headroom
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY
+                                            else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_record_claiming_four_billion_dims_fails_without_allocating(workdir, capsys, tmp_path):
+    """An ndim of 0xFFFFFFFF once made the reader ask for 16 GiB of dims, and
+    a MemoryError escaped the CLI."""
+    ckpt = tmp_path / "checkpoint.tect"
+    blob = bytearray((workdir["run"] / "checkpoint.tect").read_bytes())
+    blob[4:8] = struct.pack("<I", 0xFFFFFFFF)            # the first record's ndim
+    ckpt.write_bytes(blob)
+    (tmp_path / "checkpoint.tect.json").write_bytes(
+        (workdir["run"] / "checkpoint.tect.json").read_bytes())
+    out = tmp_path / "o"
+    with _address_space_cap():
+        with pytest.raises(UsageError, match=f"^{re.escape(str(ckpt))}: truncated tensor record$"):
+            load_checkpoint(str(ckpt))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--config", str(workdir["config"]),
+                   "--data", str(workdir["data"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: truncated tensor record\n"
+    assert not out.exists()
+
+
+def test_manifest_missing_a_tensor_names_the_checkpoint(workdir, capsys, tmp_path):
+    """A manifest without one of the model's tensors once printed the state
+    mismatch without naming a file, and '...' after lists cut short of nothing."""
+    ckpt = tmp_path / "checkpoint.tect"
+    ckpt.write_bytes((workdir["run"] / "checkpoint.tect").read_bytes())
+    manifest = json.loads((workdir["run"] / "checkpoint.tect.json").read_text())
+    manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != "head_tec.bias"]
+    (tmp_path / "checkpoint.tect.json").write_text(json.dumps(manifest))
+    out = tmp_path / "o"
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", str(workdir["config"]),
+                 "--data", str(workdir["data"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: state mismatch: missing ['head_tec.bias'], extra []\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mismatch", ["mask", "image"])
@@ -540,7 +609,7 @@ def test_analyze_attention_table_prints_actual_cost(capsys, size):
 
 @pytest.mark.parametrize("size", ["72", "0"])
 def test_analyze_rejects_unrunnable_input_size(capsys, size):
-    # nano's stage-0 grid must be a positive multiple of 8: 72 px gives 18, 0 px gives 0
+    # the input size must be a positive multiple of 32: 72 is not, and 0 is not positive
     assert main(["analyze", "--preset", "nano", "--input-size", size]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -645,3 +714,16 @@ def test_readme_quick_start_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_readme_numbers_match_the_code():
+    """Every count in the README's Numbers section is what the code computes."""
+    readme = (ROOT / "README.md").read_text()
+    section = " ".join(re.search(r"## Numbers\n(.*?)(?:\n## |\Z)", readme, re.S).group(1).split())
+    assert "at an 8x8 grid with 16 channels and window 4" in section
+    quoted = [int(n.replace(",", "")) for n in re.findall(r"\d{1,3}(?:,\d{3})+", section)]
+    cfg = nano_config(input_size=32)                    # stage 0: 8x8 grid, C=16, M=4
+    acam = {shared: attention_rows(replace(cfg, shared_kv=shared), 0)[-1]["actual_macs"]
+            for shared in (False, True)}
+    assert quoted == [count_params(PRESETS[name]())["total"] for name in ("nano", "tiny", "base")] + [
+        cost_msa(8, 8, 16), cost_swmsa(8, 8, 16, 4), cost_acam(8, 8, 16, 4), acam[False], acam[True]]

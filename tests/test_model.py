@@ -55,7 +55,19 @@ def test_retired_num_classes_reads_only_as_one():
         with pytest.raises(ConfigurationError,
                            match=r"^config field num_classes .*segments one class"):
             TecNetConfig.from_dict({**d, "num_classes": value})
-    assert len(fields(TecNetConfig)) == 12
+    assert len(fields(TecNetConfig)) == 11
+
+
+def test_retired_patch_reads_only_as_four():
+    """Configs and manifests written while patch was a field name it as 4;
+    that reads as the config without it, and any other value names the
+    field."""
+    d = nano_config().to_dict()
+    assert TecNetConfig.from_dict({**d, "patch": 4}) == nano_config()
+    for value in (2, 4.0, "4", True, None):
+        with pytest.raises(ConfigurationError,
+                           match=r"^config field patch is retired \(the model embeds 4x4 patches\)"):
+            TecNetConfig.from_dict({**d, "patch": value})
 
 
 def test_config_rejects_asymmetric_stages():
@@ -66,11 +78,10 @@ def test_config_rejects_asymmetric_stages():
 
 
 def test_config_rejects_bad_geometry():
-    with pytest.raises(ConfigurationError):
+    rule = "config field input_size must be a positive multiple of 32"
+    with pytest.raises(ConfigurationError, match=rule):
         nano_config(input_size=60)           # stage-0 grid 15 can't halve 3x
-    with pytest.raises(ConfigurationError):
-        nano_config(patch=3, input_size=63)  # not a power of two
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=rule):
         nano_config(input_size=24)           # stage-0 grid not divisible by 8
     # 32 px is the smallest square input: grid 8 halves down to 1x1 and back
     cfg = nano_config(input_size=32)
@@ -204,18 +215,6 @@ def test_count_params_matches_enumeration_exactly():
         model = TecNet(cfg, seed=0)
         enumerated = sum(p.size for _, p in model.named_parameters())
         assert count_params(cfg)["total"] == enumerated
-
-
-@pytest.mark.parametrize("patch", [1, 2, 8])
-def test_cnn_stem_at_other_patch_sizes(patch):
-    """patch 1 builds a one-conv stem, larger patches a chain of stride-2
-    convs; either way the count is the enumeration and the heads come out
-    at the input size."""
-    cfg = nano_config(patch=patch)
-    model = TecNet(cfg, seed=0)
-    assert count_params(cfg)["total"] == sum(p.size for _, p in model.named_parameters())
-    out = model.forward(RNG.random((1, 1, 64, 64)))
-    assert {k: v.shape for k, v in out.items()} == {k: (1, 1, 64, 64) for k in out}
 
 
 def test_count_params_breakdown_sums_to_total():

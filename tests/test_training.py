@@ -493,6 +493,21 @@ def test_checkpoint_naming_the_retired_class_count_loads(tmp_path):
     assert all(got[key].tobytes() == want[key].tobytes() for key in want)
 
 
+def test_checkpoint_naming_the_retired_patch_loads(tmp_path):
+    """A manifest and config written before patch was retired name it as 4;
+    the checkpoint loads against that config and predicts byte-identically."""
+    from tecnet.tensorio import save_checkpoint
+    live = TecNet(nano_config(), seed=1)
+    old = {**live.cfg.to_dict(), "patch": 4}
+    path = str(tmp_path / "old.tect")
+    save_checkpoint(path, live.state_arrays(), old)
+    model = load_model(path, expected_config=old)
+    assert model.cfg == live.cfg
+    images = RNG.random((2, 1, 64, 64)).astype(np.float32)
+    want, got = predict_batch(live, images), predict_batch(model, images)
+    assert all(got[key].tobytes() == want[key].tobytes() for key in want)
+
+
 def test_load_model_checks_the_expected_config_field_by_field(tmp_path):
     from tecnet.tensorio import save_checkpoint
     live = TecNet(nano_config(), seed=1)
