@@ -12,9 +12,9 @@ Configs are JSON with a required "model" section and, for training, a
 "train" section.  Each section holds exactly the fields of its dataclass
 (TecNetConfig, TrainSchedule less the CLI-only `steps`), every one required
 except the model toggles, which default on; each value is type- and
-range-checked, and so are the --steps, --val-count, --log-every and
---threshold flags and the datasets' image size, before anything is
-written.  The TECNET_SEED environment variable overrides --seed.
+range-checked, and so are the --seed, --steps, --val-count, --log-every
+and --threshold flags and the datasets' image size, before anything is
+written.
 """
 
 from __future__ import annotations
@@ -87,21 +87,12 @@ def load_sized_dataset(data_dir: str, cfg: TecNetConfig):
     return samples
 
 
-def resolve_seed(seed: int | None) -> int | None:
-    env = os.environ.get("TECNET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"TECNET_SEED must be an integer, got {env!r}")
-    return seed
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(args) -> int:
-    seed = resolve_seed(args.seed)
-    spec = SynthSpec(seed=seed, count=args.count, size=args.size,
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    spec = SynthSpec(seed=args.seed, count=args.count, size=args.size,
                      family=args.family, gap=args.gap, noise=args.noise,
                      grad_amp=args.grad_amp)
     paths = generate(spec, args.out)
@@ -110,6 +101,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.steps is not None and args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.val_count < 0:
@@ -122,9 +115,8 @@ def cmd_train(args) -> int:
     cfg = model_config(blob, args.config)
     schedule = config_section(blob, "train", args.config,
                               lambda d: read_config(TrainSchedule, d, steps=args.steps))
-    seed = resolve_seed(args.seed)
-    if seed is not None:
-        schedule = replace(schedule, seed=seed)
+    if args.seed is not None:
+        schedule = replace(schedule, seed=args.seed)
 
     samples = load_sized_dataset(args.data, cfg)
     if args.val_data:

@@ -56,9 +56,16 @@ def check_types(config) -> None:
 def read_config(cls, d, optional=(), **given):
     """Build config dataclass cls from a JSON object d that names each field
     except those in `given`, which the caller supplies; fields in `optional`
-    may be left out and take their defaults."""
+    may be left out and take their defaults.  cls.RETIRED maps each field
+    that left cls to (the one value an older file may still give it, why):
+    that value, of the field's old type, reads as absent; any other fails."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"config must be an object, got {type(d).__name__}")
+    for key, (kept, why) in cls.RETIRED.items():
+        if key in d and not (_TYPE_CHECKS[type(kept).__name__](d[key]) and d[key] == kept):
+            raise ConfigurationError(f"config field {key} is retired ({why}); "
+                                     f"it may only be {kept!r}, got {d[key]!r}")
+    d = {k: v for k, v in d.items() if k not in cls.RETIRED}
     names = {f.name for f in fields(cls)} - set(given)
     missing = sorted(names - set(optional) - set(d))
     if missing:
@@ -70,12 +77,6 @@ def read_config(cls, d, optional=(), **given):
 
 
 # ---------------------------------------------------------------- config
-
-# field that left TecNetConfig -> (the one value an older config or manifest
-# may still give it, why); TecNetConfig.from_dict checks such a key, then drops it
-RETIRED_FIELDS = {"num_classes": (1, "the model segments one class"),
-                  "patch": (PATCH, "the model embeds 4x4 patches")}
-
 
 @dataclass
 class TecNetConfig:
@@ -90,6 +91,9 @@ class TecNetConfig:
     use_acam: bool = True
     use_lpm: bool = True
     shared_kv: bool = False
+
+    RETIRED = {"num_classes": (1, "the model segments one class"),
+               "patch": (PATCH, "the model embeds 4x4 patches")}
 
     def __post_init__(self):
         check_types(self)
@@ -138,12 +142,6 @@ class TecNetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TecNetConfig":
-        if isinstance(d, dict):                 # read_config rejects the rest
-            for key, (kept, why) in RETIRED_FIELDS.items():
-                if key in d and (type(d[key]) is not type(kept) or d[key] != kept):
-                    raise ConfigurationError(f"config field {key} is retired ({why}); "
-                                             f"it may only be {kept!r}, got {d[key]!r}")
-            d = {k: v for k, v in d.items() if k not in RETIRED_FIELDS}
         return read_config(cls, d, optional=("use_ddconv", "use_acam", "use_lpm", "shared_kv"))
 
 

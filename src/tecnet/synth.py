@@ -46,8 +46,10 @@ class SynthSpec:
         if not 1 <= self.count <= 10000:
             raise ConfigurationError(
                 f"count must be in 1..10000 (sample ids have four digits), got {self.count}")
-        if self.size < 32:
-            raise ConfigurationError(f"size must be >= 32, got {self.size}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not 32 <= self.size <= 4096:     # a 4096^2 float64 image takes 128 MiB
+            raise ConfigurationError(f"size must be in 32..4096, got {self.size}")
         for name in ("noise", "grad_amp"):
             if not 0.0 <= getattr(self, name) < np.inf:   # false for nan too
                 raise ConfigurationError(

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import UsageError
 
 MAGIC = b"TECT"
+MAX_NDIM = 32       # numpy 1.x's limit; the model's parameters have at most 5
 
 
 def write_tensor(fh, array: np.ndarray) -> int:
@@ -60,6 +61,8 @@ def read_tensor(fh) -> np.ndarray:
     fh.seek(start)
     (ndim,) = struct.unpack("<I", _read(fh, 4, end))
     dims = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, end))
+    if ndim > MAX_NDIM:
+        raise UsageError(f"tensor record claims {ndim} dims, more than {MAX_NDIM}")
     return np.frombuffer(_read(fh, 4 * math.prod(dims), end), dtype="<f4").reshape(dims)
 
 

@@ -3,15 +3,15 @@
 Each branch output is scored with MSE on sigmoid probabilities plus a
 soft Dice term.  The three branch losses are blended by a ramp weight
 
-    lam(k) = delta * exp(-5 * (1 - k)^2),   k = epoch / total_epochs
+    lam(k) = exp(-5 * (1 - k)^2),   k = epoch / total_epochs
 
-so early training leans on the per-branch heads and late training on the
-fused head:
+(the paper's delta * exp(...) with delta fixed at 1), so early training
+leans on the per-branch heads and late training on the fused head:
 
     total = lam * L_fused + (1 - lam) / 2 * (L_cnn + L_trans)
 
-The three coefficients sum to 1 at every k and for every delta, so the
-loss scale stays steady while the mix shifts.
+The three coefficients sum to 1 at every k, so the loss scale stays steady
+while the mix shifts.
 
 A training step stacks its samples into one [B, C, H, W] batch and records
 one tape; every loss is the mean of the per-sample losses, so the objective
@@ -43,12 +43,15 @@ EVAL_BATCH = 8      # samples per stacked forward in evaluation and `tecnet eval
 LOG_FIELDS = ["step", "epoch", "lambda", "lr",
               "loss_total", "loss_tec", "loss_cnn", "loss_trans",
               "wall_ms", "samples_per_s", "grad_norm"]
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8         # Adam's defaults (Kingma & Ba)
+PLATEAU_PATIENCE = 10   # validation epochs without improvement before a cut
+PLATEAU_FACTOR = 0.5
 
 
-def ramp_coefficient(k: float, delta: float = 1.0) -> float:
+def ramp_coefficient(k: float) -> float:
     """Fused-head loss weight as a function of training progress k."""
     k = min(max(k, 0.0), 1.0)
-    return delta * math.exp(-5.0 * (1.0 - k) ** 2)
+    return math.exp(-5.0 * (1.0 - k) ** 2)
 
 
 def branch_weight(lam: float) -> float:
@@ -56,10 +59,10 @@ def branch_weight(lam: float) -> float:
     return (1.0 - lam) / 2.0
 
 
-def loss_coefficients(k: float, delta: float = 1.0) -> tuple[float, float, float]:
+def loss_coefficients(k: float) -> tuple[float, float, float]:
     """(w_fused, w_cnn, w_trans) as total_loss weighs the heads at progress
-    k; they sum to 1 for every delta."""
-    lam = ramp_coefficient(k, delta)
+    k; they sum to 1."""
+    lam = ramp_coefficient(k)
     return lam, branch_weight(lam), branch_weight(lam)
 
 
@@ -110,13 +113,9 @@ class Adam:
     """Adam with bias correction.  A step with zero gradient and fresh
     moments leaves the parameter exactly unchanged."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)  # (name, Tensor) pairs
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -127,32 +126,31 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for name, p in self.params:
             g = p.grad
             if g is None:
                 continue  # parameter never touched the tape
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 class PlateauHalver:
-    """Halve the learning rate when validation loss stalls.
+    """Halve the learning rate when validation loss stalls for
+    PLATEAU_PATIENCE epochs.
 
     ``observe`` returns True on the epochs where the rate was cut.  The
     learning rate never increases.
     """
 
-    def __init__(self, optimizer: Adam, patience: int = 10, factor: float = 0.5):
+    def __init__(self, optimizer: Adam):
         self.optimizer = optimizer
-        self.patience = patience
-        self.factor = factor
         self.best = math.inf
         self.wait = 0
 
@@ -162,8 +160,8 @@ class PlateauHalver:
             self.wait = 0
             return False
         self.wait += 1
-        if self.wait >= self.patience:
-            self.optimizer.lr *= self.factor
+        if self.wait >= PLATEAU_PATIENCE:
+            self.optimizer.lr *= PLATEAU_FACTOR
             self.wait = 0
             return True
         return False
@@ -179,23 +177,20 @@ class TrainSchedule:
     steps: int | None = None       # when set, run exactly this many steps
     batch_size: int = 4
     lr: float = 1e-3
-    delta: float = 1.0
-    plateau_patience: int = 10
-    plateau_factor: float = 0.5
     seed: int = 0
+
+    RETIRED = {"delta": (1.0, "the fused-head weight ramps up to 1"),
+               "plateau_patience": (PLATEAU_PATIENCE, "10 stalled epochs halve the rate"),
+               "plateau_factor": (PLATEAU_FACTOR, "10 stalled epochs halve the rate")}
 
     def __post_init__(self):
         check_types(self)
-        # above 1, delta would turn the branch weights (1 - lam) / 2 negative
         for key, ok, rule in [
                 ("total_epochs", self.total_epochs >= 1 or self.steps is not None,
                  ">= 1 unless steps is given"),
                 ("steps", self.steps is None or self.steps >= 1, ">= 1 when given"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
                 ("lr", self.lr > 0, "> 0"),
-                ("delta", 0 < self.delta <= 1, "in (0, 1]"),
-                ("plateau_patience", self.plateau_patience >= 1, ">= 1"),
-                ("plateau_factor", 0 < self.plateau_factor <= 1, "in (0, 1]"),
                 ("seed", self.seed >= 0, ">= 0")]:
             if not ok:
                 raise ConfigurationError(
@@ -291,8 +286,7 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
         raise ConfigurationError("training set is empty")
     rng = np.random.default_rng(schedule.seed)
     optimizer = Adam(model.named_parameters(), lr=schedule.lr)
-    plateau = PlateauHalver(optimizer, schedule.plateau_patience,
-                            schedule.plateau_factor)
+    plateau = PlateauHalver(optimizer)
 
     batch = min(schedule.batch_size, len(samples))
     steps_per_epoch = len(samples) // batch
@@ -313,7 +307,7 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
             for b in range(min(steps_per_epoch, total_steps - step)):
                 # epochs mode holds k at epoch / total_epochs for the whole epoch
                 k = (step if schedule.steps else epoch * steps_per_epoch) / total_steps
-                lam = ramp_coefficient(k, schedule.delta)
+                lam = ramp_coefficient(k)
 
                 t0 = perf_counter()
                 chunk = [samples[i] for i in order[b * batch:(b + 1) * batch]]

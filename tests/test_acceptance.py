@@ -285,7 +285,7 @@ def test_criterion_05_loss_algebra():
     for k in (0.0, 0.25, 0.5, 1.0):
         total = sum(loss_coefficients(k))
         assert abs(total - 1.0) < 1e-15, f"k={k}: coefficients sum {total}"
-    assert abs(ramp_coefficient(0.0, 1.0) - math.exp(-5.0)) < 1e-12
+    assert abs(ramp_coefficient(0.0) - math.exp(-5.0)) < 1e-12
     grid = np.linspace(0.0, 1.0, 100)
     vals = [ramp_coefficient(k) for k in grid]
     assert all(b > a for a, b in zip(vals, vals[1:])), "ramp not monotone"

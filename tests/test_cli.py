@@ -8,7 +8,7 @@ import resource
 import shlex
 import struct
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,7 @@ def workdir(tmp_path_factory):
     cfg_path = root / "nano.json"
     blob = {
         "model": nano_config().to_dict(),
-        "train": {"total_epochs": 1, "batch_size": 2, "lr": 1e-3, "delta": 1.0,
-                  "plateau_patience": 10, "plateau_factor": 0.5, "seed": 0},
+        "train": {"total_epochs": 1, "batch_size": 2, "lr": 1e-3, "seed": 0},
     }
     cfg_path.write_text(json.dumps(blob))
     data = root / "data"
@@ -87,6 +86,22 @@ def test_gen_rejects_non_finite_image_knobs(tmp_path, capsys, flag):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("flag,value,error", [
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+    ("--size", "10000000", "size must be in 32..4096, got 10000000")])
+def test_gen_rejects_a_negative_seed_or_a_huge_size(capsys, tmp_path, flag, value, error):
+    """--seed -1 once let numpy's ValueError escape the CLI, and --size
+    10000000 asked numpy for a 90 TiB grid, so a MemoryError did; each exits
+    1 before writing.  The address-space cap keeps such a request from
+    succeeding through overcommit."""
+    out = tmp_path / "data"
+    with _address_space_cap():
+        rc = main(["gen", "--out", str(out), "--count", "1", flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 def test_train_writes_loadable_checkpoint(workdir):
     ckpt = workdir["run"] / "checkpoint.tect"
     assert ckpt.exists()
@@ -118,10 +133,9 @@ def test_train_labels_its_dice_by_the_set_it_scores(workdir, capsys, tmp_path, v
     assert float(value) == pytest.approx(summary[key], abs=5e-5)
 
 
-def test_train_seed_flag_overrides_the_config(workdir, tmp_path, monkeypatch):
+def test_train_seed_flag_overrides_the_config(workdir, tmp_path):
     """--seed 5 trains as a config whose seed is 5 does, not as the
     config's seed 0."""
-    monkeypatch.delenv("TECNET_SEED", raising=False)
     blob = json.loads(workdir["config"].read_text())
     blob["train"]["seed"] = 5
     seeded = tmp_path / "seed5.json"
@@ -376,6 +390,25 @@ def test_record_claiming_four_billion_dims_fails_without_allocating(workdir, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ndim", [33, 65])
+def test_record_with_more_dims_than_numpy_allows_names_the_checkpoint(
+        workdir, capsys, tmp_path, ndim):
+    """A record of 65 dims of 1 once let numpy's `maximum supported
+    dimension` ValueError escape the CLI; numpy 1.x stops at 32 dims."""
+    ckpt = tmp_path / "checkpoint.tect"
+    ckpt.write_bytes(b"TECT" + struct.pack(f"<{1 + ndim}I", ndim, *[1] * ndim)
+                     + struct.pack("<f", 0.0))
+    manifest = json.loads((workdir["run"] / "checkpoint.tect.json").read_text())
+    manifest["tensors"] = [{"name": "x", "shape": [1] * ndim, "offset": 0}]
+    (tmp_path / "checkpoint.tect.json").write_text(json.dumps(manifest))
+    out = tmp_path / "o"
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", str(workdir["config"]),
+                 "--data", str(workdir["data"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: tensor record claims {ndim} dims, more than 32\n")
+    assert not out.exists()
+
+
 def test_manifest_missing_a_tensor_names_the_checkpoint(workdir, capsys, tmp_path):
     """A manifest without one of the model's tensors once printed the state
     mismatch without naming a file, and '...' after lists cut short of nothing."""
@@ -512,12 +545,13 @@ def test_train_rejects_bad_train_section(workdir, capsys, tmp_path, key, value, 
     ("eval", "--threshold", "2"), ("eval", "--threshold", "nan"),
     ("eval", "--threshold", "-1"), ("eval", "--threshold", "0"),
     ("train", "--val-count", "-1"), ("train", "--steps", "0"),
-    ("train", "--log-every", "-3"), ("train", "--log-every", "0")])
+    ("train", "--log-every", "-3"), ("train", "--log-every", "0"),
+    ("train", "--seed", "-1")])
 def test_out_of_range_flag_rejected(workdir, capsys, tmp_path, command, flag, value):
     """A threshold outside (0, 1) once wrote all-empty or all-full masks, a
     negative --val-count trained unvalidated and a --log-every below 1 was
-    taken as 1, each exiting 0; --steps 0 blamed the config file.  Each now
-    exits 1 naming the flag, before any output is written."""
+    taken as 1, each exiting 0; --steps 0 and --seed -1 blamed the config
+    file.  Each now exits 1 naming the flag, before any output is written."""
     common = ["--config", str(workdir["config"]), "--data", str(workdir["data"]),
               "--out", str(tmp_path / "r")]
     if command == "eval":
@@ -526,18 +560,6 @@ def test_out_of_range_flag_rejected(workdir, capsys, tmp_path, command, flag, va
     assert rc == 1
     assert f"error: {flag} must" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
-
-
-def test_env_seed_overrides_flag(tmp_path, monkeypatch):
-    d1, d2, d3 = (tmp_path / n for n in ("a", "b", "c"))
-    main(["gen", "--out", str(d1), "--count", "1", "--seed", "1"])
-    monkeypatch.setenv("TECNET_SEED", "2")
-    main(["gen", "--out", str(d2), "--count", "1", "--seed", "1"])
-    monkeypatch.delenv("TECNET_SEED")
-    main(["gen", "--out", str(d3), "--count", "1", "--seed", "2"])
-    img = lambda d: (d / "img_0000.pgm").read_bytes()
-    assert img(d1) != img(d2)  # env var won over the flag
-    assert img(d2) == img(d3)  # and meant seed 2
 
 
 def test_analyze_preset_deterministic(capsys):
@@ -697,10 +719,28 @@ def test_missing_file_reports_cleanly(capsys):
 @pytest.mark.parametrize("name", ["nano", "tiny", "base"])
 def test_shipped_config_matches_its_preset(name):
     """configs/<name>.json holds the preset's model section and a train
-    section that reads as a TrainSchedule."""
+    section that names each TrainSchedule field but `steps`, and no retired key."""
     blob = json.loads((ROOT / "configs" / f"{name}.json").read_text())
     assert blob["model"] == json.loads(json.dumps(PRESETS[name]().to_dict()))
+    assert set(blob["train"]) == {f.name for f in fields(TrainSchedule)} - {"steps"}
+    assert not set(blob["train"]) & set(TrainSchedule.RETIRED)
     assert isinstance(read_config(TrainSchedule, blob["train"], steps=None), TrainSchedule)
+
+
+def test_config_naming_the_retired_train_keys_trains_the_same(workdir, tmp_path):
+    """configs/nano.json as it was while delta and the plateau settings were
+    fields trains to the same bytes as the shipped file."""
+    shipped = ROOT / "configs" / "nano.json"
+    blob = json.loads(shipped.read_text())
+    blob["train"].update({"delta": 1.0, "plateau_patience": 10, "plateau_factor": 0.5})
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(blob))
+    runs = {cfg: tmp_path / cfg.stem for cfg in (shipped, older)}
+    for cfg, out in runs.items():
+        assert main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+                     "--out", str(out), "--steps", "2", "--val-count", "1"]) == 0
+    for name in ("checkpoint.tect", "summary.json"):
+        assert (runs[shipped] / name).read_bytes() == (runs[older] / name).read_bytes()
 
 
 def test_readme_quick_start_commands_parse():

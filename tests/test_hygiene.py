@@ -102,3 +102,17 @@ def test_forward_methods_take_no_optional_parameters():
                 if args.defaults or any(d is not None for d in args.kw_defaults):
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, f"forward with an optional parameter: {found}"
+
+
+def test_no_module_reads_the_environment():
+    """No module in src/tecnet reads `os.environ` or `os.getenv`: flags and
+    config files are the only ways to set a value, so no environment
+    variable silently overrides one."""
+    found = []
+    for path in (ROOT / "src" / "tecnet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ({node.attr} if isinstance(node, ast.Attribute) else
+                     {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else set())
+            if names & {"environ", "environb", "getenv", "getenvb"}:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"environment read: {found}"

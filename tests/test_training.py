@@ -8,6 +8,7 @@ import math
 import os
 import tracemalloc
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.errors import ConfigurationError, TrainingDiverged, UsageError
 from tecnet.metrics import confusion_metrics
-from tecnet.model import TecNet, nano_config
+from tecnet.model import TecNet, nano_config, read_config
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (LOG_FIELDS, Adam, PlateauHalver, TrainSchedule,
                              _learn, branch_loss, evaluate_dice, evaluate_loss,
@@ -40,7 +41,6 @@ def test_ramp_endpoints():
 def test_ramp_clamps_and_scales():
     assert ramp_coefficient(-3.0) == ramp_coefficient(0.0)
     assert ramp_coefficient(7.0) == 1.0
-    assert ramp_coefficient(1.0, delta=0.4) == 0.4
 
 
 def test_ramp_monotone():
@@ -113,7 +113,7 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_matches_reference_formulas():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam([("p", p)], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam([("p", p)], lr=0.1)
     grads = [np.array([0.5, -1.0]), np.array([-0.25, 0.75]), np.array([2.0, 0.0])]
 
     ref = np.array([1.0, -2.0])
@@ -138,15 +138,14 @@ def test_adam_skips_untouched_parameters():
 def test_plateau_halves_after_patience():
     p = Tensor(np.ones(1), requires_grad=True)
     opt = Adam([("p", p)], lr=1.0)
-    plateau = PlateauHalver(opt, patience=3, factor=0.5)
+    plateau = PlateauHalver(opt)
     assert not plateau.observe(1.0)   # first value becomes best
-    for i, expect in [(1, False), (2, False), (3, True)]:
-        assert plateau.observe(1.0) is expect
+    assert [plateau.observe(1.0) for _ in range(10)] == [False] * 9 + [True]
     assert opt.lr == 0.5
     # improvement resets the counter
     plateau.observe(0.5)
-    plateau.observe(0.6)
-    plateau.observe(0.6)
+    for _ in range(9):
+        plateau.observe(0.6)
     assert opt.lr == 0.5
     plateau.observe(0.6)
     assert opt.lr == 0.25
@@ -555,20 +554,47 @@ def test_schedule_validation():
         TrainSchedule(total_epochs=0)
 
 
+TRAIN_SECTION = {"total_epochs": 5, "batch_size": 4, "lr": 1e-3, "seed": 0}
+
+
 @pytest.mark.parametrize("field,value", [
     ("lr", -1.0), ("lr", 0.0), ("lr", "0.001"), ("delta", 0.0), ("delta", 1.5),
     ("plateau_factor", 2.0), ("plateau_factor", 0.0), ("plateau_patience", 0),
     ("plateau_patience", None), ("seed", -1), ("batch_size", True), ("total_epochs", 2.5)])
 def test_schedule_rejects_out_of_range_values(field, value):
+    """A train section holding any of these fails naming the field; the
+    delta and plateau keys are retired, and these values never were theirs."""
     with pytest.raises(ConfigurationError, match=f"config field {field} "):
-        TrainSchedule(steps=1, **{field: value})
+        read_config(TrainSchedule, {**TRAIN_SECTION, field: value}, steps=1)
 
 
 def test_schedule_accepts_range_edges():
     # ints where floats are asked for, and the closed ends of each range
-    sched = TrainSchedule(steps=1, total_epochs=0, lr=1, delta=1, plateau_factor=1.0,
-                          plateau_patience=1, seed=0)
-    assert sched.lr == 1 and sched.delta == 1
+    sched = TrainSchedule(steps=1, total_epochs=0, lr=1, seed=0)
+    assert sched.lr == 1 and sched.total_epochs == 0
+
+
+def test_retired_train_keys_read_as_absent():
+    """Train sections written while delta and the plateau settings were
+    fields name them with the values that are now constants; those read as
+    the section without them."""
+    plain = read_config(TrainSchedule, TRAIN_SECTION, steps=None)
+    for retired in ({"delta": 1}, {"delta": 1.0}, {"plateau_patience": 10},
+                    {"plateau_factor": 0.5},
+                    {"delta": 1.0, "plateau_patience": 10, "plateau_factor": 0.5}):
+        assert read_config(TrainSchedule, {**TRAIN_SECTION, **retired}, steps=None) == plain
+    assert len(fields(TrainSchedule)) == 5
+
+
+@pytest.mark.parametrize("key,value", [
+    ("delta", True), ("delta", "1"), ("delta", None), ("delta", 0.4), ("delta", 2),
+    ("plateau_patience", 10.0), ("plateau_patience", True), ("plateau_patience", "10"),
+    ("plateau_patience", None), ("plateau_patience", 3),
+    ("plateau_factor", True), ("plateau_factor", "0.5"), ("plateau_factor", None),
+    ("plateau_factor", 0.25), ("plateau_factor", 1)])
+def test_retired_train_key_rejects_other_values(key, value):
+    with pytest.raises(ConfigurationError, match=f"^config field {key} is retired "):
+        read_config(TrainSchedule, {**TRAIN_SECTION, key: value}, steps=None)
 
 
 def test_lambda_rises_during_steps_mode(tmp_path):
