@@ -29,7 +29,7 @@ def main():
     config = {
         "model": {"name": "demo", "layer_numbers": [2] * 7,
                   "heads": [1, 2, 4, 8, 4, 2, 1], "base_width": 16,
-                  "window": 4, "input_size": 64, "n_kernels": 4},
+                  "window": 4, "input_size": 64},
         "train": {"total_epochs": 1, "batch_size": 4, "lr": 1e-3, "seed": 0},
     }
     cfg_path = root / "demo.json"

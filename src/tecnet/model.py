@@ -28,6 +28,8 @@ from .nn import ChannelNorm, Conv2d, Linear, Module
 
 N_STAGES = 7
 PATCH = 4           # both branches embed the image as PATCH x PATCH patches
+N_KERNELS = 4       # every DDConv blends N_KERNELS candidate kernels
+MAX_PARAMS = 1 << 30    # 4 GiB of float32; the base preset has 144 M
 
 
 def _is_int(v) -> bool:
@@ -86,14 +88,14 @@ class TecNetConfig:
     base_width: int
     window: int
     input_size: int
-    n_kernels: int = 4
     use_ddconv: bool = True
     use_acam: bool = True
     use_lpm: bool = True
     shared_kv: bool = False
 
     RETIRED = {"num_classes": (1, "the model segments one class"),
-               "patch": (PATCH, "the model embeds 4x4 patches")}
+               "patch": (PATCH, "the model embeds 4x4 patches"),
+               "n_kernels": (N_KERNELS, "every DDConv blends 4 kernels")}
 
     def __post_init__(self):
         check_types(self)
@@ -102,7 +104,7 @@ class TecNetConfig:
         self.validate()
 
     def validate(self) -> None:
-        for key in ("window", "base_width", "n_kernels"):
+        for key in ("window", "base_width"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(
                     f"config field {key} must be positive, got {getattr(self, key)}")
@@ -130,6 +132,10 @@ class TecNetConfig:
             if not self.use_acam and c % self.heads[i]:
                 raise ConfigurationError(
                     f"stage {i} width {c} not divisible by heads={self.heads[i]}")
+        total = count_params(self)["total"]      # refuse a model too large to build
+        if total > MAX_PARAMS:
+            raise ConfigurationError(
+                f"config builds {total:,} parameters, more than the {MAX_PARAMS:,} allowed")
 
     def stage_width(self, i: int) -> int:
         return self.base_width * 2 ** min(i, N_STAGES - 1 - i)
@@ -191,20 +197,21 @@ class CnnStem(Module):
         return self.convs[1](E.gelu(self.convs[0](image)))
 
 
+def cnn_conv(c_in: int, c_out: int, use_ddconv: bool, stride: int = 1, rng=None) -> Module:
+    """The CNN branch's 3x3 conv: a DDConv of N_KERNELS kernels, or a plain Conv2d."""
+    if use_ddconv:
+        return DDConv(c_in, c_out, 3, n_kernels=N_KERNELS, stride=stride, rng=rng)
+    return Conv2d(c_in, c_out, 3, rng=rng, stride=stride)
+
+
 class CnnStage(Module):
-    """Two conv units: (DDConv or plain conv) -> channel norm -> GELU."""
+    """Two conv units: `cnn_conv` -> channel norm -> GELU."""
 
     UNITS = 2
 
-    def __init__(self, channels: int, use_ddconv: bool, n_kernels: int, rng=None):
-        self.convs = []
-        self.norms = []
-        for _ in range(self.UNITS):
-            if use_ddconv:
-                self.convs.append(DDConv(channels, channels, 3, n_kernels=n_kernels, rng=rng))
-            else:
-                self.convs.append(Conv2d(channels, channels, 3, rng=rng))
-            self.norms.append(ChannelNorm(channels))
+    def __init__(self, channels: int, use_ddconv: bool, rng=None):
+        self.convs = [cnn_conv(channels, channels, use_ddconv, rng=rng) for _ in range(self.UNITS)]
+        self.norms = [ChannelNorm(channels) for _ in range(self.UNITS)]
 
     def forward(self, x: Tensor) -> Tensor:
         for conv, norm in zip(self.convs, self.norms):
@@ -280,8 +287,7 @@ class TecNet(Module):
         self.patch_embed = PatchEmbed(d, rng=rng)
         self.cnn_stem = CnnStem(d, rng=rng)
 
-        self.cnn_stages = [CnnStage(w(i), cfg.use_ddconv, cfg.n_kernels, rng=rng)
-                           for i in range(N_STAGES)]
+        self.cnn_stages = [CnnStage(w(i), cfg.use_ddconv, rng=rng) for i in range(N_STAGES)]
         self.trans_stages = [
             TransStage(w(i), cfg.layer_numbers[i], cfg.window, cfg.heads[i],
                        cfg.use_acam, cfg.use_lpm, cfg.shared_kv, rng=rng)
@@ -289,12 +295,8 @@ class TecNet(Module):
         ]
 
         # encoder transitions after stages 0,1,2
-        if cfg.use_ddconv:
-            self.cnn_down = [DDConv(w(i), w(i + 1), 3, n_kernels=cfg.n_kernels,
-                                    stride=2, rng=rng) for i in range(3)]
-        else:
-            self.cnn_down = [Conv2d(w(i), w(i + 1), 3, rng=rng, stride=2)
-                             for i in range(3)]
+        self.cnn_down = [cnn_conv(w(i), w(i + 1), cfg.use_ddconv, stride=2, rng=rng)
+                         for i in range(3)]
         self.trans_down = [PatchMerge(w(i), rng=rng) for i in range(3)]
 
         # decoder transitions before stages 4,5,6
@@ -377,14 +379,14 @@ def _sum(*costs, times=1):
     return tuple(times * sum(part) for part in zip(*costs))
 
 
-def _ddconv(c_in, c_out, k, n_kernels, n):
-    """(params, MACs) of a DDConv with n output positions: candidate kernels
-    and bias, their per-image blend, the bilinear taps (4 multiplies each),
-    the main product, the blend gate and the offset head."""
-    taps = c_in * k * k
-    own = (n_kernels * c_out * taps + c_out,
-           n_kernels * c_out * taps + 4 * taps * n + taps * c_out * n)
-    return _sum(own, _linear(c_in, n_kernels), _conv(c_in, 2 * k * k, k, n))
+def _ddconv(c_in, c_out, n):
+    """(params, MACs) of a 3x3 DDConv with n output positions: candidate
+    kernels and bias, their per-image blend, the bilinear taps (4 multiplies
+    each), the main product, the blend gate and the offset head."""
+    taps = c_in * 9
+    own = (N_KERNELS * c_out * taps + c_out,
+           N_KERNELS * c_out * taps + 4 * taps * n + taps * c_out * n)
+    return _sum(own, _linear(c_in, N_KERNELS), _conv(c_in, 2 * 9, 3, n))
 
 
 MAC_REPORT_COLUMNS = ("module", "branch", "params", "formula_macs", "actual_macs",
@@ -466,14 +468,14 @@ def _accounting(cfg: TecNetConfig) -> dict:
     bilinear taps at 4 multiplies per sample); pointwise activations, norms
     and softmax are excluded.
     """
-    d, w, nk = cfg.base_width, cfg.stage_width, cfg.n_kernels
+    d, w = cfg.base_width, cfg.stage_width
 
     def n(i: int) -> int:
         return cfg.stage_grid(i) ** 2
 
     def conv3(c_in, c_out, n_out):
         if cfg.use_ddconv:
-            return _ddconv(c_in, c_out, 3, nk, n_out)
+            return _ddconv(c_in, c_out, n_out)
         return _conv(c_in, c_out, 3, n_out)
 
     acct = {"patch_embed": _linear(PATCH ** 2, d, n(0)),

@@ -63,6 +63,8 @@ def read_tensor(fh) -> np.ndarray:
     dims = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, end))
     if ndim > MAX_NDIM:
         raise UsageError(f"tensor record claims {ndim} dims, more than {MAX_NDIM}")
+    if 4 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:   # numpy's size limit
+        raise UsageError(f"tensor record claims dims {dims}, too large for numpy")
     return np.frombuffer(_read(fh, 4 * math.prod(dims), end), dtype="<f4").reshape(dims)
 
 

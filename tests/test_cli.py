@@ -409,6 +409,48 @@ def test_record_with_more_dims_than_numpy_allows_names_the_checkpoint(
     assert not out.exists()
 
 
+def test_empty_record_of_more_elements_than_numpy_allows_names_the_checkpoint(
+        workdir, capsys, tmp_path):
+    """A record of dims (0, 2**32-1, 2**32-1, 2**32-1) holds no data, but
+    numpy refuses its shape: its `array is too big` ValueError once escaped
+    the CLI."""
+    dims = (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+    ckpt = tmp_path / "checkpoint.tect"
+    ckpt.write_bytes(b"TECT" + struct.pack("<5I", len(dims), *dims))
+    manifest = json.loads((workdir["run"] / "checkpoint.tect.json").read_text())
+    manifest["tensors"] = [{"name": "x", "shape": list(dims), "offset": 0}]
+    (tmp_path / "checkpoint.tect.json").write_text(json.dumps(manifest))
+    out = tmp_path / "f"
+    assert main(["dump-features", "--checkpoint", str(ckpt), "--data", str(workdir["data"]),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: tensor record claims dims {dims}, too large for numpy\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"base_width": 2**20}, {"window": 100000}, {"layer_numbers": [1, 1, 2, 10**7, 2, 1, 1]}],
+    ids=["base_width", "window", "depth"])
+def test_model_too_large_to_build_names_the_config(workdir, capsys, tmp_path, change):
+    """A 36 TiB kernel, a 298 GiB relative-position table and a stage-3
+    depth of 10**7 each once raised a MemoryError from the model build; the
+    config's parameter count is checked first.  The address-space cap keeps
+    the build from succeeding through overcommit."""
+    blob = json.loads(workdir["config"].read_text())
+    blob["model"].update(change)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "run"
+    with _address_space_cap(256 << 20):
+        rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+                   "--out", str(out), "--steps", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(cfg))}: model section: config builds "
+                        r"[\d,]+ parameters, more than the 1,073,741,824 allowed\n", err)
+    assert not out.exists()
+
+
 def test_manifest_missing_a_tensor_names_the_checkpoint(workdir, capsys, tmp_path):
     """A manifest without one of the model's tensors once printed the state
     mismatch without naming a file, and '...' after lists cut short of nothing."""

@@ -116,3 +116,16 @@ def test_no_module_reads_the_environment():
             if names & {"environ", "environb", "getenv", "getenvb"}:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, f"environment read: {found}"
+
+
+def test_every_config_field_but_the_toggles_varies_across_the_presets():
+    """A non-bool TecNetConfig field holds at least two values across
+    PRESETS; one with a single value is a constant dressed as a knob.  The
+    bool fields are the ablation toggles that criterion 10 switches."""
+    from dataclasses import fields
+    from tecnet.model import PRESETS, TecNetConfig
+
+    configs = [preset() for preset in PRESETS.values()]
+    fixed = [f.name for f in fields(TecNetConfig) if f.type != "bool"
+             and len({repr(getattr(cfg, f.name)) for cfg in configs}) < 2]
+    assert not fixed, f"one value in every preset: {fixed}"

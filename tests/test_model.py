@@ -45,29 +45,22 @@ def test_config_rejects_missing_and_unknown_keys():
         TecNetConfig.from_dict(d)
 
 
-def test_retired_num_classes_reads_only_as_one():
-    """Configs and manifests written while num_classes was a field name it
-    as 1; that reads as the config without it, and any other value names
+@pytest.mark.parametrize("key,kept,why,others", [
+    ("num_classes", 1, "the model segments one class", (0, 2, True, 1.0, "1", None)),
+    ("patch", 4, "the model embeds 4x4 patches", (2, 4.0, "4", True, None)),
+    ("n_kernels", 4, "every DDConv blends 4 kernels", (2, 4.0, "4", True, None))],
+    ids=["num_classes", "patch", "n_kernels"])
+def test_retired_model_key_reads_only_as_its_kept_value(key, kept, why, others):
+    """Configs and manifests written while `key` was a field name it as
+    `kept`; that reads as the config without it, and any other value names
     the field."""
     d = nano_config().to_dict()
-    assert TecNetConfig.from_dict({**d, "num_classes": 1}) == nano_config()
-    for value in (0, 2, True, 1.0, "1", None):
+    assert TecNetConfig.from_dict({**d, key: kept}) == nano_config()
+    for value in others:
         with pytest.raises(ConfigurationError,
-                           match=r"^config field num_classes .*segments one class"):
-            TecNetConfig.from_dict({**d, "num_classes": value})
-    assert len(fields(TecNetConfig)) == 11
-
-
-def test_retired_patch_reads_only_as_four():
-    """Configs and manifests written while patch was a field name it as 4;
-    that reads as the config without it, and any other value names the
-    field."""
-    d = nano_config().to_dict()
-    assert TecNetConfig.from_dict({**d, "patch": 4}) == nano_config()
-    for value in (2, 4.0, "4", True, None):
-        with pytest.raises(ConfigurationError,
-                           match=r"^config field patch is retired \(the model embeds 4x4 patches\)"):
-            TecNetConfig.from_dict({**d, "patch": value})
+                           match=rf"^config field {key} is retired \({why}\)"):
+            TecNetConfig.from_dict({**d, key: value})
+    assert len(fields(TecNetConfig)) == 10
 
 
 def test_config_rejects_asymmetric_stages():

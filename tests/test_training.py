@@ -475,12 +475,14 @@ def test_parameters_carry_no_gradient_until_a_backward_reaches_them(tmp_path):
     assert all(p.grad is not None and p.grad.shape == p.shape for p in model.parameters())
 
 
-def test_checkpoint_naming_the_retired_class_count_loads(tmp_path):
-    """A manifest written before num_classes was retired names it as 1 and
-    hashes it; it loads, and the model predicts byte-identically."""
+@pytest.mark.parametrize("key,kept", [("num_classes", 1), ("patch", 4), ("n_kernels", 4)])
+def test_checkpoint_naming_a_retired_model_key_loads(tmp_path, key, kept):
+    """A manifest and config written before `key` was retired name it as
+    `kept`, and the manifest hashes it; the checkpoint loads against that
+    config and predicts byte-identically."""
     from tecnet.tensorio import config_hash, save_checkpoint
     live = TecNet(nano_config(), seed=1)
-    old = {**live.cfg.to_dict(), "num_classes": 1}
+    old = {**live.cfg.to_dict(), key: kept}
     path = str(tmp_path / "old.tect")
     save_checkpoint(path, live.state_arrays(), old)
     with open(path + ".json") as fh:
@@ -489,22 +491,7 @@ def test_checkpoint_naming_the_retired_class_count_loads(tmp_path):
     assert model.cfg == live.cfg
     images = RNG.random((2, 1, 64, 64)).astype(np.float32)
     want, got = predict_batch(live, images), predict_batch(model, images)
-    assert all(got[key].tobytes() == want[key].tobytes() for key in want)
-
-
-def test_checkpoint_naming_the_retired_patch_loads(tmp_path):
-    """A manifest and config written before patch was retired name it as 4;
-    the checkpoint loads against that config and predicts byte-identically."""
-    from tecnet.tensorio import save_checkpoint
-    live = TecNet(nano_config(), seed=1)
-    old = {**live.cfg.to_dict(), "patch": 4}
-    path = str(tmp_path / "old.tect")
-    save_checkpoint(path, live.state_arrays(), old)
-    model = load_model(path, expected_config=old)
-    assert model.cfg == live.cfg
-    images = RNG.random((2, 1, 64, 64)).astype(np.float32)
-    want, got = predict_batch(live, images), predict_batch(model, images)
-    assert all(got[key].tobytes() == want[key].tobytes() for key in want)
+    assert all(got[head].tobytes() == want[head].tobytes() for head in want)
 
 
 def test_load_model_checks_the_expected_config_field_by_field(tmp_path):
