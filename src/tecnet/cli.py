@@ -29,8 +29,8 @@ from dataclasses import replace
 import numpy as np
 
 from .attention import cost_acam, cost_msa, cost_swmsa
-from .errors import ConfigurationError, UsageError
-from .metrics import evaluate_pairs, write_metrics_csv
+from .errors import ConfigurationError, TrainingDiverged, UsageError
+from .metrics import all_metrics, write_metrics_csv
 from .model import (MAC_REPORT_COLUMNS, N_STAGES, PRESETS, TecNet, TecNetConfig,
                     attention_rows, count_flops, count_params, read_config)
 from .nn import capture
@@ -77,16 +77,6 @@ def model_config(blob: dict, path: str) -> TecNetConfig:
     return config_section(blob, "model", path, TecNetConfig.from_dict)
 
 
-def load_sized_dataset(data_dir: str, cfg: TecNetConfig):
-    """load_dataset(data_dir), whose images must be the config's input size."""
-    samples = load_dataset(data_dir)
-    size = samples[0].image.shape[1:]
-    if size != (cfg.input_size, cfg.input_size):
-        raise UsageError(f"{data_dir}: images are {size[0]}x{size[1]}, the config's "
-                         f"input_size is {cfg.input_size}")
-    return samples
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(args) -> int:
@@ -118,9 +108,9 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         schedule = replace(schedule, seed=args.seed)
 
-    samples = load_sized_dataset(args.data, cfg)
+    samples = load_dataset(args.data, cfg.input_size)
     if args.val_data:
-        val = load_sized_dataset(args.val_data, cfg)
+        val = load_dataset(args.val_data, cfg.input_size)
     elif args.val_count > 0:
         if args.val_count >= len(samples):
             raise UsageError(
@@ -156,17 +146,16 @@ def cmd_eval(args) -> int:
     blob = load_config(args.config)
     cfg = model_config(blob, args.config)
     model = load_model(args.checkpoint, expected_config=cfg.to_dict())
-    samples = load_sized_dataset(args.data, cfg)
+    samples = load_dataset(args.data, cfg.input_size)
     os.makedirs(args.out, exist_ok=True)
 
-    pairs = []
+    rows = []
     for sample, p in predictions(model, samples):
         pred = p[0] >= args.threshold
         write_pgm(os.path.join(args.out, f"pred_{sample.sample_id}.pgm"),
                   np.where(pred, 255, 0).astype(np.uint8))
-        pairs.append((sample.sample_id, pred, sample.mask[0] > 0.5))
-
-    rows = evaluate_pairs(pairs)
+        rows.append({"sample_id": sample.sample_id,
+                     **all_metrics(pred, sample.mask[0] > 0.5)})
     csv_path = os.path.join(args.out, "metrics.csv")
     write_metrics_csv(csv_path, rows)
     mean_di = float(np.mean([r["DI"] for r in rows]))
@@ -227,7 +216,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_dump_features(args) -> int:
     model = load_model(args.checkpoint)
-    samples = load_sized_dataset(args.data, model.cfg)
+    samples = load_dataset(args.data, model.cfg.input_size)
     if not 0 <= args.index < len(samples):
         raise UsageError(f"--index {args.index} out of range "
                          f"(dataset has {len(samples)} samples)")
@@ -311,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ConfigurationError) as e:
+    except (UsageError, ConfigurationError, TrainingDiverged) as e:
         return _fail(str(e))
     except OSError as e:
         return _fail(f"{e.filename}: {e.strerror}" if e.filename else str(e))

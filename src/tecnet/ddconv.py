@@ -70,8 +70,8 @@ class DDConv(Module):
         return mixed.reshape(alpha.shape[0], self.c_out, self.c_in, self.k, self.k)
 
     def _tap_grid(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Undisplaced sampling positions in input coordinates, cached per
-        extent and compute dtype.
+        """Undisplaced sampling positions in input coordinates, cached
+        read-only per extent and compute dtype.
 
         Returns base_y [k*k, H', 1] and base_x [k*k, 1, W'], which broadcast
         to the [k*k, H', W'] tap grid.
@@ -88,6 +88,8 @@ class DDConv(Module):
             grid = self._grids[key] = (
                 E.constant(oy[None, :, None] + (dy.reshape(-1) - centre)[:, None, None]),
                 E.constant(ox[None, None, :] + (dx.reshape(-1) - centre)[:, None, None]))
+            for base in grid:
+                base.flags.writeable = False
         return grid
 
     def forward(self, x: Tensor) -> Tensor:

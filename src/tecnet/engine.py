@@ -909,7 +909,8 @@ _BILINEAR_MATS: dict = {}
 
 
 def _upsample_matrix(n: int, f: int) -> np.ndarray:
-    """Dense [n*f, n] interpolation matrix (half-pixel centres, clamped edges)."""
+    """Dense [n*f, n] interpolation matrix (half-pixel centres, clamped edges),
+    built once per (n, f, compute dtype) and read-only."""
     key = (n, f, _dtype)
     mat = _BILINEAR_MATS.get(key)
     if mat is None:
@@ -922,6 +923,7 @@ def _upsample_matrix(n: int, f: int) -> np.ndarray:
         mat = np.zeros((out_n, n), dtype=_dtype)
         mat[np.arange(out_n), i0] += 1.0 - frac
         mat[np.arange(out_n), i1] += frac
+        mat.flags.writeable = False
         _BILINEAR_MATS[key] = mat
     return mat
 

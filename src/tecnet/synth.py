@@ -175,8 +175,9 @@ def generate(spec: SynthSpec, out_dir) -> list[str]:
     return paths
 
 
-def load_dataset(data_dir) -> list[SegSample]:
-    """Read every img_*/msk_* pair from a directory, sorted by id."""
+def load_dataset(data_dir, size: int) -> list[SegSample]:
+    """Read every img_*/msk_* pair from a directory, sorted by id; each image
+    must be size x size and each mask hold only 0 and 255."""
     names = sorted(n for n in os.listdir(data_dir)
                    if re.fullmatch(r"img_\d{4}\.pgm", n))
     if not names:
@@ -184,17 +185,20 @@ def load_dataset(data_dir) -> list[SegSample]:
     samples = []
     for name in names:
         sid = name[4:8]
-        msk_name = f"msk_{sid}.pgm"
-        msk_path = os.path.join(data_dir, msk_name)
+        img_path = os.path.join(data_dir, name)
+        msk_path = os.path.join(data_dir, f"msk_{sid}.pgm")
         if not os.path.exists(msk_path):
-            raise ConfigurationError(f"{name} has no matching {msk_name}")
-        img = read_pgm(os.path.join(data_dir, name)).astype(np.float64) / 255.0
-        msk = (read_pgm(msk_path) > 127).astype(np.float64)
+            raise ConfigurationError(f"{name} has no matching msk_{sid}.pgm")
+        img = read_pgm(img_path)
+        if img.shape != (size, size):
+            which = f"{img_path}: image is" if samples else f"{data_dir}: images are"
+            raise ConfigurationError(f"{which} {img.shape[0]}x{img.shape[1]}, "
+                                     f"the config's input_size is {size}")
+        msk = read_pgm(msk_path)
         if msk.shape != img.shape:
             raise ConfigurationError(f"{msk_path}: mask is {msk.shape}, its image {img.shape}")
-        if samples and img.shape != samples[0].image.shape[1:]:
-            raise ConfigurationError(
-                f"{os.path.join(data_dir, name)}: image is {img.shape}, "
-                f"{names[0]} is {samples[0].image.shape[1:]}")
-        samples.append(SegSample(image=img[None], mask=msk[None], sample_id=sid))
+        odd = msk[(msk != 0) & (msk != 255)]
+        if odd.size:
+            raise ConfigurationError(f"{msk_path}: mask holds {odd[0]}; masks hold only 0 and 255")
+        samples.append(SegSample(image=img[None] / 255.0, mask=msk[None] / 255.0, sample_id=sid))
     return samples

@@ -12,6 +12,7 @@ from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
                               cost_swmsa, crop_to, pad_to_window,
                               relative_position_index, shift_mask,
                               window_partition, window_reverse, windowed)
+from tecnet.ddconv import DDConv
 from tecnet.errors import ConfigurationError
 from tecnet.gradcheck import check_gradients, max_rel_err
 from tecnet.model import N_STAGES, TecNet, attention_rows, nano_config
@@ -91,6 +92,18 @@ def test_relative_position_index_diagonal_constant():
     # all self-pairs share one relative offset bucket
     assert len(set(idx[i, i] for i in range(m * m))) == 1
     assert idx.max() < (2 * m - 1) ** 2
+
+
+def test_shared_caches_are_read_only():
+    """Every layer of a kind gets the same cached array, so none may write
+    to it: the relative-position index, the shift mask, the bilinear
+    upsampling matrix and DDConv's tap grid are all frozen."""
+    cached = [relative_position_index(4), shift_mask(8, 8, 4, 2), E._upsample_matrix(4, 2),
+              *DDConv(2, 2, rng=np.random.default_rng(0))._tap_grid(8, 8)]
+    for a in cached:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
 
 
 # -------------------------------------------------- four-branch attention

@@ -17,6 +17,7 @@ import pytest
 from tecnet.attention import ACAM, WindowAttention, cost_acam, cost_msa, cost_swmsa
 from tecnet.cli import build_parser, main
 from tecnet.errors import UsageError
+from tecnet.metrics import surface_metrics
 from tecnet.model import (N_STAGES, PRESETS, TecNet, attention_rows, count_flops,
                           count_params, nano_config, read_config)
 from tecnet.synth import read_pgm, write_pgm
@@ -370,6 +371,19 @@ def _address_space_cap(headroom: int = 1 << 30):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+def test_surface_metrics_of_a_fragmented_512px_mask_fit_in_256_mib():
+    """`tecnet eval` scores every predicted mask.  A salt-and-pepper one at
+    512 px against a disk has 123,228 x 724 border pixels, whose all-pairs
+    float64 distance matrix once asked for 714 MB; a nearest-neighbour
+    query needs a few MiB."""
+    rng = np.random.default_rng(0)
+    yy, xx = np.mgrid[:512, :512]
+    disk = (yy - 256) ** 2 + (xx - 256) ** 2 < 128 ** 2
+    with _address_space_cap(256 << 20):
+        got = surface_metrics(rng.random((512, 512)) < 0.5, disk)
+    assert 0 < got["ASD"] < got["HD95"] < 512
+
+
 def test_record_claiming_four_billion_dims_fails_without_allocating(workdir, capsys, tmp_path):
     """An ndim of 0xFFFFFFFF once made the reader ask for 16 GiB of dims, and
     a MemoryError escaped the CLI."""
@@ -479,6 +493,57 @@ def test_train_rejects_mixed_size_dataset(workdir, capsys, tmp_path, mismatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and "_0001.pgm" in err
+
+
+def test_train_rejects_a_large_dataset_of_another_size_at_its_first_image(capsys, tmp_path):
+    """40 pairs of 1024 px images take 640 MiB as float64, and every one was
+    once loaded before the first was compared with the config, so a
+    MemoryError escaped under the cap; now the first image fails as it is
+    read.  Hard links keep the set at 2 MB on disk."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for kind in ("img", "msk"):
+        write_pgm(data / f"{kind}_0000.pgm", np.zeros((1024, 1024), np.uint8))
+        for i in range(1, 40):
+            os.link(data / f"{kind}_0000.pgm", data / f"{kind}_{i:04d}.pgm")
+    out = tmp_path / "run"
+    with _address_space_cap(256 << 20):
+        rc = main(["train", "--config", str(ROOT / "configs" / "nano.json"),
+                   "--data", str(data), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: images are 1024x1024, the config's input_size is 64\n")
+    assert not out.exists()
+
+
+def test_train_rejects_a_mask_stored_as_zero_and_one(workdir, capsys, tmp_path):
+    """A mask PGM of 0/1 values once read as all background and trained
+    against empty masks; any value but 0 and 255 exits 1 naming the mask."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in os.listdir(workdir["data"]):
+        (data / name).write_bytes((workdir["data"] / name).read_bytes())
+    write_pgm(data / "msk_0000.pgm", read_pgm(data / "msk_0000.pgm") // 255)
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(workdir["config"]), "--data", str(data),
+               "--out", str(out), "--steps", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'msk_0000.pgm'}: mask holds 1; masks hold only 0 and 255\n")
+    assert not out.exists()
+
+
+def test_train_that_diverges_exits_1_with_an_error(workdir, capsys, tmp_path):
+    """A learning rate of 1e30 once ended the run in a TrainingDiverged
+    traceback with no error line."""
+    blob = json.loads(workdir["config"].read_text())
+    blob["train"]["lr"] = 1e30
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps(blob))
+    rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+               "--out", str(tmp_path / "run"), "--steps", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: non-finite loss at step ")
 
 
 @pytest.mark.parametrize("command,flag", [

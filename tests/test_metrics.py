@@ -7,8 +7,7 @@ import pytest
 
 from tecnet.errors import DimensionError, UndefinedMetricError
 from tecnet.metrics import (all_metrics, border_pixels, confusion_metrics,
-                            evaluate_pairs, surface_metrics, volume_metrics,
-                            write_metrics_csv)
+                            surface_metrics, volume_metrics, write_metrics_csv)
 
 RNG = np.random.default_rng(555)
 
@@ -112,8 +111,10 @@ def test_border_includes_image_edge_pixels():
 
 
 def test_surface_metrics_match_loop_oracle_exactly():
-    for _ in range(10):
-        pred, gt = _random_pair(12)
+    """Random 12 px pairs, then half-filled 40 px ones, whose fragmented
+    borders have many pixels tying for their nearest point on the other."""
+    for size, p_fill in [(12, 0.4)] * 10 + [(40, 0.5)] * 2:
+        pred, gt = _random_pair(size, p_fill)
         if not pred.any() or not gt.any():
             continue
         got = surface_metrics(pred, gt)
@@ -155,15 +156,13 @@ def test_surface_undefined_for_empty_mask():
         surface_metrics(np.zeros((3, 3), bool), np.ones((3, 3), bool))
 
 
-# ------------------------------------------------------------------ batch
+# -------------------------------------------------------------------- csv
 
-def test_evaluate_pairs_and_csv(tmp_path):
+def test_write_metrics_csv(tmp_path):
     gt = np.zeros((8, 8), bool)
     gt[2:5, 2:5] = True
-    rows = evaluate_pairs([
-        ("good", gt, gt),
-        ("empty_pred", np.zeros((8, 8), bool), gt),
-    ])
+    rows = [{"sample_id": "good", **all_metrics(gt, gt)},
+            {"sample_id": "empty_pred", **all_metrics(np.zeros((8, 8), bool), gt)}]
     assert rows[0]["DI"] == 100.0
     assert math.isnan(rows[1]["ASD"])  # no pred surface: undefined
     path = tmp_path / "m.csv"

@@ -109,7 +109,7 @@ def test_mask_files_contain_only_two_levels(tmp_path):
 
 def test_load_dataset_pairs_and_scales(tmp_path):
     generate(SynthSpec(seed=8, count=2, size=48), tmp_path)
-    samples = load_dataset(tmp_path)
+    samples = load_dataset(tmp_path, 48)
     assert len(samples) == 2
     assert samples[0].sample_id == "0000"
     assert samples[0].image.shape == (1, 48, 48)
@@ -121,12 +121,12 @@ def test_load_dataset_missing_mask_rejected(tmp_path):
     generate(SynthSpec(seed=8, count=2, size=48), tmp_path)
     os.remove(tmp_path / "msk_0001.pgm")
     with pytest.raises(ConfigurationError):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, 48)
 
 
 def test_load_dataset_empty_dir_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, 48)
 
 
 # ----------------------------------------------------------------- tensors
