@@ -85,47 +85,36 @@ def crop_to(x: Tensor, h: int, w: int) -> Tensor:
     return x if x.shape[1:3] == (h, w) else x[:, :h, :w]
 
 
-# Derived constants, built once per key and shared by every layer; read-only.
-_REL_INDEX: dict = {}
-_SHIFT_MASKS: dict = {}
-
-
+@E.shared
 def relative_position_index(m: int) -> np.ndarray:
-    """[m*m, m*m] lookup into a (2m-1)^2 relative offset table, built once per m."""
-    if m not in _REL_INDEX:
-        coords = np.stack(np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
-        coords = coords.reshape(2, -1)                       # [2, m^2]
-        rel = coords[:, :, None] - coords[:, None, :]        # [2, m^2, m^2]
-        rel = rel + (m - 1)
-        idx = _REL_INDEX[m] = rel[0] * (2 * m - 1) + rel[1]
-        idx.flags.writeable = False
-    return _REL_INDEX[m]
+    """[m*m, m*m] lookup into a (2m-1)^2 relative offset table."""
+    coords = np.stack(np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+    coords = coords.reshape(2, -1)                       # [2, m^2]
+    rel = coords[:, :, None] - coords[:, None, :]        # [2, m^2, m^2]
+    rel = rel + (m - 1)
+    return rel[0] * (2 * m - 1) + rel[1]
 
 
+@E.shared
 def shift_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
     """[nw, m^2, m^2] additive mask for cyclically shifted windows.
 
     Zero where both positions came from the same pre-shift region, a large
     negative number where the wrap-around glued unrelated content together.
-    Built once per (h, w, m, s, compute dtype).
     """
-    key = (h, w, m, s, E.compute_dtype())
-    if key not in _SHIFT_MASKS:
-        # Region labels live in the already-shifted frame: the wrap seam sits
-        # at h-s / w-s, and only the last band of windows straddles it (none
-        # when s is 0, so that mask is all zeros).
-        img = np.zeros((h, w))
-        region = 0
-        for ys in (slice(0, h - m), slice(h - m, h - s), slice(h - s, h)):
-            for xs in (slice(0, w - m), slice(w - m, w - s), slice(w - s, w)):
-                img[ys, xs] = region
-                region += 1
-        gh, gw = h // m, w // m
-        wins = img.reshape(gh, m, gw, m).transpose(0, 2, 1, 3).reshape(gh * gw, m * m)
-        diff = wins[:, None, :] != wins[:, :, None]
-        mask = _SHIFT_MASKS[key] = E.constant(np.where(diff, MASKED, 0.0))
-        mask.flags.writeable = False
-    return _SHIFT_MASKS[key]
+    # Region labels live in the already-shifted frame: the wrap seam sits
+    # at h-s / w-s, and only the last band of windows straddles it (none
+    # when s is 0, so that mask is all zeros).
+    img = np.zeros((h, w))
+    region = 0
+    for ys in (slice(0, h - m), slice(h - m, h - s), slice(h - s, h)):
+        for xs in (slice(0, w - m), slice(w - m, w - s), slice(w - s, w)):
+            img[ys, xs] = region
+            region += 1
+    gh, gw = h // m, w // m
+    wins = img.reshape(gh, m, gw, m).transpose(0, 2, 1, 3).reshape(gh * gw, m * m)
+    diff = wins[:, None, :] != wins[:, :, None]
+    return E.constant(np.where(diff, MASKED, 0.0))
 
 
 def spatial_bias(table: Tensor, m: int, heads: int) -> Tensor:
@@ -139,7 +128,7 @@ def windowed(x: Tensor, m: int, shift: int, attend) -> Tensor:
 
     Pads bottom/right to window multiples, rolls by -shift and partitions
     into [B*nw, m, m, C] windows, all in the map's channels-last layout.
-    `mask` is None when unshifted, else the cached [nw, m^2, m^2] shift mask
+    `mask` is None when unshifted, else the shared [nw, m^2, m^2] shift mask
     of one padded image, which `engine.attention` broadcasts over the B
     images.  `attend` returns [B*nw, m, m, C] windows, which are reversed,
     rolled back and cropped to the input's h x w.

@@ -52,10 +52,12 @@ def _fail(msg: str) -> int:
 def load_config(path: str) -> dict:
     """Read a JSON config; parse failures point at file:line:col."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e.strerror}") from e
     if not isinstance(blob, dict):

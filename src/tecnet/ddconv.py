@@ -27,6 +27,23 @@ from .errors import ConfigurationError
 from .nn import Conv2d, Linear, Module, parameter
 
 
+@E.shared
+def tap_grid(h: int, w: int, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Undisplaced sampling positions of a k x k, `stride` conv over an
+    h x w input, in input coordinates.
+
+    Returns base_y [k*k, H', 1] and base_x [k*k, 1, W'], which broadcast
+    to the [k*k, H', W'] tap grid.
+    """
+    # same-padding output extents, matching the offset head's conv
+    oy = np.arange((h - 1) // stride + 1) * stride
+    ox = np.arange((w - 1) // stride + 1) * stride
+    dy, dx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    centre = (k - 1) / 2.0
+    return (E.constant(oy[None, :, None] + (dy.reshape(-1) - centre)[:, None, None]),
+            E.constant(ox[None, None, :] + (dx.reshape(-1) - centre)[:, None, None]))
+
+
 class DDConv(Module):
     """Dynamic deformable convolution over [B, C_in, H, W] maps.
 
@@ -55,7 +72,6 @@ class DDConv(Module):
         self.gate = Linear(c_in, n_kernels, rng=rng, zero=True)
         # offset head: zero init so taps start on the regular grid.
         self.offset_head = Conv2d(c_in, 2 * k * k, k, rng=rng, stride=stride, zero=True)
-        self._grids: dict = {}
 
     # -- pieces exposed for tests ----------------------------------------
 
@@ -69,29 +85,6 @@ class DDConv(Module):
         mixed = alpha @ self.kernels.reshape(self.n_kernels, -1)
         return mixed.reshape(alpha.shape[0], self.c_out, self.c_in, self.k, self.k)
 
-    def _tap_grid(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Undisplaced sampling positions in input coordinates, cached
-        read-only per extent and compute dtype.
-
-        Returns base_y [k*k, H', 1] and base_x [k*k, 1, W'], which broadcast
-        to the [k*k, H', W'] tap grid.
-        """
-        key = (h, w, E.compute_dtype())
-        grid = self._grids.get(key)
-        if grid is None:
-            k, s = self.k, self.stride
-            # same-padding output extents, matching the offset head's conv
-            oy = np.arange((h - 1) // s + 1) * s
-            ox = np.arange((w - 1) // s + 1) * s
-            dy, dx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-            centre = (k - 1) / 2.0
-            grid = self._grids[key] = (
-                E.constant(oy[None, :, None] + (dy.reshape(-1) - centre)[:, None, None]),
-                E.constant(ox[None, None, :] + (dx.reshape(-1) - centre)[:, None, None]))
-            for base in grid:
-                base.flags.writeable = False
-        return grid
-
     def forward(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
         if c != self.c_in:
@@ -100,7 +93,7 @@ class DDConv(Module):
         offsets = self.offset_head(x)                        # [B, 2k^2, H', W']
         ho, wo = offsets.shape[2], offsets.shape[3]
         off = offsets.reshape(b, k * k, 2, ho, wo)
-        base_y, base_x = self._tap_grid(h, w)
+        base_y, base_x = tap_grid(h, w, k, self.stride)
         ys = off[:, :, 0] + base_y                           # [B, k^2, H', W']
         xs = off[:, :, 1] + base_x
         sampled = E.bilinear_gather(x, ys, xs)               # [B, C_in, k^2, H', W']

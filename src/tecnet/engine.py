@@ -19,9 +19,9 @@ window machinery and act on axes 1 and 2 of its channels-last [B, h, w, C]
 maps.
 
 All arithmetic runs in one compute dtype, float32 unless changed with
-``precision``: tensors, constants and cached masks and matrices are made in
-it, so no op widens its inputs.  Float64 is for finite-difference gradient
-checks and exact oracles:
+``precision``: tensors, constants and ``shared`` arrays are made in it, so
+no op widens its inputs.  Float64 is for finite-difference gradient checks
+and exact oracles:
 
     with engine.precision(np.float64):
         ...  # build and run everything under test here
@@ -29,6 +29,7 @@ checks and exact oracles:
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from contextlib import contextmanager
@@ -87,6 +88,24 @@ def precision(dtype):
 def constant(x) -> np.ndarray:
     """`x` as an array of the compute dtype (no copy when it already is one)."""
     return np.asarray(x, dtype=_dtype)
+
+
+def shared(build):
+    """Decorate a builder of constant arrays (one array or a tuple of them)
+    so that it runs once per (arguments, compute dtype); every later call
+    returns the same arrays, read-only, so every layer can share them."""
+    @functools.cache
+    def built(dtype, *args):
+        out = build(*args)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        return out
+
+    @functools.wraps(build)
+    def lookup(*args):
+        return built(_dtype, *args)
+
+    return lookup
 
 
 # ---------------------------------------------------------------- tensors
@@ -905,26 +924,18 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-_BILINEAR_MATS: dict = {}
-
-
+@shared
 def _upsample_matrix(n: int, f: int) -> np.ndarray:
-    """Dense [n*f, n] interpolation matrix (half-pixel centres, clamped edges),
-    built once per (n, f, compute dtype) and read-only."""
-    key = (n, f, _dtype)
-    mat = _BILINEAR_MATS.get(key)
-    if mat is None:
-        out_n = n * f
-        src = (np.arange(out_n) + 0.5) / f - 0.5
-        src = np.clip(src, 0.0, n - 1.0)
-        i0 = np.floor(src).astype(np.int64)
-        frac = src - i0
-        i1 = np.minimum(i0 + 1, n - 1)
-        mat = np.zeros((out_n, n), dtype=_dtype)
-        mat[np.arange(out_n), i0] += 1.0 - frac
-        mat[np.arange(out_n), i1] += frac
-        mat.flags.writeable = False
-        _BILINEAR_MATS[key] = mat
+    """Dense [n*f, n] interpolation matrix (half-pixel centres, clamped edges)."""
+    out_n = n * f
+    src = (np.arange(out_n) + 0.5) / f - 0.5
+    src = np.clip(src, 0.0, n - 1.0)
+    i0 = np.floor(src).astype(np.int64)
+    frac = src - i0
+    i1 = np.minimum(i0 + 1, n - 1)
+    mat = np.zeros((out_n, n), dtype=_dtype)
+    mat[np.arange(out_n), i0] += 1.0 - frac
+    mat[np.arange(out_n), i1] += frac
     return mat
 
 

@@ -159,10 +159,10 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (ordered dict name -> array, manifest)."""
     path = Path(path)
     manifest_path = path.with_suffix(path.suffix + ".json")
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise UsageError(f"{manifest_path}: corrupt checkpoint manifest: {e}") from e
     _check_manifest(manifest, manifest_path, os.path.getsize(path))
     arrays = {}

@@ -315,7 +315,7 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
                 parts = _learn(model, *stack(chunk), lam)
                 if not all(math.isfinite(v) for v in parts.values()):
                     raise TrainingDiverged(
-                        f"non-finite loss at step {step}: {parts}")
+                        f"non-finite loss at step {step + 1}: {parts}")
                 norm = grad_norm(p for _, p in optimizer.params)
                 optimizer.step()
                 step += 1

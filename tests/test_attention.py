@@ -12,7 +12,7 @@ from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
                               cost_swmsa, crop_to, pad_to_window,
                               relative_position_index, shift_mask,
                               window_partition, window_reverse, windowed)
-from tecnet.ddconv import DDConv
+from tecnet.ddconv import tap_grid
 from tecnet.errors import ConfigurationError
 from tecnet.gradcheck import check_gradients, max_rel_err
 from tecnet.model import N_STAGES, TecNet, attention_rows, nano_config
@@ -95,15 +95,29 @@ def test_relative_position_index_diagonal_constant():
 
 
 def test_shared_caches_are_read_only():
-    """Every layer of a kind gets the same cached array, so none may write
-    to it: the relative-position index, the shift mask, the bilinear
-    upsampling matrix and DDConv's tap grid are all frozen."""
-    cached = [relative_position_index(4), shift_mask(8, 8, 4, 2), E._upsample_matrix(4, 2),
-              *DDConv(2, 2, rng=np.random.default_rng(0))._tap_grid(8, 8)]
-    for a in cached:
+    """Every layer of a kind gets the same shared array, so none may write
+    to it: `engine.shared` builds the relative-position index, the shift
+    mask, the bilinear upsampling matrix and DDConv's tap grid once per
+    arguments and compute dtype, and freezes them."""
+    builders = [lambda: relative_position_index(4), lambda: shift_mask(8, 8, 4, 2),
+                lambda: E._upsample_matrix(4, 2), lambda: tap_grid(8, 8, 3, 1)]
+    with E.precision(np.float32):
+        narrow = [build() for build in builders]
+        assert all(build() is first for build, first in zip(builders, narrow))
+    wide = [build() for build in builders]       # this module runs in float64
+    assert all(build() is first for build, first in zip(builders, wide))
+
+    def flat(outs):
+        return [a for out in outs for a in (out if isinstance(out, tuple) else (out,))]
+
+    for a in flat(narrow) + flat(wide):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
+    # the float builders: all but the integer index
+    for a, b in zip(flat(narrow[1:]), flat(wide[1:])):
+        assert (a.dtype, b.dtype) == (np.float32, np.float64)
+        np.testing.assert_array_equal(a, b)
 
 
 # -------------------------------------------------- four-branch attention

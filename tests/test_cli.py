@@ -543,7 +543,13 @@ def test_train_that_diverges_exits_1_with_an_error(workdir, capsys, tmp_path):
     rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
                "--out", str(tmp_path / "run"), "--steps", "3"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: non-finite loss at step ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at step ")
+    # the error numbers steps as the loss log does: one past its last row
+    with open(tmp_path / "run" / "loss_log.csv") as fh:
+        logged = [int(row["step"]) for row in csv.DictReader(fh)]
+    named = int(re.match(r"error: non-finite loss at step (\d+):", err).group(1))
+    assert logged and named == logged[-1] + 1
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -813,6 +819,29 @@ def test_dump_features_index_out_of_range(workdir, capsys):
                "--data", str(workdir["data"]), "--index", "99",
                "--out", str(workdir["root"] / "f2")])
     assert rc != 0
+
+
+def test_config_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys):
+    """A config with one byte that is not UTF-8 once ended in a
+    UnicodeDecodeError traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"model": 1}')
+    assert main(["analyze", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text: ")
+
+
+def test_manifest_that_is_not_utf8_exits_1_naming_it(workdir, capsys, tmp_path):
+    """A manifest with one byte flipped to 0xFF once ended `dump-features`
+    in a UnicodeDecodeError traceback."""
+    ckpt = tmp_path / "checkpoint.tect"
+    ckpt.write_bytes((workdir["run"] / "checkpoint.tect").read_bytes())
+    manifest = bytearray((workdir["run"] / "checkpoint.tect.json").read_bytes())
+    manifest[10] = 0xFF
+    (tmp_path / "checkpoint.tect.json").write_bytes(manifest)
+    assert main(["dump-features", "--checkpoint", str(ckpt), "--data", str(workdir["data"]),
+                 "--out", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {ckpt}.json: corrupt checkpoint manifest: ")
 
 
 def test_missing_file_reports_cleanly(capsys):

@@ -129,3 +129,25 @@ def test_every_config_field_but_the_toggles_varies_across_the_presets():
     fixed = [f.name for f in fields(TecNetConfig) if f.type != "bool"
              and len({repr(getattr(cfg, f.name)) for cfg in configs}) < 2]
     assert not fixed, f"one value in every preset: {fixed}"
+
+
+def test_no_hand_written_caches():
+    """No module in src/tecnet assigns an empty dict at module level or to a
+    `self.` attribute, the shape every hand-written cache took; a constant
+    array that layers share is built by a builder under `engine.shared`."""
+    found = []
+    for path in (ROOT / "src" / "tecnet").glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(stmt) for stmt in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            on_self = any(isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                          and t.value.id == "self" for t in targets)
+            if (id(node) in top or on_self) and isinstance(value, ast.Dict) and not value.keys:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"hand-written cache (build it under engine.shared): {found}"
