@@ -308,9 +308,5 @@ def main(argv=None) -> int:
         return _fail(f"{e.filename}: {e.strerror}" if e.filename else str(e))
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -240,7 +240,7 @@ class Tape:
     order, those still reachable from a live tensor.
     """
 
-    _stack: list = []
+    _active: Tape | None = None       # the one tape recording now
 
     def __init__(self):
         self._refs = []
@@ -250,19 +250,15 @@ class Tape:
         return [node for node in (ref() for ref in self._refs) if node is not None]
 
     def __enter__(self) -> "Tape":
-        if Tape._stack:
+        if Tape._active is not None:
             # A nested tape would capture part of the graph and leave the
             # outer backward sweep silently incomplete.
             raise UsageError("a tape is already recording; tapes do not nest")
-        Tape._stack.append(self)
+        Tape._active = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        Tape._stack.pop()
-
-    @staticmethod
-    def active():
-        return Tape._stack[-1] if Tape._stack else None
+        Tape._active = None
 
 
 def _tracked(t) -> bool:
@@ -271,7 +267,7 @@ def _tracked(t) -> bool:
 
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     """Attach a tape record to `out` if recording applies."""
-    tape = Tape.active()
+    tape = Tape._active
     if tape is not None and any(_tracked(t) for t in inputs):
         node = _Node(out, inputs, backward_fn, tape)
         out.node = node
@@ -819,8 +815,7 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
     outside the canvas.
 
     ys and xs share a shape [B, *S] and give image b's points in row b; the
-    result is [B, C, *S].  Gradients flow into x and, when ys/xs are
-    tensors, into the coordinates as well.
+    result is [B, C, *S].  Gradients flow into x and into the coordinates.
 
     Sampling is one sparse product for the whole batch: row i of the
     [B*|S|, B*H*W] matrix holds the bilinear weights of point i's four
@@ -831,10 +826,8 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
     """
     if x.ndim != 4:
         raise DimensionError(f"bilinear_gather expects x [B,C,H,W], got {x.shape}")
-    ty = isinstance(ys, Tensor)
-    tx = isinstance(xs, Tensor)
-    yv = ys.data if ty else constant(ys)
-    xv = xs.data if tx else constant(xs)
+    ys, xs = as_tensor(ys), as_tensor(xs)
+    yv, xv = ys.data, xs.data
     if yv.shape != xv.shape:
         raise DimensionError(f"coordinate shapes differ: {yv.shape} vs {xv.shape}")
     b, c, h, w = x.shape
@@ -869,15 +862,10 @@ def bilinear_gather(x: Tensor, ys, xs) -> Tensor:
     def backward_fn(g):
         g_t = np.swapaxes(g.reshape(b, c, n // b), 1, 2).reshape(n, c)   # [n, C]
         gx = _batch_major((sm.T @ g_t).T.reshape(c, b, h * w)).reshape(b, c, h, w)
-        grads = [gx]
-        if ty:
-            grads.append(coordinate_grad(g_t, np.hstack([fx - 1.0, -fx, 1.0 - fx, fx])))
-        if tx:
-            grads.append(coordinate_grad(g_t, np.hstack([fy - 1.0, 1.0 - fy, -fy, fy])))
-        return grads
+        return (gx, coordinate_grad(g_t, np.hstack([fx - 1.0, -fx, 1.0 - fx, fx])),
+                coordinate_grad(g_t, np.hstack([fy - 1.0, 1.0 - fy, -fy, fy])))
 
-    inputs = (x,) + tuple(t for t, used in ((ys, ty), (xs, tx)) if used)
-    return _record(out, inputs, backward_fn)
+    return _record(out, (x, ys, xs), backward_fn)
 
 
 # ---------------------------------------------------------------- pooling etc.

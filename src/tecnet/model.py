@@ -80,7 +80,7 @@ def read_config(cls, d, optional=(), **given):
 
 # ---------------------------------------------------------------- config
 
-@dataclass
+@dataclass(frozen=True)
 class TecNetConfig:
     name: str
     layer_numbers: tuple[int, ...]
@@ -99,11 +99,8 @@ class TecNetConfig:
 
     def __post_init__(self):
         check_types(self)
-        self.layer_numbers = tuple(int(x) for x in self.layer_numbers)
-        self.heads = tuple(int(x) for x in self.heads)
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "layer_numbers", tuple(int(x) for x in self.layer_numbers))
+        object.__setattr__(self, "heads", tuple(int(x) for x in self.heads))
         for key in ("window", "base_width"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(
@@ -278,7 +275,6 @@ def cross_branch_fuse(mix: Conv2d, a: Tensor, b: Tensor) -> Tensor:
 
 class TecNet(Module):
     def __init__(self, cfg: TecNetConfig, seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         d = cfg.base_width

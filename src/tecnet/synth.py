@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DimensionError
 FAMILIES = ("ellipse", "blob-union")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a deterministic synthetic dataset."""
 

@@ -169,7 +169,7 @@ class PlateauHalver:
 
 # ---------------------------------------------------------------- schedule
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSchedule:
     """Hyperparameters for one training run, type- and range-checked."""
 
@@ -190,7 +190,7 @@ class TrainSchedule:
                  ">= 1 unless steps is given"),
                 ("steps", self.steps is None or self.steps >= 1, ">= 1 when given"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
-                ("lr", self.lr > 0, "> 0"),
+                ("lr", 0 < self.lr < np.inf, "finite and > 0"),
                 ("seed", self.seed >= 0, ">= 0")]:
             if not ok:
                 raise ConfigurationError(
@@ -298,7 +298,10 @@ def train(model: TecNet, samples, schedule: TrainSchedule, *,
         os.makedirs(out_dir, exist_ok=True)
         result.log_path = os.path.join(out_dir, "loss_log.csv")
     step = 0
-    with open(result.log_path, "w", newline="") if result.log_path else nullcontext() as log_fh:
+    # a diverging run overflows long before its loss turns non-finite; the
+    # finiteness checks below report it once instead of numpy warning per op
+    with (open(result.log_path, "w", newline="") if result.log_path else nullcontext() as log_fh,
+          np.errstate(over="ignore", invalid="ignore")):
         if log_fh is not None:
             log_writer = csv.DictWriter(log_fh, fieldnames=LOG_FIELDS)
             log_writer.writeheader()

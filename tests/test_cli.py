@@ -7,6 +7,7 @@ import re
 import resource
 import shlex
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -535,14 +536,19 @@ def test_train_rejects_a_mask_stored_as_zero_and_one(workdir, capsys, tmp_path):
 
 def test_train_that_diverges_exits_1_with_an_error(workdir, capsys, tmp_path):
     """A learning rate of 1e30 once ended the run in a TrainingDiverged
-    traceback with no error line."""
+    traceback with no error line, and later printed dozens of numpy
+    overflow warnings before it.  The run keeps its loss log up to the
+    last finite step and writes no checkpoint or summary."""
     blob = json.loads(workdir["config"].read_text())
     blob["train"]["lr"] = 1e30
     cfg = tmp_path / "hot.json"
     cfg.write_text(json.dumps(blob))
-    rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
-               "--out", str(tmp_path / "run"), "--steps", "3"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+                   "--out", str(tmp_path / "run"), "--steps", "3"])
     assert rc == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss at step ")
     # the error numbers steps as the loss log does: one past its last row
@@ -550,6 +556,7 @@ def test_train_that_diverges_exits_1_with_an_error(workdir, capsys, tmp_path):
         logged = [int(row["step"]) for row in csv.DictReader(fh)]
     named = int(re.match(r"error: non-finite loss at step (\d+):", err).group(1))
     assert logged and named == logged[-1] + 1
+    assert sorted(os.listdir(tmp_path / "run")) == ["loss_log.csv"]
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -633,7 +640,8 @@ def test_config_missing_train_keys_rejected(tmp_path, capsys, workdir):
 
 @pytest.mark.parametrize("key,value,steps", [
     ("batch_size", "4", "1"), ("batch_size", True, "1"), ("seed", "x", "1"),
-    ("seed", -1, "1"), ("lr", "0.001", "1"), ("lr", -1.0, "1"), ("delta", "1", "1"),
+    ("seed", -1, "1"), ("lr", "0.001", "1"), ("lr", -1.0, "1"), ("lr", float("inf"), "1"),
+    ("delta", "1", "1"),
     ("total_epochs", 2.5, "1"), ("total_epochs", 2.5, None), ("plateau_factor", 2.0, "1"),
     ("plateau_patience", None, "1"), ("steps", 1, "1")])
 def test_train_rejects_bad_train_section(workdir, capsys, tmp_path, key, value, steps):

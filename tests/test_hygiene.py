@@ -151,3 +151,24 @@ def test_no_hand_written_caches():
             if (id(node) in top or on_self) and isinstance(value, ast.Dict) and not value.keys:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, f"hand-written cache (build it under engine.shared): {found}"
+
+
+def test_checked_dataclasses_are_frozen():
+    """Every class in src/tecnet that checks its fields in `__post_init__` is
+    a `@dataclass(frozen=True)`: an assignment after `__post_init__` would
+    skip the checks, so a frozen config is one that was checked."""
+    found = []
+    for path in (ROOT / "src" / "tecnet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                    for f in node.body)):
+                continue
+            frozen = any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                         and d.func.id == "dataclass"
+                         and any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                                 and k.value.value is True for k in d.keywords)
+                         for d in node.decorator_list)
+            if not frozen:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    assert not found, f"checked in __post_init__ but not frozen: {found}"

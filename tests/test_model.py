@@ -1,6 +1,6 @@
 """Config validation, model construction, forward contract, accounting."""
 
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -89,6 +89,15 @@ def test_config_rejects_non_positive_window_and_width(field, value):
     # base_width 0 counted a model whose stages have no channels
     with pytest.raises(ConfigurationError, match="must be positive"):
         nano_config(**{field: value})
+
+
+def test_config_is_frozen_and_replace_rechecks_it():
+    """A config is checked once, when made; no field can change after, and
+    `dataclasses.replace` makes a new config that is checked again."""
+    with pytest.raises(FrozenInstanceError):
+        nano_config().window = 0
+    with pytest.raises(ConfigurationError, match="config field window must be positive"):
+        replace(nano_config(), window=0)
 
 
 def test_config_rejects_head_width_mismatch():

@@ -148,8 +148,21 @@ def test_nested_tapes_are_rejected():
         with pytest.raises(UsageError):
             with Tape():
                 pass
-    with Tape():  # the failed nest must not corrupt the stack
+    with Tape():  # the failed nest must not leave the slot taken
         pass
+
+
+def test_tape_left_by_an_exception_frees_its_slot():
+    a = Tensor([2.0], requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with Tape():
+            a * a
+            raise RuntimeError("mid-recording")
+    with Tape() as tape:
+        loss = (a * a).sum()
+    assert loss.node is not None and loss.node.tape is tape
+    backward(loss)
+    np.testing.assert_allclose(a.grad, [4.0])
 
 
 def test_values_is_flat_view():

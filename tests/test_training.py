@@ -545,7 +545,8 @@ TRAIN_SECTION = {"total_epochs": 5, "batch_size": 4, "lr": 1e-3, "seed": 0}
 
 
 @pytest.mark.parametrize("field,value", [
-    ("lr", -1.0), ("lr", 0.0), ("lr", "0.001"), ("delta", 0.0), ("delta", 1.5),
+    ("lr", -1.0), ("lr", 0.0), ("lr", float("inf")), ("lr", "0.001"), ("delta", 0.0),
+    ("delta", 1.5),
     ("plateau_factor", 2.0), ("plateau_factor", 0.0), ("plateau_patience", 0),
     ("plateau_patience", None), ("seed", -1), ("batch_size", True), ("total_epochs", 2.5)])
 def test_schedule_rejects_out_of_range_values(field, value):
