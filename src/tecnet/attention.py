@@ -177,7 +177,7 @@ class ACAM(Module):
     """
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool,
-                 shared_kv: bool = False, rng=None):
+                 shared_kv: bool = False, *, rng):
         c, m = channels, window
         if heads < 1:
             raise ConfigurationError(f"need at least one head, got {heads}")
@@ -309,7 +309,7 @@ class WindowAttention(Module):
     lists one attention weight array per forward.
     """
 
-    def __init__(self, channels: int, window: int, heads: int, shifted: bool, rng=None):
+    def __init__(self, channels: int, window: int, heads: int, shifted: bool, rng):
         c, m = channels, window
         if c % heads:
             raise ConfigurationError(f"channels {c} not divisible by {heads} heads")

@@ -1,8 +1,8 @@
 """Transformer-branch building blocks: LPM and the attention/MLP recurrence.
 
 Feature maps are channels-last [B, h, w, C], so the grid travels in the
-shape: norms, linears and window attention take the map as it is, and the
-LPM ghost convolution takes its [B, C, h, w] view with one permute each way.
+shape: norms, linears, window attention and the LPM ghost convolution take
+the map as it is.
 """
 
 from __future__ import annotations
@@ -21,21 +21,20 @@ class LPM(Module):
     Cheaper than the plain 4x MLP for every width used here.
     """
 
-    def __init__(self, d: int, rng=None):
+    def __init__(self, d: int, rng):
         self.primary = Linear(d, 2 * d, rng=rng)
         self.ghost = DepthwiseConv2d(2 * d, rng=rng)
         self.out = Linear(4 * d, d, rng=rng, zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
         p = E.gelu(self.primary(x))                      # [B, h, w, 2d]
-        g = E.gelu(self.ghost(p.permute(0, 3, 1, 2)))    # [B, 2d, h, w]
-        return self.out(E.concat([p, g.permute(0, 2, 3, 1)], axis=3))
+        return self.out(E.concat([p, E.gelu(self.ghost(p))], axis=3))
 
 
 class Mlp(Module):
     """Plain 4x expansion MLP (the ablation stand-in for LPM)."""
 
-    def __init__(self, d: int, rng=None):
+    def __init__(self, d: int, rng):
         self.expand = Linear(d, 4 * d, rng=rng)
         self.out = Linear(4 * d, d, rng=rng, zero=True)
 
@@ -52,7 +51,7 @@ class TransformerBlock(Module):
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool,
                  use_acam: bool = True, use_lpm: bool = True,
-                 shared_kv: bool = False, rng=None):
+                 shared_kv: bool = False, *, rng):
         self.norm_attn = LayerNorm(channels)
         if use_acam:
             self.attn = ACAM(channels, window, heads, shifted, shared_kv=shared_kv, rng=rng)

@@ -54,7 +54,7 @@ class DDConv(Module):
     """
 
     def __init__(self, c_in: int, c_out: int, k: int = 3, n_kernels: int = 4,
-                 stride: int = 1, rng=None):
+                 stride: int = 1, *, rng):
         if k % 2 == 0:
             raise ConfigurationError(f"kernel side must be odd, got {k}")
         if n_kernels < 1:

@@ -14,9 +14,9 @@ graph by reference counting, without waiting for the cyclic collector.
 
 Image ops take a leading batch axis: feature maps are [B, C, H, W] and
 every image of the batch is processed alike, so B images cost one op call
-each, not B.  ``pad2d`` and ``roll2d`` serve the transformer branch's
-window machinery and act on axes 1 and 2 of its channels-last [B, h, w, C]
-maps.
+each, not B.  ``pad2d``, ``roll2d`` and ``depthwise_conv2d`` serve the
+transformer branch (its window machinery and LPM's ghost convolution) and
+act on axes 1 and 2 of its channels-last [B, h, w, C] maps.
 
 All arithmetic runs in one compute dtype, float32 unless changed with
 ``precision``: tensors, constants and ``shared`` arrays are made in it, so
@@ -35,7 +35,6 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.sparse import csr_matrix
 from scipy.special import erf, expit
 
@@ -705,27 +704,16 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
 
 # ---------------------------------------------------------------- convolution
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """View padded [B, C, Hp, Wp] images as [B, C, k, k, ho, wo] sliding windows."""
-    b, c = xp.shape[:2]
-    sb, sc, sy, sx = xp.strides
-    shape = (b, c, k, k, ho, wo)
-    strides = (sb, sc, sy, sx, sy * stride, sx * stride)
-    return as_strided(xp, shape=shape, strides=strides)
-
-
 def _batch_major(a: np.ndarray) -> np.ndarray:
     """[C, B, ...] -> contiguous [B, C, ...] (no copy when B is 1)."""
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2-D convolution (cross-correlation) of [B, C_in, H, W] with [C_out, C_in, k, k].
 
-    The kernel must be square with odd side.  Output extents follow the
-    usual floor rule, (h + 2p - k) // stride + 1; at least one full window
-    must fit, otherwise the configuration is rejected.  The windows of all
+    The kernel must be square with odd side.  Padding is k // 2 each side,
+    so the output is ((H - 1) // stride + 1) wide and high.  The taps of all
     B images form the columns of one product with the kernel.
     """
     if x.ndim != 4 or w.ndim != 4:
@@ -736,76 +724,81 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ConfigurationError(f"conv2d kernel must be square with odd side, got {k}x{k2}")
     if cin_w != cin:
         raise ConfigurationError(f"conv2d channel mismatch: input has {cin}, kernel expects {cin_w}")
-    if h + 2 * padding < k or wd + 2 * padding < k:
-        raise ConfigurationError(
-            f"conv2d window never fits: input {h}x{wd}, k={k}, padding={padding}")
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wd + 2 * padding - k) // stride + 1
+    p = k // 2
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    # the k*k row-major taps, as slices of the padded map's trailing two axes
+    taps = [(..., slice(dy, dy + stride * ho, stride), slice(dx, dx + stride * wo, stride))
+            for dy in range(k) for dx in range(k)]
 
     def columns():
-        """Taps as rows, the B images' output positions as columns: one product."""
-        windows = _im2col(_zero_pad(x.data, padding), k, stride, ho, wo)
-        return windows.transpose(1, 2, 3, 0, 4, 5).reshape(cin * k * k, b * ho * wo)
+        """[C_in * k * k, B * ho * wo]: taps as rows, output positions as columns."""
+        xp = _zero_pad(np.swapaxes(x.data, 0, 1), p)             # [C_in, B, Hp, Wp]
+        cols = np.empty((cin, k * k, b, ho, wo), dtype=xp.dtype)
+        for t, tap in enumerate(taps):
+            cols[:, t] = xp[tap]
+        return cols.reshape(cin * k * k, b * ho * wo)
 
     w2 = w.data.reshape(cout, cin * k * k)
-    y = _batch_major((w2 @ columns()).reshape(cout, b, ho, wo))
-    if bias is not None:
-        y = y + bias.data[:, None, None]
-    out = Tensor(y)
+    out = Tensor(_batch_major((w2 @ columns()).reshape(cout, b, ho, wo)) + bias.data[:, None, None])
 
     def backward_fn(g):
         g2 = np.swapaxes(g, 0, 1).reshape(cout, b * ho * wo)
         gw = (g2 @ columns().T).reshape(w.shape)
-        gcols = (w2.T @ g2).reshape(cin, k, k, b, ho, wo)
-        gxp = np.zeros((cin, b, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
-        for dy in range(k):
-            for dx in range(k):
-                gxp[:, :, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += gcols[:, dy, dx]
-        gx = np.swapaxes(gxp, 0, 1)
-        if padding:
-            gx = gx[:, :, padding:padding + h, padding:padding + wd]
-        if bias is not None:
-            return gx, gw, g.sum(axis=(0, 2, 3))
-        return gx, gw
+        gcols = (w2.T @ g2).reshape(cin, k * k, b, ho, wo)
+        gxp = np.zeros((cin, b, h + 2 * p, wd + 2 * p), dtype=x.data.dtype)
+        for t, tap in enumerate(taps):
+            gxp[tap] += gcols[:, t]
+        return np.swapaxes(gxp, 0, 1)[:, :, p:p + h, p:p + wd], gw, g.sum(axis=(0, 2, 3))
 
-    inputs = (x, w, bias) if bias is not None else (x, w)
-    return _record(out, inputs, backward_fn)
+    return _record(out, (x, w, bias), backward_fn)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Per-channel 2-D convolution with same padding, stride 1.
+def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel 2-D convolution with same padding, stride 1, of a
+    channels-last [B, H, W, C] map with w [C, k, k], k odd.
 
-    x is [B, C, H, W], w is [C, k, k] with k odd.
+    Each of the k*k taps is a shifted slice of the padded map.  The forward
+    sums each kernel row's taps left to right, then adds the rows top to
+    bottom.  The weight and bias gradients sum each image's products
+    pairwise, then the B image sums.
     """
     if x.ndim != 4 or w.ndim != 3:
-        raise DimensionError(f"depthwise_conv2d expects x [B,C,H,W] and w [C,k,k], got {x.shape} and {w.shape}")
-    b, c, h, wd = x.shape
+        raise DimensionError(f"depthwise_conv2d expects x [B,H,W,C] and w [C,k,k], got {x.shape} and {w.shape}")
+    b, h, wd, c = x.shape
     cw, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ConfigurationError(f"depthwise kernel must be square with odd side, got {k}x{k2}")
     if cw != c:
         raise ConfigurationError(f"depthwise channel mismatch: input has {c}, kernel has {cw}")
     p = k // 2
-    win = _im2col(_zero_pad(x.data, p), k, 1, h, wd)            # [B, C, k, k, H, W]
-    y = np.einsum("ckl,bcklhw->bchw", w.data, win)
-    if bias is not None:
-        y = y + bias.data[:, None, None]
-    out = Tensor(y)
+    xp = np.zeros((b, h + 2 * p, wd + 2 * p, c), dtype=x.data.dtype)
+    xp[:, p:p + h, p:p + wd] = x.data
+    rows = []
+    for dy in range(k):
+        row = xp[:, dy:dy + h, :wd] * w.data[:, dy, 0]
+        for dx in range(1, k):
+            row += xp[:, dy:dy + h, dx:dx + wd] * w.data[:, dy, dx]
+        rows.append(row)
+    out = Tensor(sum(rows[1:], rows[0]) + bias.data)
 
     def backward_fn(g):
-        xp = _zero_pad(x.data, p)                # rebuilt, not kept: the tape holds x
-        gw = np.einsum("bchw,bcklhw->ckl", g, _im2col(xp, k, 1, h, wd))
-        gxp = np.zeros_like(xp)
+        # channel-major copies, so that each image's sums run over contiguous
+        # memory: numpy sums a contiguous run pairwise, leading axes one by one
+        xcm = _zero_pad(np.moveaxis(x.data, 3, 0), p)           # [C, B, Hp, Wp]
+        gcm = np.ascontiguousarray(np.moveaxis(g, 3, 0))         # [C, B, H, W]
+
+        def channel_sums(a):
+            return a.reshape(c, b, h * wd).sum(axis=2).sum(axis=1)
+
+        gw = np.empty_like(w.data)
+        gxp = np.zeros((b, h + 2 * p, wd + 2 * p, c), dtype=g.dtype)
         for dy in range(k):
             for dx in range(k):
-                gxp[:, :, dy:dy + h, dx:dx + wd] += g * w.data[:, dy, dx][:, None, None]
-        gx = gxp[:, :, p:p + h, p:p + wd]
-        if bias is not None:
-            return gx, gw, g.sum(axis=(0, 2, 3))
-        return gx, gw
+                gw[:, dy, dx] = channel_sums(gcm * xcm[:, :, dy:dy + h, dx:dx + wd])
+                gxp[:, dy:dy + h, dx:dx + wd] += g * w.data[:, dy, dx]
+        return gxp[:, p:p + h, p:p + wd], gw, channel_sums(gcm)
 
-    inputs = (x, w, bias) if bias is not None else (x, w)
-    return _record(out, inputs, backward_fn)
+    return _record(out, (x, w, bias), backward_fn)
 
 
 # ---------------------------------------------------------------- sampling

@@ -168,7 +168,7 @@ PRESETS = {"nano": nano_config, "tiny": tiny_config, "base": base_config}
 class PatchEmbed(Module):
     """Non-overlapping PATCH x PATCH projection of [B, 1, H, W] images to [B, g, g, D] maps."""
 
-    def __init__(self, d: int, rng=None):
+    def __init__(self, d: int, rng):
         self.proj = Linear(PATCH * PATCH, d, rng=rng)
 
     def forward(self, image: Tensor) -> Tensor:
@@ -186,7 +186,7 @@ class PatchEmbed(Module):
 class CnnStem(Module):
     """Two stride-2 3x3 convs with a GELU between: [B, 1, H, W] -> [B, D, H/4, W/4]."""
 
-    def __init__(self, d: int, rng=None):
+    def __init__(self, d: int, rng):
         self.convs = [Conv2d(1, d // 2, 3, rng=rng, stride=2),
                       Conv2d(d // 2, d, 3, rng=rng, stride=2)]
 
@@ -194,7 +194,7 @@ class CnnStem(Module):
         return self.convs[1](E.gelu(self.convs[0](image)))
 
 
-def cnn_conv(c_in: int, c_out: int, use_ddconv: bool, stride: int = 1, rng=None) -> Module:
+def cnn_conv(c_in: int, c_out: int, use_ddconv: bool, stride: int = 1, *, rng) -> Module:
     """The CNN branch's 3x3 conv: a DDConv of N_KERNELS kernels, or a plain Conv2d."""
     if use_ddconv:
         return DDConv(c_in, c_out, 3, n_kernels=N_KERNELS, stride=stride, rng=rng)
@@ -206,7 +206,7 @@ class CnnStage(Module):
 
     UNITS = 2
 
-    def __init__(self, channels: int, use_ddconv: bool, rng=None):
+    def __init__(self, channels: int, use_ddconv: bool, rng):
         self.convs = [cnn_conv(channels, channels, use_ddconv, rng=rng) for _ in range(self.UNITS)]
         self.norms = [ChannelNorm(channels) for _ in range(self.UNITS)]
 
@@ -220,7 +220,7 @@ class TransStage(Module):
     """layer_numbers[i] blocks alternating plain/shifted windows."""
 
     def __init__(self, channels: int, depth: int, window: int, heads: int,
-                 use_acam: bool, use_lpm: bool, shared_kv: bool, rng=None):
+                 use_acam: bool, use_lpm: bool, shared_kv: bool, rng):
         self.blocks = [
             TransformerBlock(channels, window, heads, shifted=bool(b % 2),
                              use_acam=use_acam, use_lpm=use_lpm,
@@ -237,7 +237,7 @@ class TransStage(Module):
 class PatchMerge(Module):
     """Transformer-branch downsample: each 2x2 group of [B, h, w, C] -> one 2C vector."""
 
-    def __init__(self, channels: int, rng=None):
+    def __init__(self, channels: int, rng):
         self.reduce = Linear(4 * channels, 2 * channels, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -252,7 +252,7 @@ class PatchMerge(Module):
 class PatchExpand(Module):
     """Transformer-branch upsample: [B, h, w, C] -> [B, 2h, 2w, C/2], child (a, b) of (i, j) at (2i+a, 2j+b)."""
 
-    def __init__(self, channels: int, rng=None):
+    def __init__(self, channels: int, rng):
         if channels % 2:
             raise ConfigurationError(f"patch expand needs even width, got {channels}")
         self.grow = Linear(channels, 2 * channels, rng=rng)

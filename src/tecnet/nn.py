@@ -108,7 +108,7 @@ class Module:
 class Linear(Module):
     """y = x @ W + b with W of shape [d_in, d_out], over the last axis of x."""
 
-    def __init__(self, d_in: int, d_out: int, rng=None, zero: bool = False):
+    def __init__(self, d_in: int, d_out: int, rng, zero: bool = False):
         self.weight = parameter((d_in, d_out), rng=rng, fan_in=d_in, zero=zero)
         self.bias = parameter((d_out,), zero=True)
 
@@ -119,23 +119,22 @@ class Linear(Module):
 class Conv2d(Module):
     """Square odd-kernel 2-D convolution over [B, C, H, W], same padding."""
 
-    def __init__(self, c_in: int, c_out: int, k: int, rng=None, stride: int = 1,
+    def __init__(self, c_in: int, c_out: int, k: int, rng, stride: int = 1,
                  zero: bool = False):
         if k % 2 == 0:
             raise ConfigurationError(f"kernel side must be odd, got {k}")
         self.weight = parameter((c_out, c_in, k, k), rng=rng, fan_in=c_in * k * k, zero=zero)
         self.bias = parameter((c_out,), zero=True)
         self.stride = stride
-        self.padding = k // 2
 
     def forward(self, x: Tensor) -> Tensor:
-        return E.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return E.conv2d(x, self.weight, self.bias, stride=self.stride)
 
 
 class DepthwiseConv2d(Module):
-    """Per-channel 3x3 convolution, same padding."""
+    """Per-channel 3x3 convolution of channels-last [B, H, W, C] maps, same padding."""
 
-    def __init__(self, channels: int, rng=None):
+    def __init__(self, channels: int, rng):
         self.weight = parameter((channels, 3, 3), rng=rng, fan_in=9)
         self.bias = parameter((channels,), zero=True)
 

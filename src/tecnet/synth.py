@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
+from .model import check_types
 
 FAMILIES = ("ellipse", "blob-union")
 
@@ -38,6 +39,7 @@ class SynthSpec:
     grad_amp: float = 0.2
 
     def __post_init__(self):
+        check_types(self)
         if self.family not in FAMILIES:
             raise ConfigurationError(
                 f"family must be one of {FAMILIES}, got {self.family!r}")

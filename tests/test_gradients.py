@@ -135,18 +135,18 @@ def test_conv2d_variants():
     w = leaf(3, 2, 3, 3, scale=0.5)
     b = leaf(3)
     wt = Tensor(RNG.standard_normal((2, 3, 6, 6)))
-    run(lambda: (E.conv2d(x, w, b, stride=1, padding=1) * wt).sum(), x, w, b)
+    run(lambda: (E.conv2d(x, w, b, stride=1) * wt).sum(), x, w, b)
     wt2 = Tensor(RNG.standard_normal((2, 3, 3, 3)))
-    run(lambda: (E.conv2d(x, w, b, stride=2, padding=1) * wt2).sum(), x, w, b)
-    wt3 = Tensor(RNG.standard_normal((2, 3, 4, 4)))
-    run(lambda: (E.conv2d(x, w, None, stride=1, padding=0) * wt3).sum(), x, w)
+    run(lambda: (E.conv2d(x, w, b, stride=2) * wt2).sum(), x, w, b)
+    w1 = leaf(3, 2, 1, 1, scale=0.5)           # the model's skip, fuse and head convs
+    run(lambda: (E.conv2d(x, w1, b) * wt).sum(), x, w1, b)
 
 
 def test_depthwise_conv2d():
-    x = leaf(2, 3, 5, 5)
+    x = leaf(2, 5, 5, 3)
     w = leaf(3, 3, 3, scale=0.5)
     b = leaf(3)
-    wt = Tensor(RNG.standard_normal((2, 3, 5, 5)))
+    wt = Tensor(RNG.standard_normal((2, 5, 5, 3)))
     run(lambda: (E.depthwise_conv2d(x, w, b) * wt).sum(), x, w, b)
 
 
@@ -206,7 +206,7 @@ def test_conv2d_against_loop():
     x = Tensor(RNG.standard_normal((2, 2, 5, 5)))
     w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
     b = Tensor(RNG.standard_normal(3))
-    got = E.conv2d(x, w, b, stride=2, padding=1).data
+    got = E.conv2d(x, w, b, stride=2).data
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
     want = np.empty_like(got)
@@ -218,6 +218,49 @@ def test_conv2d_against_loop():
                     acc += w.data[o, c, u, v] * xp[n, c, 2 * i + u, 2 * j + v]
         want[n, o, i, j] = acc
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_depthwise_conv2d_against_loop():
+    """Output and all three gradients of a channels-last depthwise conv
+    against per-pixel loops."""
+    x = Tensor(RNG.standard_normal((2, 5, 4, 3)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((3, 3, 3)), requires_grad=True)
+    b = Tensor(RNG.standard_normal(3), requires_grad=True)
+    g = RNG.standard_normal((2, 5, 4, 3))
+    with Tape():
+        y = E.depthwise_conv2d(x, w, b)
+        loss = (y * Tensor(g)).sum()
+    backward(loss)
+
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    want, gxp = np.empty_like(y.data), np.zeros_like(xp)
+    gw, gb = np.zeros_like(w.data), np.zeros_like(b.data)
+    for n, i, j, c in np.ndindex(y.shape):
+        acc = b.data[c]
+        gb[c] += g[n, i, j, c]
+        for u in range(3):
+            for v in range(3):
+                acc += w.data[c, u, v] * xp[n, i + u, j + v, c]
+                gw[c, u, v] += g[n, i, j, c] * xp[n, i + u, j + v, c]
+                gxp[n, i + u, j + v, c] += g[n, i, j, c] * w.data[c, u, v]
+        want[n, i, j, c] = acc
+    for got, ref in ((y.data, want), (x.grad, gxp[:, 1:-1, 1:-1]), (w.grad, gw), (b.grad, gb)):
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+
+
+def test_depthwise_conv2d_float32_gradient_sums_are_pairwise():
+    """The weight and bias gradients each sum B*H*W products.  For 32768
+    products of 0.1 in float32, a running sum over the leading axes of the
+    [8, 64, 64, C] map gives 3277.65; a pairwise sum gives 3276.8005."""
+    with E.precision(np.float32):
+        x = Tensor(np.ones((8, 64, 64, 2)))
+        w = Tensor(np.zeros((2, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        with Tape():
+            loss = (E.depthwise_conv2d(x, w, b) * Tensor(np.full(x.shape, 0.1))).sum()
+        backward(loss)
+    np.testing.assert_allclose(b.grad, 3276.8, rtol=0, atol=1e-2)
+    np.testing.assert_allclose(w.grad[:, 1, 1], 3276.8, rtol=0, atol=1e-2)
 
 
 def test_bilinear_gather_against_loop():

@@ -172,3 +172,18 @@ def test_checked_dataclasses_are_frozen():
             if not frozen:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
     assert not found, f"checked in __post_init__ but not frozen: {found}"
+
+
+def test_no_stride_tricks():
+    """No module in src/tecnet uses `numpy.lib.stride_tricks`: a wrong stride
+    in a hand-made view reads memory outside its array, and the kernels take
+    their taps as plain slices instead."""
+    found = []
+    for path in (ROOT / "src" / "tecnet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                     [a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            if any("stride_tricks" in name for name in names):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"stride tricks: {found}"

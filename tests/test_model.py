@@ -100,6 +100,13 @@ def test_config_is_frozen_and_replace_rechecks_it():
         replace(nano_config(), window=0)
 
 
+def test_layers_require_an_rng():
+    """A layer with drawn weights takes its generator as an argument: left
+    out, the call fails at once instead of inside `nn.parameter`."""
+    with pytest.raises(TypeError, match="rng"):
+        nn.Linear(4, 4)
+
+
 def test_config_rejects_head_width_mismatch():
     with pytest.raises(ConfigurationError):
         nano_config(heads=(3, 2, 4, 8, 4, 2, 3))  # 16 % 24 != 0

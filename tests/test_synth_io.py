@@ -67,6 +67,13 @@ def test_spec_validation():
         SynthSpec(noise=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [("count", 2.5), ("size", 64.0), ("seed", 1.5),
+                                          ("gap", "0.5")])
+def test_spec_rejects_values_of_the_wrong_type(field, value):
+    with pytest.raises(ConfigurationError, match=f"field {field} "):
+        SynthSpec(**{field: value})
+
+
 # --------------------------------------------------------------------- PGM
 
 def test_pgm_roundtrip_lossless(tmp_path):
