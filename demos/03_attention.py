@@ -21,9 +21,8 @@ actually multiplies.
 import numpy as np
 
 from tecnet import Tensor
-from tecnet.attention import (ACAM, cost_acam, cost_msa, cost_swmsa,
-                              pad_to_window, shift_mask, window_partition,
-                              window_reverse, crop_to)
+from tecnet import engine as E
+from tecnet.attention import ACAM, cost_acam, cost_msa, cost_swmsa, shift_mask, window_tokens
 from tecnet.nn import capture
 
 
@@ -31,13 +30,14 @@ def main():
     rng = np.random.default_rng(5)
 
     # -- windowing is exactly invertible, padding included ----------------
-    # Layers take channels-last [B, h, w, C] maps; the window machinery
-    # keeps that layout and stacks all images' windows on one axis.
+    # Layers take channels-last [B, h, w, C] maps.  A window cut is one move
+    # of C-vector tokens by a precomputed index: slots[i] is the map
+    # position window token i reads (h*w for padding), homes[j] the window
+    # token map position j moves to.  All images' windows share one axis.
     x = Tensor(rng.standard_normal((2, 14, 10, 16)))
-    xp, (h, w) = pad_to_window(x, 4)
-    hp, wp = xp.shape[1], xp.shape[2]
-    windows = window_partition(xp, 4)
-    back = crop_to(window_reverse(windows, 4, hp, wp), h, w)
+    slots, homes = window_tokens(14, 10, 4, 0)
+    windows = E.gather_tokens(x, slots, homes).reshape(-1, 4, 4, 16)
+    back = E.gather_tokens(windows, homes, slots).reshape(x.shape)
     print("2 images of 14x10 -> pad 16x12 ->", windows.shape[0], "windows -> restored:",
           np.array_equal(back.data, x.data))
 
@@ -62,7 +62,7 @@ def main():
     with capture() as (_, probs):
         shifted(x)
     spatial = probs[0]
-    mask = shift_mask(16, 12, 4, 2)             # one image's windows, shared by the batch
+    mask = shift_mask(14, 10, 4, 2)             # one image's windows, shared by the batch
     nw = mask.shape[0]
     leak = max(float(spatial[i][:, mask[i % nw] < 0].sum()) for i in range(spatial.shape[0]))
     print("largest attention mass across the seam:", f"{leak:.2e}")

@@ -1,12 +1,13 @@
 """Window attention with four complementary branches.
 
-Feature maps are channels-last [B, h, w, C] and stay so: they are padded,
-cyclically shifted (alternating layers, Swin style) and cut into
-[B*nw, M, M, C] windows, all B images' windows on one axis, so every
-product below runs once per batch.  The shift mask and relative-position
-index are built once per shape and shared by every layer.  Inside each
-window four branches attend over different axis pairings, the spatial one
-on the window's own token layout, the others on its [C, M, M] view:
+Feature maps are channels-last [B, h, w, C] and stay so.  One move of
+their C-vector tokens pads them, cyclically shifts them (alternating
+layers, Swin style) and cuts them into [B*nw, M, M, C] windows, all B
+images' windows on one axis, so every product below runs once per batch.
+That cut (`window_tokens`), the shift mask and the relative-position index
+are built once per shape and shared by every layer.  Inside each window
+four branches attend over different axis pairings, the spatial one on the
+window's own token layout, the others on its [C, M, M] view:
 
 * spatial:  M*M position tokens with C-dim features, relative-position bias
             and the shift mask;
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import engine as E
 from .engine import Tensor
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError
 from .nn import Linear, Module, parameter
 
 MASKED = -1e9
@@ -45,44 +46,27 @@ MASKED = -1e9
 
 # ---------------------------------------------------------------- windows
 
-def window_partition(x: Tensor, m: int) -> Tensor:
-    """[B, h, w, C] -> [B*nw, m, m, C]: image-major, then row-major over
-    window positions; tokens stay row-major inside each window.
+def padded(g: int, m: int) -> int:
+    """Extent g rounded up to whole m-wide windows: windows run on the padded grid."""
+    return -(-g // m) * m
 
-    Extents must already be multiples of m; pad first if they are not.
+
+@E.shared
+def window_tokens(h: int, w: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, homes): the cut of an h x w map into m x m windows as token moves.
+
+    The map is padded bottom/right to window multiples, rolled by -s on both
+    axes and cut into windows, row-major over the windows and within each.
+    slots[i] is the row-major map position that window token i reads, h*w
+    for a padding token; homes[j] is the window token map position j moves
+    to.  `engine.gather_tokens` makes either move.
     """
-    b, h, w, c = x.shape
-    if h % m or w % m:
-        raise UsageError(
-            f"window_partition needs extents divisible by {m}, got {h}x{w}; pad_to_window first")
-    gh, gw = h // m, w // m
-    t = x.reshape(b, gh, m, gw, m, c).permute(0, 1, 3, 2, 4, 5)   # [B, gh, gw, m, m, C]
-    return t.reshape(b * gh * gw, m, m, c)
-
-
-def window_reverse(windows: Tensor, m: int, h: int, w: int) -> Tensor:
-    """Inverse of window_partition back to [B, h, w, C]."""
-    n, m1, m2, c = windows.shape
-    gh, gw = h // m, w // m
-    if m1 != m or m2 != m or h % m or w % m or n % (gh * gw):
-        raise UsageError(f"window_reverse got {windows.shape} for target {h}x{w}, m={m}")
-    b = n // (gh * gw)
-    t = windows.reshape(b, gh, gw, m, m, c).permute(0, 1, 3, 2, 4, 5)   # [B, gh, m, gw, m, C]
-    return t.reshape(b, h, w, c)
-
-
-def pad_to_window(x: Tensor, m: int) -> tuple[Tensor, tuple[int, int]]:
-    """Zero-pad the spatial axes 1 and 2 at bottom/right to multiples of m."""
-    h, w = x.shape[1:3]
-    ph = (m - h % m) % m
-    pw = (m - w % m) % m
-    if ph or pw:
-        x = E.pad2d(x, 0, ph, 0, pw)
-    return x, (h, w)
-
-
-def crop_to(x: Tensor, h: int, w: int) -> Tensor:
-    return x if x.shape[1:3] == (h, w) else x[:, :h, :w]
+    hp, wp = padded(h, m), padded(w, m)
+    grid = np.pad(np.arange(h * w).reshape(h, w), ((0, hp - h), (0, wp - w)),
+                  constant_values=h * w)
+    grid = np.roll(grid, (-s, -s), axis=(0, 1))
+    slots = grid.reshape(hp // m, m, wp // m, m).transpose(0, 2, 1, 3).reshape(-1)
+    return slots, np.argsort(slots)[:h * w]     # the padding slots sort last
 
 
 @E.shared
@@ -97,11 +81,13 @@ def relative_position_index(m: int) -> np.ndarray:
 
 @E.shared
 def shift_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
-    """[nw, m^2, m^2] additive mask for cyclically shifted windows.
+    """[nw, m^2, m^2] additive mask for the cyclically shifted windows of an
+    h x w map, padded as `window_tokens` pads it.
 
     Zero where both positions came from the same pre-shift region, a large
     negative number where the wrap-around glued unrelated content together.
     """
+    h, w = padded(h, m), padded(w, m)
     # Region labels live in the already-shifted frame: the wrap seam sits
     # at h-s / w-s, and only the last band of windows straddles it (none
     # when s is 0, so that mask is all zeros).
@@ -126,23 +112,17 @@ def spatial_bias(table: Tensor, m: int, heads: int) -> Tensor:
 def windowed(x: Tensor, m: int, shift: int, attend) -> Tensor:
     """Run `attend(windows, mask)` over the m x m windows of a [B, h, w, C] map.
 
-    Pads bottom/right to window multiples, rolls by -shift and partitions
-    into [B*nw, m, m, C] windows, all in the map's channels-last layout.
-    `mask` is None when unshifted, else the shared [nw, m^2, m^2] shift mask
-    of one padded image, which `engine.attention` broadcasts over the B
-    images.  `attend` returns [B*nw, m, m, C] windows, which are reversed,
-    rolled back and cropped to the input's h x w.
+    The cut of `window_tokens` gathers the map into [B*nw, m, m, C] windows,
+    padded and rolled by -shift.  `mask` is None when unshifted, else the
+    shared [nw, m^2, m^2] shift mask of one image, which `engine.attention`
+    broadcasts over the B images.  `attend` returns the windows' tokens in
+    any [..., C] layout, which the reverse move puts back on the h x w map.
     """
-    x, (h0, w0) = pad_to_window(x, m)
-    h, w = x.shape[1:3]
-    mask = None
-    if shift:
-        x = E.roll2d(x, -shift, -shift)
-        mask = shift_mask(h, w, m, shift)
-    y = window_reverse(attend(window_partition(x, m), mask), m, h, w)
-    if shift:
-        y = E.roll2d(y, shift, shift)
-    return crop_to(y, h0, w0)
+    b, h, w, c = x.shape
+    slots, homes = window_tokens(h, w, m, shift)
+    mask = shift_mask(h, w, m, shift) if shift else None
+    y = attend(E.gather_tokens(x, slots, homes).reshape(-1, m, m, c), mask)
+    return E.gather_tokens(y, homes, slots).reshape(b, h, w, c)
 
 
 def _effective_heads(dim: int, heads: int) -> int:
@@ -298,7 +278,7 @@ class ACAM(Module):
         o4 = E.attention(kw, kw, vw, heads=self.heads_cross)
         o4 = self.out_cross_w(o4.reshape(nw, c8, m, m).permute(0, 3, 2, 1).reshape(nw, m * m, c8))
 
-        return self._fuse(o1, o2, o3, o4).reshape(nw, m, m, c)
+        return self._fuse(o1, o2, o3, o4)
 
 
 class WindowAttention(Module):
@@ -331,7 +311,7 @@ class WindowAttention(Module):
             tokens = wins.reshape(wins.shape[0], m * m, c)
             o = E.attention(self.q(tokens), self.k(tokens), self.v(tokens), heads=self.heads,
                             bias=spatial_bias(self.bias, m, self.heads), mask=mask)
-            return self.out(o).reshape(wins.shape)
+            return self.out(o)
 
         return windowed(x, m, self.shift, attend)
 

@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attention import cost_acam, cost_msa, cost_swmsa
+from .attention import cost_acam, cost_msa, cost_swmsa, padded
 from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .metrics import all_metrics, write_metrics_csv
 from .model import (MAC_REPORT_COLUMNS, N_STAGES, PRESETS, TecNet, TecNetConfig,
@@ -201,7 +201,7 @@ def cmd_analyze(args) -> int:
     for i in range(N_STAGES):
         g = cfg.stage_grid(i)
         c = cfg.stage_width(i)
-        gp = -(-g // m) * m                   # windows run on the padded grid
+        gp = padded(g, m)
         total = attention_rows(cfg, i)[-1]
         print(f"{i:<8}{g:>6}{c:>7}{cost_msa(g, g, c):>16,}"
               f"{cost_swmsa(gp, gp, c, m):>14,}{cost_acam(gp, gp, c, m):>14,}"

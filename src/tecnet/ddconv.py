@@ -66,7 +66,7 @@ class DDConv(Module):
         self.stride = stride
         # n candidate kernels, blended per image.
         self.kernels = parameter((n_kernels, c_out, c_in, k, k), rng=rng, fan_in=c_in * k * k)
-        self.bias = parameter((c_out,), zero=True)
+        self.bias = parameter((c_out,), rng=rng, zero=True)
         # gate: GAP -> linear -> softmax over the n candidates; zero init so
         # the blend starts uniform.
         self.gate = Linear(c_in, n_kernels, rng=rng, zero=True)

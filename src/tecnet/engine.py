@@ -14,9 +14,9 @@ graph by reference counting, without waiting for the cyclic collector.
 
 Image ops take a leading batch axis: feature maps are [B, C, H, W] and
 every image of the batch is processed alike, so B images cost one op call
-each, not B.  ``pad2d``, ``roll2d`` and ``depthwise_conv2d`` serve the
-transformer branch (its window machinery and LPM's ghost convolution) and
-act on axes 1 and 2 of its channels-last [B, h, w, C] maps.
+each, not B.  The transformer branch's maps are channels-last [B, h, w, C]:
+``depthwise_conv2d`` acts on their axes 1 and 2, and ``gather_tokens``
+moves their C-vector tokens to cut them into windows and patches.
 
 All arithmetic runs in one compute dtype, float32 unless changed with
 ``precision``: tensors, constants and ``shared`` arrays are made in it, so
@@ -47,7 +47,7 @@ __all__ = [
     "Tensor", "Tape", "backward", "as_tensor",
     "add", "sub", "mul", "div", "neg", "matmul",
     "reduce_sum", "mean_all",
-    "reshape", "permute", "concat", "pad2d", "roll2d",
+    "reshape", "permute", "concat", "gather_tokens",
     "relu", "gelu", "sigmoid", "softmax", "attention", "layernorm",
     "conv2d", "depthwise_conv2d",
     "bilinear_gather",
@@ -484,19 +484,24 @@ def _zero_pad(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def pad2d(x: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
-    """Zero-pad axes 1 and 2, the spatial axes of a channels-last [B, h, w, C] map."""
-    b, h, w = x.shape[:3]
-    a = np.zeros((b, top + h + bottom, left + w + right) + x.shape[3:], dtype=x.data.dtype)
-    a[:, top:top + h, left:left + w] = x.data
-    return _record(Tensor(a), (x,), lambda g: (g[:, top:top + h, left:left + w],))
+def gather_tokens(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """Move the C-vector tokens of x, viewed as [B', len(inverse), C], to
+    [B', len(index), C]: out[:, i] = x[:, index[i]], or zero where index[i]
+    is len(inverse) (padding).  `index` reads each token at most once and
+    `inverse` is the reverse move, so the backward is that move of the gradient.
+    """
+    n, c = len(inverse), x.shape[-1]
+    if x.size % (n * c):
+        raise DimensionError(f"gather_tokens: {x.shape} is not a whole number of "
+                             f"images of {n} tokens of {c} features")
 
+    def move(a, idx, size):
+        out = np.take(a.reshape(-1, size, c), idx, axis=1, mode="clip")
+        out[:, idx == size] = 0.0
+        return out
 
-def roll2d(x: Tensor, shift_y: int, shift_x: int) -> Tensor:
-    """Cyclically shift axes 1 and 2, the spatial axes of a channels-last map."""
-    out = Tensor(np.roll(x.data, (shift_y, shift_x), axis=(1, 2)))
-    return _record(out, (x,),
-                   lambda g: (np.roll(g, (-shift_y, -shift_x), axis=(1, 2)),))
+    out = Tensor(move(x.data, index, n))
+    return _record(out, (x,), lambda g: (move(g, inverse, len(index)).reshape(x.shape),))
 
 
 # ---------------------------------------------------------------- pointwise

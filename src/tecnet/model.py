@@ -21,7 +21,7 @@ import numpy as np
 from . import engine as E
 from .engine import Tensor, as_tensor
 from .errors import ConfigurationError, UsageError
-from .attention import branch_dims, cost_acam, cost_swmsa
+from .attention import branch_dims, cost_acam, cost_swmsa, padded, window_tokens
 from .blocks import TransformerBlock
 from .ddconv import DDConv
 from .nn import ChannelNorm, Conv2d, Linear, Module
@@ -177,10 +177,8 @@ class PatchEmbed(Module):
         if c != 1 or h % p or w % p:
             raise ConfigurationError(
                 f"patch embed needs [B, 1, k*{p}, k*{p}] input, got {image.shape}")
-        gh, gw = h // p, w // p
-        t = image.reshape(b, c, gh, p, gw, p)
-        t = t.permute(0, 2, 4, 1, 3, 5)               # [B, gh, gw, c, p, p]
-        return self.proj(t.reshape(b, gh, gw, c * p * p))
+        t = E.gather_tokens(image.reshape(b, h, w, 1), *window_tokens(h, w, p, 0))
+        return self.proj(t.reshape(b, h // p, w // p, p * p))
 
 
 class CnnStem(Module):
@@ -244,8 +242,7 @@ class PatchMerge(Module):
         b, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ConfigurationError(f"patch merge needs even extents, got {h}x{w}")
-        t = x.reshape(b, h // 2, 2, w // 2, 2, c)
-        t = t.permute(0, 1, 3, 2, 4, 5)                # [B, h/2, w/2, 2, 2, C]
+        t = E.gather_tokens(x, *window_tokens(h, w, 2, 0))
         return self.reduce(t.reshape(b, h // 2, w // 2, 4 * c))
 
 
@@ -259,8 +256,8 @@ class PatchExpand(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         b, h, w, c = x.shape
-        t = self.grow(x).reshape(b, h, w, 2, 2, c // 2)
-        t = t.permute(0, 1, 3, 2, 4, 5)                # [B, h, 2, w, 2, C/2]
+        slots, homes = window_tokens(2 * h, 2 * w, 2, 0)
+        t = E.gather_tokens(self.grow(x).reshape(b, -1, c // 2), homes, slots)
         return t.reshape(b, 2 * h, 2 * w, c // 2)
 
 
@@ -403,7 +400,7 @@ def attention_rows(cfg: TecNetConfig, stage: int) -> list[dict]:
     heads x T^2 (padding included), which MACs do not see.
     """
     c, m, heads = cfg.stage_width(stage), cfg.window, cfg.heads[stage]
-    g = -(-cfg.stage_grid(stage) // m) * m      # windows run on the padded grid
+    g = padded(cfg.stage_grid(stage), m)
     nw, t, hw = (g // m) ** 2, m * m, g * g
 
     def lin(d_in, d_out, tokens, times=1):

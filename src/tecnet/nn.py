@@ -16,14 +16,14 @@ from .engine import Tensor
 from .errors import ConfigurationError
 
 
-def parameter(shape, rng: np.random.Generator | None = None,
-              fan_in: int | None = None, zero: bool = False,
-              scale: float | None = None) -> Tensor:
+def parameter(shape, rng: np.random.Generator, fan_in: int | None = None,
+              zero: bool = False, scale: float | None = None) -> Tensor:
     """Create a leaf tensor.
 
     Default init is uniform on (-1/sqrt(fan_in), 1/sqrt(fan_in)); pass
     zero=True for zero init (used where a layer should start as identity or
-    contribute nothing at step 0), or scale for a centred normal.
+    contribute nothing at step 0), which draws nothing from `rng`, or scale
+    for a centred normal.
     """
     shape = tuple(shape)
     if zero:
@@ -110,7 +110,7 @@ class Linear(Module):
 
     def __init__(self, d_in: int, d_out: int, rng, zero: bool = False):
         self.weight = parameter((d_in, d_out), rng=rng, fan_in=d_in, zero=zero)
-        self.bias = parameter((d_out,), zero=True)
+        self.bias = parameter((d_out,), rng=rng, zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
@@ -124,7 +124,7 @@ class Conv2d(Module):
         if k % 2 == 0:
             raise ConfigurationError(f"kernel side must be odd, got {k}")
         self.weight = parameter((c_out, c_in, k, k), rng=rng, fan_in=c_in * k * k, zero=zero)
-        self.bias = parameter((c_out,), zero=True)
+        self.bias = parameter((c_out,), rng=rng, zero=True)
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
@@ -136,7 +136,7 @@ class DepthwiseConv2d(Module):
 
     def __init__(self, channels: int, rng):
         self.weight = parameter((channels, 3, 3), rng=rng, fan_in=9)
-        self.bias = parameter((channels,), zero=True)
+        self.bias = parameter((channels,), rng=rng, zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return E.depthwise_conv2d(x, self.weight, self.bias)

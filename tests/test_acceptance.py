@@ -14,9 +14,8 @@ import numpy as np
 from oracles import confusion_loop, surface_pool_loop
 from tecnet import Tensor
 from tecnet import engine as E
-from tecnet.attention import (ACAM, cost_acam, cost_msa, cost_swmsa, crop_to,
-                              pad_to_window, shift_mask, window_partition,
-                              window_reverse)
+from tecnet.attention import (ACAM, cost_acam, cost_msa, cost_swmsa, shift_mask,
+                              window_tokens)
 from tecnet.blocks import LPM
 from tecnet.ddconv import DDConv
 from tecnet.gradcheck import check_gradients, max_rel_err
@@ -88,12 +87,17 @@ def test_criterion_01_gradient_fidelity():
             lambda: (E.concat([g1, g2], axis=0) * wg).sum() + (g1[1:, :2] * g1[:2, 2:]).sum(),
             [("a", g1), ("b", g2)], 1e-4, "getitem_concat")
 
-        p = _leaf(2, 3, 3)
-        wp = Tensor(RNG.standard_normal((2, 6, 5)))
+        p = _leaf(2, 3, 3)                          # two 3x3 maps of one channel
+        wp = Tensor(RNG.standard_normal((2, 6, 5))[:, :4, :4].reshape(2, 16, 1))
         wr = Tensor(RNG.standard_normal((2, 3, 3)))
-        worsts["pad_roll"] = _fd(
-            lambda: (E.pad2d(p, 1, 2, 0, 2) * wp).sum() + (E.roll2d(p, 2, -1) * wr).sum(),
-            [("p", p)], 1e-4, "pad_roll")
+        slots, homes = window_tokens(3, 3, 2, 1)    # padded to 4x4, shifted by 1
+
+        def cut_and_back():
+            wins = E.gather_tokens(p.reshape(2, 3, 3, 1), slots, homes)   # [2, 16, 1]
+            back = E.gather_tokens(wins * wins, homes, slots)             # [2, 9, 1]
+            return (wins * wp).sum() + (back.reshape(2, 3, 3) * wr).sum()
+
+        worsts["gather_tokens"] = _fd(cut_and_back, [("p", p)], 1e-4, "gather_tokens")
 
         act = _leaf(3, 4)
         off = _leaf(3, 4, loc=0.4)  # clear of the ReLU kink
@@ -229,27 +233,25 @@ def test_criterion_02_ddconv_degeneracy():
 
 
 def test_criterion_03_window_machinery():
-    """Partition/reverse and shift/unshift are exact inverses on all shapes
-    in {8,16,28}^2 x {4,7}; masked attention mass < 1e-8 per shifted window."""
+    """The window cut and its reverse move are exact inverses, shifted and
+    unshifted, on all shapes in {8,16,28}^2 x {4,7}; masked attention mass
+    < 1e-8 per shifted window."""
     for hw in (8, 16, 28):
         for m in (4, 7):
             x = Tensor(RNG.standard_normal((1, 8, hw, hw)).transpose(0, 2, 3, 1))
-            xp, _ = pad_to_window(x, m)
-            hp, wp = xp.shape[1], xp.shape[2]
-            back = crop_to(window_reverse(window_partition(xp, m), m, hp, wp),
-                           hw, hw)
-            assert np.array_equal(back.data, x.data), f"partition {hw}x{hw} M={m}"
-
             s = m // 2
-            rb = E.roll2d(E.roll2d(x, -s, -s), s, s)
-            assert np.array_equal(rb.data, x.data), f"shift {hw}x{hw} M={m}"
+            for shift in (0, s):
+                slots, homes = window_tokens(hw, hw, m, shift)
+                back = E.gather_tokens(E.gather_tokens(x, slots, homes), homes, slots)
+                assert np.array_equal(back.data.reshape(x.shape), x.data), \
+                    f"cut {hw}x{hw} M={m} shift={shift}"
 
             layer = ACAM(8, m, heads=1, shifted=True,
                          rng=np.random.default_rng(hw * m))
             with capture() as (_, probs):
                 layer(x)
             attn = probs[0]
-            mask = shift_mask(hp, wp, m, s)
+            mask = shift_mask(hw, hw, m, s)
             blocked = mask < 0
             for widx in range(attn.shape[0]):
                 mass = float(attn[widx][:, blocked[widx]].sum())

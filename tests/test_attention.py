@@ -1,6 +1,8 @@
 """Window machinery, masks, four-branch attention, and the cost model."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,10 @@ from oracles import attention_reference
 from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.attention import (ACAM, WindowAttention, cost_acam, cost_msa,
-                              cost_swmsa, crop_to, pad_to_window,
-                              relative_position_index, shift_mask,
-                              window_partition, window_reverse, windowed)
+                              cost_swmsa, padded, relative_position_index,
+                              shift_mask, window_tokens, windowed)
 from tecnet.ddconv import tap_grid
-from tecnet.errors import ConfigurationError
+from tecnet.errors import ConfigurationError, DimensionError
 from tecnet.gradcheck import check_gradients, max_rel_err
 from tecnet.model import N_STAGES, TecNet, attention_rows, nano_config
 from tecnet.nn import capture
@@ -24,42 +25,51 @@ RNG = np.random.default_rng(99)
 BRANCHES = ("spatial", "channel", "cross_h", "cross_w")   # ACAM's attention call order
 
 
-# ------------------------------------------------------------- partitioning
+# ------------------------------------------------------------- window cuts
 
 @pytest.mark.parametrize("hw", [8, 16, 28])
 @pytest.mark.parametrize("m", [4, 7])
-def test_partition_reverse_roundtrip(hw, m):
-    """Partition and reverse invert each other exactly, padding included;
-    the windows of both images share one window axis."""
+@pytest.mark.parametrize("shifted", [False, True])
+def test_window_cut_roundtrip(hw, m, shifted):
+    """The cut and its reverse move invert each other exactly, padding
+    included; the windows of both images share one window axis, and every
+    padding token reads zero."""
     x = Tensor(RNG.standard_normal((2, hw, hw, 3)))
-    xp, (h0, w0) = pad_to_window(x, m)
-    assert (h0, w0) == (hw, hw)
-    hp, wp = xp.shape[1], xp.shape[2]
-    assert hp % m == 0 and wp % m == 0
-    windows = window_partition(xp, m)
-    assert windows.shape == (2 * (hp // m) * (wp // m), m, m, 3)
-    back = crop_to(window_reverse(windows, m, hp, wp), hw, hw)
-    assert np.array_equal(back.data, x.data)
+    slots, homes = window_tokens(hw, hw, m, m // 2 if shifted else 0)
+    g = padded(hw, m)
+    assert slots.shape == (g * g,) and homes.shape == (hw * hw,)
+    np.testing.assert_array_equal(slots[homes], np.arange(hw * hw))
+    wins = E.gather_tokens(x, slots, homes)
+    assert wins.reshape(-1, m, m, 3).shape == (2 * (g // m) ** 2, m, m, 3)
+    pad = slots == hw * hw
+    assert pad.sum() == g * g - hw * hw
+    assert np.all(wins.data[:, pad] == 0)
+    back = E.gather_tokens(wins, homes, slots)
+    assert np.array_equal(back.data.reshape(x.shape), x.data)
 
 
-@pytest.mark.parametrize("hw", [8, 16, 28])
-@pytest.mark.parametrize("m", [4, 7])
-def test_cyclic_shift_roundtrip(hw, m):
-    s = m // 2
-    x = Tensor(RNG.standard_normal((2, hw, hw)))
-    back = E.roll2d(E.roll2d(x, -s, -s), s, s)
-    assert np.array_equal(back.data, x.data)
-
-
-def test_partition_layout_is_row_major_windows():
+def test_window_cut_layout_is_row_major_windows():
     # 2 images, 4x4 grid, 1 channel, window 2: window 0 must be the first
     # image's top-left block, and the second image's windows follow the first's
     x = Tensor(np.arange(32.0).reshape(2, 4, 4, 1))
-    w = window_partition(x, 2)
+    w = E.gather_tokens(x, *window_tokens(4, 4, 2, 0)).reshape(-1, 2, 2, 1)
     np.testing.assert_array_equal(w.data[0, ..., 0], [[0, 1], [4, 5]])
     np.testing.assert_array_equal(w.data[1, ..., 0], [[2, 3], [6, 7]])
     np.testing.assert_array_equal(w.data[2, ..., 0], [[8, 9], [12, 13]])
     np.testing.assert_array_equal(w.data[4, ..., 0], [[16, 17], [20, 21]])
+    # shifted by 1, the map rolls up and left: the wrap lands in the last window
+    w = E.gather_tokens(x, *window_tokens(4, 4, 2, 1)).reshape(-1, 2, 2, 1)
+    np.testing.assert_array_equal(w.data[0, ..., 0], [[5, 6], [9, 10]])
+    np.testing.assert_array_equal(w.data[3, ..., 0], [[15, 12], [3, 0]])
+    np.testing.assert_array_equal(w.data[7, ..., 0], [[31, 28], [19, 16]])
+
+
+def test_gather_tokens_needs_whole_images():
+    slots, homes = window_tokens(3, 5, 2, 1)                # images of 15 tokens
+    with pytest.raises(DimensionError, match="15 tokens"):
+        E.gather_tokens(Tensor(np.zeros((2, 14, 3))), slots, homes)
+    with pytest.raises(DimensionError, match="24 tokens"):  # the reverse move reads 24
+        E.gather_tokens(Tensor(np.zeros((2, 15, 3))), homes, slots)
 
 
 # -------------------------------------------------------------------- masks
@@ -94,30 +104,48 @@ def test_relative_position_index_diagonal_constant():
     assert idx.max() < (2 * m - 1) ** 2
 
 
+def shared_builders_in_source() -> set[str]:
+    """Names of the functions in src/tecnet decorated with `shared`."""
+    names = set()
+    for path in Path(E.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(d, "id", getattr(d, "attr", None)) == "shared"
+                    for d in node.decorator_list):
+                names.add(node.name)
+    return names
+
+
 def test_shared_caches_are_read_only():
     """Every layer of a kind gets the same shared array, so none may write
-    to it: `engine.shared` builds the relative-position index, the shift
-    mask, the bilinear upsampling matrix and DDConv's tap grid once per
-    arguments and compute dtype, and freezes them."""
-    builders = [lambda: relative_position_index(4), lambda: shift_mask(8, 8, 4, 2),
-                lambda: E._upsample_matrix(4, 2), lambda: tap_grid(8, 8, 3, 1)]
+    to it: `engine.shared` builds the relative-position index, the window
+    cut, the shift mask, the bilinear upsampling matrix and DDConv's tap grid
+    once per arguments and compute dtype, and freezes them.  The list names
+    every `shared` builder in the package."""
+    builders = {relative_position_index: (4,), window_tokens: (7, 5, 4, 2),
+                shift_mask: (8, 8, 4, 2), E._upsample_matrix: (4, 2), tap_grid: (8, 8, 3, 1)}
+    assert {f.__name__ for f in builders} == shared_builders_in_source()
+    integer = (relative_position_index, window_tokens)      # indices, whatever the dtype
     with E.precision(np.float32):
-        narrow = [build() for build in builders]
-        assert all(build() is first for build, first in zip(builders, narrow))
-    wide = [build() for build in builders]       # this module runs in float64
-    assert all(build() is first for build, first in zip(builders, wide))
+        narrow = {f: f(*args) for f, args in builders.items()}
+        assert all(f(*args) is narrow[f] for f, args in builders.items())
+    wide = {f: f(*args) for f, args in builders.items()}   # this module runs in float64
+    assert all(f(*args) is wide[f] for f, args in builders.items())
 
-    def flat(outs):
-        return [a for out in outs for a in (out if isinstance(out, tuple) else (out,))]
+    def flat(out):
+        return out if isinstance(out, tuple) else (out,)
 
-    for a in flat(narrow) + flat(wide):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 1
-    # the float builders: all but the integer index
-    for a, b in zip(flat(narrow[1:]), flat(wide[1:])):
-        assert (a.dtype, b.dtype) == (np.float32, np.float64)
-        np.testing.assert_array_equal(a, b)
+    for f in builders:
+        for a, b in zip(flat(narrow[f]), flat(wide[f])):
+            for arr in (a, b):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1
+            if f in integer:
+                assert a.dtype.kind == b.dtype.kind == "i"
+            else:
+                assert (a.dtype, b.dtype) == (np.float32, np.float64)
+            np.testing.assert_array_equal(a, b)
 
 
 # -------------------------------------------------- four-branch attention

@@ -12,6 +12,7 @@ import pytest
 from oracles import bilinear_gather_loop, bilinear_image_grad_bincount
 from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
+from tecnet.attention import window_tokens
 from tecnet.engine import _record
 from tecnet.errors import UsageError
 from tecnet.gradcheck import check_gradients, max_rel_err
@@ -96,12 +97,18 @@ def test_getitem_and_concat():
     run(lambda: (a[1:, :2] * a[:2, 2:]).sum(), a)
 
 
-def test_pad_and_roll():
-    a = leaf(2, 3, 3)
-    w = Tensor(RNG.standard_normal((2, 6, 5)))
-    run(lambda: (E.pad2d(a, 1, 2, 0, 2) * w).sum(), a)
-    w2 = Tensor(RNG.standard_normal((2, 3, 3)))
-    run(lambda: (E.roll2d(a, 2, -1) * w2).sum(), a)
+def test_gather_tokens():
+    """Both moves of a padded, shifted window cut: a 3x5 map, window 2 and
+    shift 1, so 24 window tokens of which 9 are padding."""
+    a = leaf(2, 3, 5, 3)
+    slots, homes = window_tokens(3, 5, 2, 1)
+    w = Tensor(RNG.standard_normal((2, 24, 3)))
+    run(lambda: (E.gather_tokens(a, slots, homes) * w).sum(), a)
+    wins = leaf(2, 24, 3)
+    w2 = Tensor(RNG.standard_normal((2, 15, 3)))
+    run(lambda: (E.gather_tokens(wins, homes, slots) * w2).sum(), wins)
+    run(lambda: (E.gather_tokens(E.gather_tokens(a, slots, homes) * w, homes, slots)
+                 * w2).sum(), a)
 
 
 def test_activations():

@@ -107,6 +107,15 @@ def test_layers_require_an_rng():
         nn.Linear(4, 4)
 
 
+def test_parameter_requires_an_rng():
+    """`nn.parameter` takes its generator even for a zero init, so a call
+    that gives none fails with a TypeError, not inside numpy."""
+    with pytest.raises(TypeError, match="rng"):
+        nn.parameter((2, 2))
+    with pytest.raises(TypeError, match="rng"):
+        nn.parameter((2,), zero=True)
+
+
 def test_config_rejects_head_width_mismatch():
     with pytest.raises(ConfigurationError):
         nano_config(heads=(3, 2, 4, 8, 4, 2, 3))  # 16 % 24 != 0

@@ -167,12 +167,12 @@ def _tiny_run(tmp_path, **kw):
 # batch size: each op runs once for the whole batch.  A change that moves
 # this number should say why; one that splits attention back into small ops
 # fails here instead of only running slower.
-NANO_SAMPLE_TAPE_NODES = 1262
+NANO_SAMPLE_TAPE_NODES = 1235
 
 # Engine op calls of one untaped nano forward of one image, as the benchmark
 # tracer counts them (1,285 before the batch axis): an op added to the
 # inference path fails here.
-NANO_FORWARD_OP_CALLS = 1216
+NANO_FORWARD_OP_CALLS = 1189
 
 # MiB that tracemalloc sees held by the tape of one nano B=8 forward plus
 # loss, and at the peak of its backward (tape included).  Backward closures
@@ -182,7 +182,8 @@ NANO_FORWARD_OP_CALLS = 1216
 # and 82.9 and 107.6 once backward recomputed them.  The peak fell to 91.7
 # when the one-feature-per-head attention backward stopped forming the
 # softmax Jacobian's T x T buffers, and both fell by 2.1 (to 80.8 and 89.7)
-# when LPM stopped permuting its map for the depthwise conv.  The bounds sit
+# when LPM stopped permuting its map for the depthwise conv (80.5 and 89.4
+# once the window and patch cuts became token gathers).  The bounds sit
 # about 5% above; a closure that keeps a T x T buffer again fails here.
 NANO_STEP_TAPE_MB = 85
 NANO_BACKWARD_PEAK_MB = 94
@@ -229,9 +230,11 @@ def test_memory_budget_of_one_nano_train_step():
 
 # Permute nodes (each one a copy) of one nano train step at B=8, per
 # attention mode.  They read 140, 221 and 122 while the window machinery
-# moved maps channels-first and back, and 131, 149 and 86 while the LPM
-# ghost conv did; the rest come from ChannelNorm and decoder fusion.
-NANO_STEP_PERMUTES = {"acam": 113, "acam_shared_kv": 131, "window_attention": 68}
+# moved maps channels-first and back, 131, 149 and 86 while the LPM ghost
+# conv did, and 113, 131 and 68 while the window and patch cuts permuted
+# (now `gather_tokens` moves); the rest come from ACAM's channel and cross
+# branches, ChannelNorm and decoder fusion.
+NANO_STEP_PERMUTES = {"acam": 89, "acam_shared_kv": 107, "window_attention": 44}
 ATTENTION_MODES = {"acam": {}, "acam_shared_kv": {"shared_kv": True},
                    "window_attention": {"use_acam": False}}
 
