@@ -559,6 +559,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 attention_probe = None   # inside `nn.capture()`, takes each forward's probabilities
 
+# Probability entries the rank-one kernel forms at once (1 MiB in float32),
+# so that each block stays in cache from its logits to its products.
+RANK_ONE_BLOCK = 2**18
+
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
               bias: Tensor | None = None, mask: np.ndarray | None = None) -> Tensor:
@@ -576,19 +580,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     order.  Inside `nn.capture()` the forward's probabilities go to
     `attention_probe`.
 
-    With one feature per head (ACAM's cross branches) the logits are an
-    outer product, formed by a broadcast multiply instead of a matmul; with
-    neither bias nor mask each row's max is q times k's max or min, taken
-    by q's sign.  One product rounds alike either way and rounding is
-    monotone, so the forward equals the general path bit for bit.  When v
-    has one feature per head too, backward works from the forward's output
-    o instead of the softmax Jacobian (FlashAttention's dS = P(dP -
-    rowsum(dO o))): with g the output gradient, dS_ij = g_i p_ij (v_j - o_i),
-    and two thin products with the exponentials E = s p give every input
-    gradient without forming dS.  That backward holds one T x T buffer, not
-    three (8.2 MiB at its peak for float32 [8, 512, 1] operands, against
-    24.0 for the Jacobian chain), and its gradients agree with the general
-    path's to rounding (about 1e-15 of the largest entry in float64).
+    With one feature per head in q, k and v and neither bias nor mask
+    (ACAM's cross branches), forward and backward instead walk the
+    n * heads windows in blocks of whole windows, at most
+    `RANK_ONE_BLOCK` probability entries or one window, through one buffer
+    per pass (FlashAttention's tiling).  Each row's max is q times k's max
+    or min, taken by q's sign, and a block's logits less that max are one
+    K=2 BLAS product [q, -top] @ [k; 1]: BLAS adds the exact -top * 1 to
+    the rounded q k, so the block rounds as q k^T - top does and the
+    forward equals the general path bit for bit.  The backward works from
+    the forward's output o instead of the softmax Jacobian
+    (FlashAttention's dS = P(dP - rowsum(dO o))): with g the output
+    gradient, dS_ij = g_i p_ij (v_j - o_i), and two thin products with each
+    block's exponentials E = s p give every input gradient without forming
+    dS.  Its gradients agree with the general path's to rounding (about
+    1e-15 of the largest entry in float64).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3:
@@ -605,6 +611,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     scale = 1.0 / math.sqrt(d)
     if bias is not None:
         bias = as_tensor(bias)
+        if bias.shape not in ((heads, t, t), (t, t)):
+            raise ConfigurationError(f"bias {bias.shape} is neither {(heads, t, t)} nor {(t, t)}")
 
     def split(a, dd, axes=(0, 2, 1, 3)):
         """[nw, T, heads*dd] -> contiguous per-head layout ([nw, heads, T, dd] by default)."""
@@ -617,10 +625,65 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     qh, vh = split(q.data, dh), split(v.data, dvh)
     kt = split(k.data, dh, (0, 2, 3, 1))                 # [nw, heads, dh, T]
 
+    if dh == dvh == 1 and bias is None and mask is None:
+        n = nw * heads                                   # windows of one head each
+        qn, kn, vn = qh.reshape(n, t, 1), kt.reshape(n, 1, t), vh.reshape(n, t, 1)
+        per = max(1, RANK_ONE_BLOCK // (t * t))          # whole windows per block
+
+        def exponential_blocks(per):
+            """Yield each block of `per` windows with its [windows, T, T]
+            exp(logits - row max), all in one buffer: every entry is at most 1
+            and every row sums to at least 1."""
+            top = qn * np.where(qn >= 0, kn.max(axis=-1, keepdims=True),
+                                kn.min(axis=-1, keepdims=True))
+            # at scale 1 the product subtracts the max; else it follows the scaling
+            lhs = np.concatenate((qn, -top if scale == 1.0 else np.zeros_like(top)), axis=-1)
+            rhs = np.concatenate((kn, np.ones_like(kn)), axis=1)
+            top *= scale
+            buf = np.empty((min(per, n), t, t), qn.dtype)
+            for i in range(0, n, per):
+                block = slice(i, min(i + per, n))
+                e = np.matmul(lhs[block], rhs[block], out=buf[:block.stop - i])
+                if scale != 1.0:
+                    e *= scale
+                    e -= top[block]
+                yield block, np.exp(e, out=e)
+
+        on = np.empty_like(qn)
+        whole = attention_probe is not None              # the probe takes every window at once
+        for block, e in exponential_blocks(n if whole else per):
+            e /= np.sum(e, axis=-1, keepdims=True)
+            np.matmul(e, vn[block], out=on[block])
+        if whole:
+            attention_probe(e.reshape(nw, heads, t, t))
+        out = Tensor(merge(on.reshape(nw, heads, t, 1), 1))
+
+        def blocked_backward(g):
+            """Every [n, T, 1] gradient from each block's E and two thin
+            products: R = E [v k, k, 1] and C = E^T [g/s, w, w o] with w = g q / s."""
+            gn = split(g, 1).reshape(n, t, 1)
+            kc = kn.reshape(n, t, 1)
+            right = np.concatenate((vn * kc, kc, np.ones_like(kc)), axis=-1)
+            r, left, c = (np.empty_like(right) for _ in range(3))
+            for block, e in exponential_blocks(per):
+                np.matmul(e, right[block], out=r[block])
+                gs = np.divide(gn[block], r[block, :, 2:], out=left[block, :, :1])   # g / s
+                w = np.multiply(gs, qn[block], out=left[block, :, 1:2])
+                np.multiply(w, on[block], out=left[block, :, 2:])
+                np.matmul(np.swapaxes(e, -1, -2), left[block], out=c[block])
+            gs = left[..., :1]
+            gq = scale * gs * (r[..., :1] - on * r[..., 1:2])
+            gk = scale * (vn * c[..., 1:2] - c[..., 2:])
+            # the v gradient stays a stride-3 view: Linear's backward product
+            # rounds by its operand's layout
+            return tuple(merge(a.reshape(nw, heads, t, 1), 1) for a in (gq, gk, c[..., :1]))
+
+        return _record(out, (q, k, v), blocked_backward)
+
     def exponentials():
         """A fresh [nw, heads, T, T] buffer of exp(logits - row max): every
         entry is at most 1 and every row sums to at least 1."""
-        a = qh * kt if dh == 1 else np.matmul(qh, kt)
+        a = np.matmul(qh, kt)
         if scale != 1.0:
             a *= scale
         if bias is not None:
@@ -628,14 +691,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         if mask is not None:
             per_image = a.reshape(-1, mask.shape[0], heads, t, t)   # a view: adds into a
             per_image += mask[:, None]
-        if dh == 1 and bias is None and mask is None:
-            top = qh * np.where(qh >= 0, kt.max(axis=-1, keepdims=True),
-                                kt.min(axis=-1, keepdims=True))
-            if scale != 1.0:
-                top *= scale
-        else:
-            top = np.max(a, axis=-1, keepdims=True)
-        a -= top
+        a -= np.max(a, axis=-1, keepdims=True)
         return np.exp(a, out=a)
 
     def probabilities():
@@ -662,26 +718,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         gk = np.matmul(np.swapaxes(ga, -1, -2), qh)
         return merge(gq, dh), merge(gk, dh), merge(gv, dvh), gb
 
-    def rank_one_backward(g):
-        """Every [nw, heads, T, 1] gradient from E and two thin products:
-        R = E [v k, k, 1] and C = E^T [g/s, w, w o] with w = g q / s."""
-        e = exponentials()
-        kc = np.swapaxes(kt, -1, -2)
-        r = np.matmul(e, np.concatenate((vh * kc, kc, np.ones_like(kc)), axis=-1))
-        gs = split(g, 1) / r[..., 2:]                        # g / s
-        w = gs * qh
-        c = np.matmul(np.swapaxes(e, -1, -2), np.concatenate((gs, w, w * oh), axis=-1))
-        gq = scale * gs * (r[..., :1] - oh * r[..., 1:2])
-        gk = scale * (vh * c[..., 1:2] - c[..., 2:])
-        gb = None
-        if bias is not None:                                 # forms dS after all
-            e *= gs
-            e *= np.swapaxes(vh, -1, -2) - oh
-            gb = _unbroadcast(e, bias.shape)
-        return merge(gq, 1), merge(gk, 1), merge(c[..., :1], 1), gb
-
     inputs = (q, k, v) if bias is None else (q, k, v, bias)
-    return _record(out, inputs, rank_one_backward if dh == dvh == 1 else backward_fn)
+    return _record(out, inputs, backward_fn)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

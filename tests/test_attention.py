@@ -220,9 +220,9 @@ def test_masked_pairs_get_no_attention():
 
 
 # (heads, d, dv) by id.  The rank1 shapes have one feature per head in q, k
-# and v, as ACAM's cross branches do: they take the attention kernel's
-# outer-product logits, closed-form row max and rank-one backward, with
-# scale 1 at d = 1 and 1/sqrt(2) at d = 2.
+# and v, as ACAM's cross branches do: without bias and mask they take the
+# attention kernel's blocked rank-one path, with scale 1 at d = 1 and
+# 1/sqrt(2) at d = 2; with either they take the general path.
 SHAPES = {"1": (1, 4, 6), "2": (2, 4, 6), "rank1-1": (1, 1, 1), "rank1-2": (2, 2, 2)}
 
 
@@ -279,6 +279,11 @@ def _compare_fused_with_chain(heads, d, dv, bias_shape, masked, shared_qk, image
 # in q, k and v: the shapes the rank-one backward serves in training.
 NANO_CROSS_SHAPES = [(128, 64), (32, 128), (8, 256), (8, 512)]
 
+# [n, T] that cut the rank-one kernel's blocks of 2**18 probability entries
+# unevenly: 5 windows of 256 tokens at 4 per block, and windows of 640
+# tokens, each larger than a block.
+BLOCK_EDGE_SHAPES = [(5, 256), (2, 640)]
+
 
 def _rank_one_run(fn, n, t, rng):
     """Output and (q, k, v) gradients of sum(w * fn(q, k, v)) in one head."""
@@ -291,11 +296,12 @@ def _rank_one_run(fn, n, t, rng):
     return out.data, [p.grad for p in (q, k, v)]
 
 
-@pytest.mark.parametrize("n,t", NANO_CROSS_SHAPES)
+@pytest.mark.parametrize("n,t", NANO_CROSS_SHAPES + BLOCK_EDGE_SHAPES)
 def test_rank_one_backward_matches_the_chain_in_float32(n, t):
-    """In float32 compute, on nano's cross-branch shapes, the rank-one
-    backward's gradients match the composed chain's to 1e-5 of each
-    gradient's largest entry, and the forwards are equal."""
+    """In float32 compute, on nano's cross-branch shapes and the blocks'
+    edge cases, the rank-one backward's gradients match the composed
+    chain's to 1e-5 of each gradient's largest entry, and the forwards are
+    equal."""
     with E.precision(np.float32):
         fast, fast_grads = _rank_one_run(E.attention, n, t, np.random.default_rng(t))
         slow, slow_grads = _rank_one_run(attention_reference, n, t, np.random.default_rng(t))
@@ -303,6 +309,50 @@ def test_rank_one_backward_matches_the_chain_in_float32(n, t):
     assert np.array_equal(fast, slow)
     for got, want in zip(fast_grads, slow_grads):
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,t", BLOCK_EDGE_SHAPES)
+def test_rank_one_blocks_match_the_chain(n, t):
+    """A block count that does not divide the windows, or a window larger
+    than a block, leaves the forward equal to the chain's and the gradients
+    within 1e-12 of it."""
+    fast, fast_grads = _rank_one_run(E.attention, n, t, np.random.default_rng(t))
+    slow, slow_grads = _rank_one_run(attention_reference, n, t, np.random.default_rng(t))
+    assert np.array_equal(fast, slow)
+    for got, want in zip(fast_grads, slow_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_capture_records_the_rank_one_probabilities():
+    """Inside `capture()` a rank-one call records [n, heads, T, T]
+    probabilities equal to the softmax of the chain's logits."""
+    n, t, heads = 5, 256, 2
+    q, k, v = (Tensor(RNG.standard_normal((n, t, heads))) for _ in range(3))
+    with capture() as (_, probs):
+        E.attention(q, k, v, heads=heads)
+    qh = q.reshape(n, t, heads, 1).permute(0, 2, 1, 3)
+    kh = k.reshape(n, t, heads, 1).permute(0, 2, 3, 1)
+    want = E.softmax((qh @ kh) * (1.0 / np.sqrt(heads)), axis=-1).data
+    assert len(probs) == 1 and probs[0].shape == (n, heads, t, t)
+    assert np.array_equal(probs[0], want)
+
+
+def test_rank_one_attention_forms_its_probabilities_a_block_at_a_time():
+    """One float32 rank-one forward plus backward at [64, 256, 1] peaks
+    below a quarter of its 16 MiB of [64, 1, 256, 256] probabilities."""
+    n, t = 64, 256
+    with E.precision(np.float32):
+        q, k, v = (Tensor(RNG.standard_normal((n, t, 1)), requires_grad=True) for _ in range(3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                loss = E.attention(q, k, v).sum()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < n * t * t * np.dtype(np.float32).itemsize / 4
 
 
 def test_rank_one_backward_holds_one_probability_sized_buffer():
@@ -385,6 +435,13 @@ def test_gradients_shifted_and_shared():
 def test_rejects_incompatible_heads():
     with pytest.raises(ConfigurationError):
         ACAM(16, 4, heads=3, shifted=False, rng=np.random.default_rng(0))
+
+
+def test_rejects_a_bias_of_the_wrong_shape():
+    """A bias that is neither [heads, T, T] nor [T, T] fails naming both shapes."""
+    q = Tensor(RNG.standard_normal((2, 4, 4)))
+    with pytest.raises(ConfigurationError, match=r"\(3, 4, 4\).*\(2, 4, 4\)"):
+        E.attention(q, q, q, heads=2, bias=Tensor(np.zeros((3, 4, 4))))
 
 
 def test_plain_window_attention_runs_and_masks():

@@ -183,10 +183,12 @@ NANO_FORWARD_OP_CALLS = 1189
 # when the one-feature-per-head attention backward stopped forming the
 # softmax Jacobian's T x T buffers, and both fell by 2.1 (to 80.8 and 89.7)
 # when LPM stopped permuting its map for the depthwise conv (80.5 and 89.4
-# once the window and patch cuts became token gathers).  The bounds sit
-# about 5% above; a closure that keeps a T x T buffer again fails here.
+# once the window and patch cuts became token gathers).  The peak fell to
+# 87.9 when the rank-one attention kernel formed its exponentials a block
+# of windows at a time.  The bounds sit about 5% above; a closure that
+# keeps a T x T buffer again fails here.
 NANO_STEP_TAPE_MB = 85
-NANO_BACKWARD_PEAK_MB = 94
+NANO_BACKWARD_PEAK_MB = 92
 
 
 def test_tape_budget_of_one_nano_train_sample():
