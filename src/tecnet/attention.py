@@ -291,8 +291,8 @@ class WindowAttention(Module):
 
     def __init__(self, channels: int, window: int, heads: int, shifted: bool, rng):
         c, m = channels, window
-        if c % heads:
-            raise ConfigurationError(f"channels {c} not divisible by {heads} heads")
+        if heads < 1 or c % heads:
+            raise ConfigurationError(f"channels {c} do not split into {heads} heads")
         self.channels = c
         self.window = m
         self.heads = heads

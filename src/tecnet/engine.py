@@ -17,6 +17,8 @@ every image of the batch is processed alike, so B images cost one op call
 each, not B.  The transformer branch's maps are channels-last [B, h, w, C]:
 ``depthwise_conv2d`` acts on their axes 1 and 2, and ``gather_tokens``
 moves their C-vector tokens to cut them into windows and patches.
+A layer's projection ``x @ w + b`` is one op, ``linear``, over the last axis
+of x; ``matmul`` is the general batched product.
 
 All arithmetic runs in one compute dtype, float32 unless changed with
 ``precision``: tensors, constants and ``shared`` arrays are made in it, so
@@ -45,7 +47,7 @@ from .errors import ConfigurationError, DimensionError, UsageError
 # helpers stay off the list.
 __all__ = [
     "Tensor", "Tape", "backward", "as_tensor",
-    "add", "sub", "mul", "div", "neg", "matmul",
+    "add", "sub", "mul", "div", "neg", "matmul", "linear",
     "reduce_sum", "mean_all",
     "reshape", "permute", "concat", "gather_tokens",
     "relu", "gelu", "sigmoid", "softmax", "attention", "layernorm",
@@ -382,16 +384,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    if b.ndim == 2:
-        # one gemm over all leading positions: an [h, w, C] map rounds exactly as its [h*w, C] rows
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:]))
-
-        def backward_fn(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
-
-        return _record(out, (a, b), backward_fn)
     try:
         out = Tensor(np.matmul(a.data, b.data))
     except ValueError as e:
@@ -403,6 +395,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _record(out, (a, b), backward_fn)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x, with w [d_in, d_out] and b [d_out]:
+    one gemm of x's rows, so an [h, w, C] map rounds exactly as its [h*w, C] rows."""
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear shapes do not fit: x {x.shape}, w {w.shape}, b {b.shape}")
+    rows = x.data.reshape(-1, x.shape[-1])
+    out = Tensor((rows @ w.data).reshape(x.shape[:-1] + w.shape[1:]) + b.data)
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ w.data.T).reshape(x.shape), rows.T @ g2, g.sum(axis=tuple(range(g.ndim - 1)))
+
+    return _record(out, (x, w, b), backward_fn)
 
 
 # ---------------------------------------------------------------- reductions
@@ -465,7 +472,11 @@ def getitem(x: Tensor, key) -> Tensor:
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     axis = axis % parts[0].ndim
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    try:
+        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    except ValueError as e:
+        raise DimensionError(
+            f"shapes {[p.shape for p in parts]} do not concatenate on axis {axis}") from e
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -603,8 +614,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     if k.shape != (nw, t, d) or v.ndim != 3 or v.shape[:2] != (nw, t):
         raise ConfigurationError(f"attention operand mismatch: {q.shape}, {k.shape}, {v.shape}")
     dv = v.shape[2]
-    if d % heads or dv % heads:
-        raise ConfigurationError(f"feature dims {d}/{dv} not divisible by {heads} heads")
+    if heads < 1 or d % heads or dv % heads:
+        raise ConfigurationError(f"feature dims {d}/{dv} do not split into {heads} heads")
     if mask is not None and (mask.shape[1:] != (t, t) or nw % mask.shape[0]):
         raise ConfigurationError(f"mask {mask.shape} does not tile {nw} windows of {t} tokens")
     dh, dvh = d // heads, dv // heads

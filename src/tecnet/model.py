@@ -261,13 +261,6 @@ class PatchExpand(Module):
         return t.reshape(b, 2 * h, 2 * w, c // 2)
 
 
-def cross_branch_fuse(mix: Conv2d, a: Tensor, b: Tensor) -> Tensor:
-    """Concat two same-shape [B, C, h, w] maps on channels, 1x1-conv back down."""
-    if a.shape != b.shape:
-        raise ConfigurationError(f"fusion operands differ: {a.shape} vs {b.shape}")
-    return mix(E.concat([a, b], axis=1))
-
-
 # ---------------------------------------------------------------- the model
 
 class TecNet(Module):
@@ -343,8 +336,8 @@ class TecNet(Module):
             t = self.trans_skip[j](E.concat([t, skips_t[6 - i]], axis=3))
             # cross-branch fusion: each branch sees the other's features
             tg = t.permute(0, 3, 1, 2)
-            c_fused = cross_branch_fuse(self.cnn_fuse[j], c, tg)
-            t_fused = cross_branch_fuse(self.trans_fuse[j], tg, c)
+            c_fused = self.cnn_fuse[j](E.concat([c, tg], axis=1))
+            t_fused = self.trans_fuse[j](E.concat([tg, c], axis=1))
             c = self.cnn_stages[i](c_fused)
             t = self.trans_stages[i](t_fused.permute(0, 2, 3, 1))
 

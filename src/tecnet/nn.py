@@ -106,14 +106,15 @@ class Module:
 
 
 class Linear(Module):
-    """y = x @ W + b with W of shape [d_in, d_out], over the last axis of x."""
+    """y = x @ W + b with W of shape [d_in, d_out], over the last axis of x,
+    as one `engine.linear` node."""
 
     def __init__(self, d_in: int, d_out: int, rng, zero: bool = False):
         self.weight = parameter((d_in, d_out), rng=rng, fan_in=d_in, zero=zero)
         self.bias = parameter((d_out,), rng=rng, zero=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return E.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

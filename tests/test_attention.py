@@ -437,6 +437,18 @@ def test_rejects_incompatible_heads():
         ACAM(16, 4, heads=3, shifted=False, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("heads", [0, -2])
+def test_attention_rejects_a_head_count_below_one(heads):
+    q = Tensor(RNG.standard_normal((2, 4, 4)))
+    with pytest.raises(ConfigurationError, match=f"into {heads} heads"):
+        E.attention(q, q, q, heads=heads)
+
+
+def test_window_attention_rejects_zero_heads():
+    with pytest.raises(ConfigurationError, match="into 0 heads"):
+        WindowAttention(16, 4, 0, False, rng=np.random.default_rng(0))
+
+
 def test_rejects_a_bias_of_the_wrong_shape():
     """A bias that is neither [heads, T, T] nor [T, T] fails naming both shapes."""
     q = Tensor(RNG.standard_normal((2, 4, 4)))

@@ -14,7 +14,7 @@ from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
 from tecnet.attention import window_tokens
 from tecnet.engine import _record
-from tecnet.errors import UsageError
+from tecnet.errors import DimensionError, UsageError
 from tecnet.gradcheck import check_gradients, max_rel_err
 
 # finite differences and exact oracles: every tensor here is float64
@@ -56,22 +56,34 @@ def test_matmul_2d_and_batched():
     run(lambda: ((p @ q) * w).sum(), p, q)
 
 
-def test_matmul_over_leading_axes_is_one_flat_product():
-    """N-d @ 2-d multiplies the flattened rows in one product, so a
-    channels-last map gives bit for bit what its [N, C] rows give."""
-    a, b = leaf(2, 3, 4, 5), leaf(5, 6)
+def test_linear_over_leading_axes_is_one_flat_product():
+    """`linear` multiplies the flattened rows in one product and adds the
+    bias after, so a channels-last map gives bit for bit what its [N, C]
+    rows give."""
+    a, w, b = leaf(2, 3, 4, 5), leaf(5, 6), leaf(6)
     g = RNG.standard_normal((2, 3, 4, 6))
     with Tape():
-        y = a @ b
+        y = E.linear(a, w, b)
         backward((y * Tensor(g)).sum())
     rows, g_rows = a.data.reshape(24, 5), g.reshape(24, 6)
-    np.testing.assert_array_equal(y.data, (rows @ b.data).reshape(2, 3, 4, 6))
-    np.testing.assert_array_equal(a.grad, (g_rows @ b.data.T).reshape(2, 3, 4, 5))
-    np.testing.assert_array_equal(b.grad, rows.T @ g_rows)
-    np.testing.assert_allclose(y.data, np.matmul(a.data, b.data), rtol=1e-12)
-    a.zero_grad()
-    b.zero_grad()
-    run(lambda: ((a @ b) * Tensor(g)).sum(), a, b)
+    np.testing.assert_array_equal(y.data, (rows @ w.data).reshape(2, 3, 4, 6) + b.data)
+    np.testing.assert_array_equal(a.grad, (g_rows @ w.data.T).reshape(2, 3, 4, 5))
+    np.testing.assert_array_equal(w.grad, rows.T @ g_rows)
+    np.testing.assert_array_equal(b.grad, g.sum(axis=(0, 1, 2)))
+    np.testing.assert_allclose(y.data, np.matmul(a.data, w.data) + b.data, rtol=1e-12)
+    for t in (a, w, b):
+        t.zero_grad()
+    run(lambda: (E.linear(a, w, b) * Tensor(g)).sum(), a, w, b)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [((2, 4), (5, 6), (6,)),
+                                                     ((2, 5), (5, 6), (5,)),
+                                                     ((2, 5), (5, 6), (1, 6))],
+                         ids=["x_against_w", "b_length", "b_rank"])
+def test_linear_names_the_shapes_that_do_not_fit(x_shape, w_shape, b_shape):
+    x, w, b = (Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape))
+    with pytest.raises(DimensionError, match=r"x \(2, \d\).*w \(5, 6\).*b \("):
+        E.linear(x, w, b)
 
 
 def test_reductions():

@@ -90,6 +90,21 @@ def test_benchmark_tracer_wraps_the_engine(monkeypatch):
     assert tr.counters["tapes"] == 1 and tr.op_calls["matmul"] > 0
 
 
+def test_every_recording_op_is_traced():
+    """Every public function in engine.py that records a tape node (calls
+    `_record` or `_binary`) is listed in `engine.__all__`, which the
+    benchmark tracer wraps; `getitem` is the one the tracer adds itself.
+    An op left off the list would drop out of the traced op counts
+    without failing them."""
+    from tecnet import engine
+
+    tree = ast.parse((ROOT / "src" / "tecnet" / "engine.py").read_text())
+    recording = {fn.name for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                 and {"_record", "_binary"} & referenced_names(fn)}
+    assert recording - set(engine.__all__) == {"getitem"}
+
+
 def test_forward_methods_take_no_optional_parameters():
     """No `forward` in src/tecnet has a parameter with a default, so no
     optional side channel rides along a forward call; `nn.capture()` is the

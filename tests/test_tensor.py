@@ -1,11 +1,13 @@
 """Tensor container and tape recording semantics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from tecnet import Tape, Tensor, backward
 from tecnet import engine as E
-from tecnet.errors import UsageError
+from tecnet.errors import DimensionError, UsageError
 
 
 def test_tensor_wraps_float64():
@@ -198,6 +200,14 @@ def test_concat_splits_gradient():
     backward(loss)
     np.testing.assert_allclose(a.grad, [1.0, 10.0])
     np.testing.assert_allclose(b.grad, [100.0])
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 4, 4), (1, 2, 4)], ids=["off_axis", "rank"])
+def test_concat_names_the_shapes_that_do_not_fit(shape):
+    """Parts that differ off the axis, or in rank, fail naming every shape."""
+    a, b = Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros(shape))
+    with pytest.raises(DimensionError, match=re.escape(f"[(1, 2, 3, 3), {shape}]")):
+        E.concat([a, b], axis=1)
 
 
 def test_backward_reinitializes_cleared_grad():

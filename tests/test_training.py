@@ -20,6 +20,7 @@ from tecnet import engine as E
 from tecnet.errors import ConfigurationError, TrainingDiverged, UsageError
 from tecnet.metrics import confusion_metrics
 from tecnet.model import TecNet, nano_config, read_config
+from tecnet.nn import Linear, capture
 from tecnet.synth import SynthSpec, make_dataset
 from tecnet.training import (LOG_FIELDS, Adam, PlateauHalver, TrainSchedule,
                              _learn, branch_loss, evaluate_dice, evaluate_loss,
@@ -167,12 +168,12 @@ def _tiny_run(tmp_path, **kw):
 # batch size: each op runs once for the whole batch.  A change that moves
 # this number should say why; one that splits attention back into small ops
 # fails here instead of only running slower.
-NANO_SAMPLE_TAPE_NODES = 1235
+NANO_SAMPLE_TAPE_NODES = 1046
 
 # Engine op calls of one untaped nano forward of one image, as the benchmark
-# tracer counts them (1,285 before the batch axis): an op added to the
-# inference path fails here.
-NANO_FORWARD_OP_CALLS = 1189
+# tracer counts them (1,285 before the batch axis, 1,189 while each Linear
+# was a matmul and an add): an op added to the inference path fails here.
+NANO_FORWARD_OP_CALLS = 1000
 
 # MiB that tracemalloc sees held by the tape of one nano B=8 forward plus
 # loss, and at the peak of its backward (tape included).  Backward closures
@@ -185,10 +186,12 @@ NANO_FORWARD_OP_CALLS = 1189
 # when LPM stopped permuting its map for the depthwise conv (80.5 and 89.4
 # once the window and patch cuts became token gathers).  The peak fell to
 # 87.9 when the rank-one attention kernel formed its exponentials a block
-# of windows at a time.  The bounds sit about 5% above; a closure that
-# keeps a T x T buffer again fails here.
-NANO_STEP_TAPE_MB = 85
-NANO_BACKWARD_PEAK_MB = 92
+# of windows at a time.  Both fell by 6.0 (to 74.5 and 81.9) when each
+# Linear became one `linear` node and the tape stopped holding its
+# pre-bias product.  The bounds sit about 5% above; a closure that keeps a
+# T x T buffer again fails here.
+NANO_STEP_TAPE_MB = 78
+NANO_BACKWARD_PEAK_MB = 86
 
 
 def test_tape_budget_of_one_nano_train_sample():
@@ -196,6 +199,9 @@ def test_tape_budget_of_one_nano_train_sample():
     model = TecNet(nano_config(), seed=0)
     acam_layers = sum(len(stage.blocks) for stage in model.trans_stages)
     ddconv_layers = sum(name.endswith(".kernels") for name, _ in model.named_parameters())
+    with capture() as (outputs, _):
+        model.forward(stack(make_dataset(SynthSpec(seed=5, count=1, size=64)))[0])
+    linear_calls = sum(isinstance(m, Linear) for m in outputs)
     for batch in (1, 8):
         images, masks = stack(make_dataset(SynthSpec(seed=5, count=batch, size=64)))
         with Tape() as tape:
@@ -203,6 +209,8 @@ def test_tape_budget_of_one_nano_train_sample():
         ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
         assert ops.count("attention") == 4 * acam_layers     # one node per branch
         assert ops.count("softmax") == ddconv_layers          # only the kernel gates
+        assert ops.count("linear") == linear_calls            # one node per Linear call
+        assert ops.count("matmul") == 2 * ddconv_layers       # DDConv's blend and product
         assert len(ops) == NANO_SAMPLE_TAPE_NODES, batch
 
 
